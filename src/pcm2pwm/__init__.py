@@ -2,9 +2,9 @@
 
 from .audio_io import (IoFailure, MalformedHeader, PcmStream, PwmBitstream,
                        UnsupportedFormat, read_pwm, read_wav, write_pwm)
-from .chain import (BEHAVIORS, ChainConfig, FirKernel, QuantizedStream,
-                    SampleStream, convert, design_interp_kernel, generate_pwm,
-                    linearize, noise_shape, s0_condition, upsample2)
+from .chain import (BEHAVIORS, QuantizedStream, SampleStream, convert,
+                    design_interp_kernel, generate_pwm, linearize, noise_shape,
+                    s0_condition, upsample2)
 from .dse import (AllZeroSizes, BehaviorEstimate, CostModel, NoFeasibleOption,
                   OptionComparison, PartitionOption, Scenario, TooManyBehaviors,
                   compare, enumerate_partitions, evaluate, hw_cost_share,

@@ -10,18 +10,20 @@ The chain runs strictly sequentially:
     MOLD  second-order noise-shaped quantization to 7 bits
 
 followed by the waveform generator, which expands each 7-bit code into a
-128-bit leading-edge pulse frame.  The resulting bit clock is
-352800 * 128 = 45,158,400 Hz; doing the same job without the chain would
-take 2^16 * 44100 = 2,890,137,600 Hz of pulse resolution.
+128-bit leading-edge pulse frame.  The design is fixed: INTERP_STAGES x2
+stages share one FIR_TAPS-tap kernel and MOLD quantizes to QUANTIZER_BITS.
+Every rate follows from the input stream; for 44.1 kHz input the bit clock
+is 352800 * 128 = 45,158,400 Hz, where doing the same job without the chain
+would take 2^16 * 44100 = 2,890,137,600 Hz of pulse resolution.
 
-S1-S3 share one FIR kernel.  All arithmetic is double precision; stages are
-pure functions, and an optional operation recorder can observe each stage's
-work for cost estimation.
+All arithmetic is double precision; stages are pure functions, and an
+optional operation recorder can observe each stage's work for cost
+estimation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,48 +33,9 @@ BEHAVIORS = ("S0", "S1", "S2", "S3", "LINE", "MOLD")
 
 PCM_FULL_SCALE = 32768  # divisor for S0; 16-bit two's-complement range
 
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """Knobs of the conversion chain.  Defaults give the 45.1584 MHz design."""
-
-    input_rate: int = 44100
-    interp_factor_per_stage: int = 2
-    num_interp_stages: int = 3
-    quantizer_bits: int = 7
-    shaper_order: int = 2
-    fir_taps: int = 63
-
-    @property
-    def total_interp(self) -> int:
-        return self.interp_factor_per_stage ** self.num_interp_stages
-
-    @property
-    def output_rate(self) -> int:
-        return self.input_rate * self.total_interp
-
-    @property
-    def frame_bits(self) -> int:
-        return 2 ** self.quantizer_bits
-
-    @property
-    def pwm_clock_hz(self) -> int:
-        return self.output_rate * self.frame_bits
-
-    @property
-    def naive_clock_hz(self) -> int:
-        # pulse resolution a direct 16-bit amplitude-to-width mapping would need
-        return 2 ** 16 * self.input_rate
-
-    def interp_group_delay(self) -> int:
-        """Accumulated interpolator delay in output-rate samples.
-
-        Each x2 stage delays by (taps - 1) / 2 samples at its own output
-        rate; summed here at the final rate.
-        """
-        per_stage = (self.fir_taps - 1) // 2
-        f = self.interp_factor_per_stage
-        return per_stage * sum(f ** k for k in range(self.num_interp_stages))
+INTERP_STAGES = 3  # x2 interpolators S1-S3
+FIR_TAPS = 63  # length of the kernel S1-S3 share
+QUANTIZER_BITS = 7  # MOLD output codes; one PWM frame is 2^7 bits
 
 
 @dataclass
@@ -107,34 +70,32 @@ class QuantizedStream:
         return len(self.codes)
 
 
-@dataclass(frozen=True)
-class FirKernel:
-    """Odd-length symmetric FIR taps for a x2 interpolator, DC gain 2."""
+def _blackman_sinc(num_taps: int, cutoff: float) -> np.ndarray:
+    """Blackman-windowed sinc centred on the middle tap, the one core both
+    filter designers scale."""
+    if num_taps % 2 == 0 or num_taps < 3:
+        raise ValueError("num_taps must be odd and >= 3")
+    if not 0.0 < cutoff < 0.5:
+        raise ValueError("cutoff must be in (0, 0.5)")
+    m = np.arange(num_taps) - (num_taps - 1) // 2
+    return 2.0 * cutoff * np.sinc(2.0 * cutoff * m) * np.blackman(num_taps)
 
-    taps: np.ndarray = field(repr=False)
 
-    def __len__(self):
-        return len(self.taps)
-
-
-def design_interp_kernel(num_taps: int = 63) -> FirKernel:
-    """Blackman-windowed sinc, cutoff at a quarter of the stage output rate.
+def design_interp_kernel(num_taps: int = FIR_TAPS) -> np.ndarray:
+    """Read-only taps of a x2 interpolator: a Blackman-windowed sinc with
+    its cutoff at a quarter of the stage output rate.
 
     The kernel is scaled so each polyphase branch sums to exactly 1, which
     makes the x2 stage DC-exact (total tap sum 2.0).
     """
-    if num_taps % 2 == 0 or num_taps < 3:
-        raise ValueError("num_taps must be odd and >= 3")
-    m = np.arange(num_taps) - (num_taps - 1) // 2
-    taps = 0.5 * np.sinc(0.5 * m) * np.blackman(num_taps)
-    taps = 2.0 * taps
+    taps = 2.0 * _blackman_sinc(num_taps, 0.25)
     # exact unit DC gain per polyphase branch
     for phase in (0, 1):
         s = taps[phase::2].sum()
         if s != 0.0:
             taps[phase::2] /= s
     taps.flags.writeable = False
-    return FirKernel(taps=taps)
+    return taps
 
 
 def windowed_sinc_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
@@ -143,12 +104,7 @@ def windowed_sinc_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
     cutoff is the half-amplitude frequency as a fraction of the sampling
     rate, 0 < cutoff < 0.5.  Stopband rejection is about 74 dB.
     """
-    if num_taps % 2 == 0 or num_taps < 3:
-        raise ValueError("num_taps must be odd and >= 3")
-    if not 0.0 < cutoff < 0.5:
-        raise ValueError("cutoff must be in (0, 0.5)")
-    m = np.arange(num_taps) - (num_taps - 1) // 2
-    taps = 2.0 * cutoff * np.sinc(2.0 * cutoff * m) * np.blackman(num_taps)
+    taps = _blackman_sinc(num_taps, cutoff)
     return taps / taps.sum()
 
 
@@ -168,7 +124,7 @@ def s0_condition(pcm: PcmStream, recorder=None) -> SampleStream:
     return SampleStream(samples=samples, sample_rate=pcm.sample_rate)
 
 
-def upsample2(stream: SampleStream, kernel: FirKernel,
+def upsample2(stream: SampleStream, kernel: np.ndarray,
               recorder=None, behavior: str = "S1") -> SampleStream:
     """One x2 interpolation stage: zero-stuff, filter, saturate.
 
@@ -179,7 +135,7 @@ def upsample2(stream: SampleStream, kernel: FirKernel,
         raise ValueError("cannot upsample an empty stream")
     stuffed = np.zeros(2 * len(stream))
     stuffed[::2] = stream.samples
-    out = np.convolve(stuffed, kernel.taps)[:len(stuffed)]
+    out = np.convolve(stuffed, kernel)[:len(stuffed)]
     np.clip(out, -1.0, 1.0, out=out)
     if recorder is not None:
         recorder.record(behavior, "mac", len(kernel) * len(out))
@@ -228,53 +184,33 @@ def linearize(stream: SampleStream, recorder=None) -> SampleStream:
     return SampleStream(samples=out, sample_rate=stream.sample_rate)
 
 
-def noise_shape(stream: SampleStream, cfg: ChainConfig,
-                recorder=None) -> QuantizedStream:
-    """MOLD: error-feedback quantizer with noise transfer (1 - z^-1)^order.
+def noise_shape(stream: SampleStream, recorder=None) -> QuantizedStream:
+    """MOLD: error-feedback quantizer with noise transfer (1 - z^-1)^2.
 
-    Per sample: v = x + feedback of past errors, v is clamped to [-1, 1],
-    rounded half-up onto the 2^bits - 1 grid, and the pre-clamp error
+    Per sample: v = x + 2 e[k-1] - e[k-2], v is clamped to [-1, 1], rounded
+    half-up onto the 2^QUANTIZER_BITS - 1 grid, and the pre-clamp error
     v - dequantized(code) is fed back.  State starts at zero.
     """
-    n_levels = 2 ** cfg.quantizer_bits - 1
+    n_levels = 2 ** QUANTIZER_BITS - 1
     half = n_levels / 2.0
     inv_half = 1.0 / half
-    order = cfg.shaper_order
 
     codes = []
     append = codes.append
-    if order == 2:
-        # unrolled hot path: v[k] = x[k] + 2 e[k-1] - e[k-2]
-        e1 = e2 = 0.0
-        for xv in stream.samples.tolist():
-            v = xv + 2.0 * e1 - e2
-            c = 1.0 if v > 1.0 else (-1.0 if v < -1.0 else v)
-            code = int((c + 1.0) * half + 0.5)  # round half-up, argument >= 0
-            if code > n_levels:
-                code = n_levels
-            append(code)
-            e2 = e1
-            e1 = v - (code * inv_half - 1.0)
-    else:
-        # v[k] = x[k] + sum_i fb[i] e[k-1-i], taps from (1 - z^-1)^order
-        fb = [(-1.0) ** i * _binom(order, i + 1) for i in range(order)]
-        err = [0.0] * order
-        for xv in stream.samples.tolist():
-            v = xv
-            for i in range(order):
-                v += fb[i] * err[i]
-            c = 1.0 if v > 1.0 else (-1.0 if v < -1.0 else v)
-            code = int((c + 1.0) * half + 0.5)
-            if code > n_levels:
-                code = n_levels
-            append(code)
-            if order:
-                err[1:] = err[:-1]
-                err[0] = v - (code * inv_half - 1.0)
+    e1 = e2 = 0.0
+    for xv in stream.samples.tolist():
+        v = xv + 2.0 * e1 - e2
+        c = 1.0 if v > 1.0 else (-1.0 if v < -1.0 else v)
+        code = int((c + 1.0) * half + 0.5)  # round half-up, argument >= 0
+        if code > n_levels:
+            code = n_levels
+        append(code)
+        e2 = e1
+        e1 = v - (code * inv_half - 1.0)
     if recorder is not None:
         _record_block(recorder, "MOLD", _MOLD_OPS, len(codes))
     return QuantizedStream(codes=np.array(codes, dtype=np.int64),
-                           bits=cfg.quantizer_bits,
+                           bits=QUANTIZER_BITS,
                            sample_rate=stream.sample_rate)
 
 
@@ -292,34 +228,23 @@ def generate_pwm(q: QuantizedStream) -> PwmBitstream:
                         frame_bits=frame_bits)
 
 
-def convert(pcm: PcmStream, cfg: ChainConfig | None = None,
-            recorder=None, apply_linearization: bool = True) -> PwmBitstream:
+def convert(pcm: PcmStream, recorder=None,
+            apply_linearization: bool = True) -> PwmBitstream:
     """Full sequential chain S0 -> S1 -> S2 -> S3 -> LINE -> MOLD -> PWM.
 
     apply_linearization=False bypasses LINE, e.g. to measure how much
     distortion the correction removes.
     """
-    cfg = cfg or ChainConfig()
-    if pcm.sample_rate != cfg.input_rate:
-        raise ValueError(f"input rate {pcm.sample_rate} != configured "
-                         f"{cfg.input_rate}")
-    kernel = design_interp_kernel(cfg.fir_taps)
+    kernel = design_interp_kernel()
     stream = s0_condition(pcm, recorder)
-    for i in range(cfg.num_interp_stages):
+    for i in range(INTERP_STAGES):
         stream = upsample2(stream, kernel, recorder, f"S{i + 1}")
     if apply_linearization:
         stream = linearize(stream, recorder)
-    q = noise_shape(stream, cfg, recorder)
+    q = noise_shape(stream, recorder)
     return generate_pwm(q)
 
 
 def _record_block(recorder, behavior, ops, n):
     for kind, per_sample in ops.items():
         recorder.record(behavior, kind, per_sample * n)
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, profiler.UnknownBehavior) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except dse.NoFeasibleOption as exc:
@@ -100,13 +100,13 @@ def _add_input(p, required=True):
 
 def cmd_convert(args) -> int:
     pcm = _load_input(args.input, args.seed)
-    cfg = chain.ChainConfig(input_rate=pcm.sample_rate)
-    pwm = chain.convert(pcm, cfg)
+    pwm = chain.convert(pcm)
     audio_io.write_pwm(pwm, args.output)
     print(f"frames: {pwm.frame_count}")
     print(f"frame bits: {pwm.frame_bits}")
     print(f"pwm clock: {pwm.clock_hz} Hz")
-    print(f"naive clock: {cfg.naive_clock_hz} Hz")
+    # pulse resolution a direct 16-bit amplitude-to-width mapping would need
+    print(f"naive clock: {2 ** 16 * pcm.sample_rate} Hz")
     print(f"wrote: {args.output}")
     return EXIT_OK
 
@@ -135,8 +135,7 @@ def cmd_profile(args) -> int:
         pcm = _load_input(args.input, args.seed)
         recorder = profiler.OpRecorder()
         if len(pcm):  # nothing to run on empty input: all counts stay zero
-            chain.convert(pcm, chain.ChainConfig(input_rate=pcm.sample_rate),
-                          recorder=recorder)
+            chain.convert(pcm, recorder=recorder)
         counts = recorder.snapshot()
         playback_s = len(pcm) / pcm.sample_rate if len(pcm) else (
             args.deadline_ms / 1000.0)
@@ -207,8 +206,7 @@ def _print_tradeoff(shortlist, selected, cm):
 
 def cmd_roundtrip(args) -> int:
     pcm = _load_input(args.input, args.seed)
-    cfg = chain.ChainConfig(input_rate=pcm.sample_rate)
-    pwm = chain.convert(pcm, cfg)
+    pwm = chain.convert(pcm)
     audio = verification.demodulate(pwm, pcm.sample_rate)
     report = verification.measure(chain.s0_condition(pcm), audio)
     if args.format == "csv":

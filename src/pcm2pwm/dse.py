@@ -42,6 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
+from .profiler import UnknownBehavior
+
 MAX_BEHAVIORS = 20
 TOTALS_TOLERANCE_US = 500  # estimate tables may disagree with a quoted total
 
@@ -54,10 +56,6 @@ SHORTLIST_MAPPINGS = (
     frozenset({"LINE", "MOLD"}),
     frozenset({"MOLD"}),
 )
-
-
-class UnknownBehavior(Exception):
-    """Mapping refers to a behavior missing from the estimate table."""
 
 
 class AllZeroSizes(Exception):

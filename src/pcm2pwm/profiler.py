@@ -38,7 +38,8 @@ COUNTER_CAP = 2 ** 63 - 1
 
 
 class UnknownBehavior(Exception):
-    """Behavior name outside the fixed six-behavior set."""
+    """Behavior name outside the fixed six-behavior set or missing from a
+    scenario's estimate table."""
 
 
 class MissingWeight(Exception):

@@ -81,18 +81,12 @@ def demodulate(pwm: PwmBitstream, target_rate: int = 44100) -> SampleStream:
 
     stages = [ratio // 8, 8] if ratio % 8 == 0 and ratio > 8 else [ratio]
     rate = pwm.clock_hz
-    first = True
-    for m in stages:
-        if m == 1:
-            rate //= m
-            first = False
-            continue
+    for i, m in enumerate(stages):
         out_rate = rate // m
         h = _stage_filter(rate, out_rate, target_rate,
                           final=(out_rate == target_rate))
-        x = _polyphase_decimate(x, h, m, bits=first)
+        x = _polyphase_decimate(x, h, m, bits=(i == 0))
         rate = out_rate
-        first = False
     np.clip(x, -1.0, 1.0, out=x)
     return SampleStream(samples=x, sample_rate=target_rate)
 

@@ -21,7 +21,6 @@ from conftest import sine_int16
 
 DATA = resources.files("pcm2pwm").joinpath("data")
 RATE = 44100
-CFG = chain.ChainConfig()
 
 # cumulative wall time of the quality battery (criterion 5), fixtures included
 _quality_seconds = {}
@@ -51,7 +50,7 @@ def tone_run_minus6():
     """convert + demodulate of the 4.3 s, 1 kHz, -6 dBFS sine."""
     with _quality_clock("convert_minus6"):
         pcm = audio_io.PcmStream(sine_int16(1000, 0.5, 4.3), RATE)
-        pwm = chain.convert(pcm, CFG)
+        pwm = chain.convert(pcm)
         audio = verification.demodulate(pwm, RATE)
     return pcm, pwm, audio
 
@@ -61,9 +60,9 @@ def tone_runs_full_amp():
     """Linearized and bypass runs of the 4.3 s, 1 kHz, 0.9 amplitude sine."""
     with _quality_clock("convert_amp09"):
         pcm = audio_io.PcmStream(sine_int16(1000, 0.9, 4.3), RATE)
-        lin = verification.demodulate(chain.convert(pcm, CFG), RATE)
+        lin = verification.demodulate(chain.convert(pcm), RATE)
         byp = verification.demodulate(
-            chain.convert(pcm, CFG, apply_linearization=False), RATE)
+            chain.convert(pcm, apply_linearization=False), RATE)
     return pcm, lin, byp
 
 
@@ -127,8 +126,6 @@ def test_criterion_3_selection_and_tradeoff():
 
 def test_criterion_4_rate_arithmetic(tmp_path, capsys):
     with criterion(4, "achieved and avoided clock rates"):
-        assert CFG.pwm_clock_hz == 45_158_400
-        assert CFG.naive_clock_hz == 2_890_137_600
         code = cli.main(["convert", "--input", "sine:1000:-6:0.01",
                          "--output", str(tmp_path / "x.pwm")])
         out = capsys.readouterr().out
@@ -156,7 +153,7 @@ def test_criterion_5b_image_rejection():
             pcm = audio_io.PcmStream(sine_int16(1000, 32767 / 32768, 4.3),
                                      RATE)
             stream = chain.s0_condition(pcm)
-            kernel = chain.design_interp_kernel(CFG.fir_taps)
+            kernel = chain.design_interp_kernel()
             for _ in range(3):
                 stream = chain.upsample2(stream, kernel)
             nfft = 2 ** 17
@@ -174,7 +171,7 @@ def test_criterion_5c_noise_shaping_gain():
             rate = 352800
             n = int(4.3 * rate)
             x = 0.5 * np.sin(2 * np.pi * 1000 * np.arange(n) / rate)
-            shaped = chain.noise_shape(chain.SampleStream(x, rate), CFG)
+            shaped = chain.noise_shape(chain.SampleStream(x, rate))
             plain = oracles.round_half_up_quantize(x, 7)
             nfft = 2 ** 18
             err_shaped = oracles.dequantize(shaped.codes, 7) - x
@@ -265,7 +262,7 @@ def test_criterion_7_profiler_laws():
 
         pcm = audio_io.PcmStream(sine_int16(1000, 0.5, 0.2), RATE)
         recorder = profiler.OpRecorder()
-        chain.convert(pcm, CFG, recorder=recorder)
+        chain.convert(pcm, recorder=recorder)
         snap = recorder.snapshot()
         assert (snap.behavior_total("S3") > snap.behavior_total("S2")
                 > snap.behavior_total("S1") > 0)

@@ -167,3 +167,73 @@ def test_pwm_invariant_multiple_of_frame():
     with pytest.raises(ValueError):
         PwmBitstream(bits=np.zeros(100, dtype=np.uint8), clock_hz=1000,
                      frame_bits=128)
+
+
+# --- fuzzed readers -------------------------------------------------------------
+# Whatever the bytes, a reader returns a stream or raises one of the three
+# documented errors; anything else escaping fails the test.
+
+DOCUMENTED = (MalformedHeader, UnsupportedFormat, IoFailure)
+
+u16 = st.integers(0, 2 ** 16 - 1)
+u32 = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def riff_files(draw):
+    """RIFF/WAVE files with well-formed framing and corrupt contents."""
+    channels = draw(st.one_of(st.integers(0, 4), u16))
+    fmt = struct.pack("<HHIIHH", draw(st.sampled_from([1, 1, 1, 3, 0xFFFE])),
+                      channels, draw(st.one_of(st.just(44100), u32)), draw(u32),
+                      draw(st.one_of(st.just(2 * channels % 2 ** 16), u16)),
+                      draw(st.sampled_from([16, 16, 16, 8, 24, 0])))
+    chunks = [(b"fmt ", fmt), (b"data", draw(st.binary(max_size=64)))]
+    chunks += draw(st.lists(st.tuples(
+        st.sampled_from([b"data", b"LIST", b"\0\0\0\0"]),
+        st.binary(max_size=32)), max_size=2))
+    out = b"WAVE"
+    for cid, body in draw(st.permutations(chunks)):
+        size = len(body)
+        fault = draw(st.sampled_from(["none"] * 6 + ["cut", "size"]))
+        if fault == "cut":
+            body = body[:draw(st.integers(0, len(body)))]
+        elif fault == "size":
+            size = draw(st.one_of(st.integers(0, 80), u32))
+        out += cid + struct.pack("<I", size) + body + b"\0" * (len(body) & 1)
+    return b"RIFF" + struct.pack("<I", len(out)) + out
+
+
+@st.composite
+def pwm_files(draw):
+    """PWM1 files whose header fields disagree with each other or the payload."""
+    bit_count = draw(st.one_of(st.integers(0, 2048), u32))
+    frame_bits = draw(st.one_of(st.sampled_from([0, 1, 7, 128]), u32))
+    header = struct.pack("<4sIII", draw(st.sampled_from([b"PWM1", b"PWM2"])),
+                         draw(u32), frame_bits, bit_count)
+    n_bytes = min((bit_count + 7) // 8, 256) + draw(st.integers(-1, 1))
+    return header + draw(st.binary(min_size=max(n_bytes, 0),
+                                   max_size=max(n_bytes, 0)))
+
+
+def _read_fuzzed(reader, data):
+    import tempfile
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/fuzz"
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            reader(path)
+        except DOCUMENTED:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=128), riff_files()))
+def test_read_wav_fuzzed_raises_only_documented(data):
+    _read_fuzzed(read_wav, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64), pwm_files()))
+def test_read_pwm_fuzzed_raises_only_documented(data):
+    _read_fuzzed(read_pwm, data)

@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcm2pwm.audio_io import PcmStream
-from pcm2pwm.chain import (BEHAVIORS, ChainConfig, QuantizedStream,
-                           SampleStream, convert, design_interp_kernel,
-                           generate_pwm, linearize, noise_shape, s0_condition,
-                           upsample2)
+from pcm2pwm.chain import (BEHAVIORS, FIR_TAPS, INTERP_STAGES, QUANTIZER_BITS,
+                           QuantizedStream, SampleStream, convert,
+                           design_interp_kernel, generate_pwm, linearize,
+                           noise_shape, s0_condition, upsample2)
 
 import oracles
-
-CFG = ChainConfig()
 
 
 def sine_stream(freq, amp, n, rate=352800):
@@ -20,15 +18,17 @@ def sine_stream(freq, amp, n, rate=352800):
                         sample_rate=rate)
 
 
-# --- configuration ------------------------------------------------------------
+# --- design constants -----------------------------------------------------------
 
 def test_rate_arithmetic_exact():
-    assert CFG.output_rate == 352800
-    assert CFG.frame_bits == 128
-    assert CFG.pwm_clock_hz == 45158400
-    assert CFG.pwm_clock_hz == CFG.output_rate * 2 ** CFG.quantizer_bits
-    assert CFG.naive_clock_hz == 2890137600
-    assert CFG.naive_clock_hz == 2 ** 16 * 44100
+    assert (INTERP_STAGES, FIR_TAPS, QUANTIZER_BITS) == (3, 63, 7)
+    pwm = convert(PcmStream(np.zeros(16, dtype=np.int16), 44100))
+    assert pwm.frame_bits == 2 ** QUANTIZER_BITS == 128
+    assert pwm.clock_hz == 44100 * 2 ** INTERP_STAGES * pwm.frame_bits
+    assert pwm.clock_hz == 45158400
+    # every rate follows from the input stream
+    pwm48 = convert(PcmStream(np.zeros(16, dtype=np.int16), 48000))
+    assert pwm48.clock_hz == 48000 * 8 * 128
 
 
 def test_behavior_names_fixed():
@@ -59,10 +59,11 @@ def test_s0_preserves_length():
 # --- interpolation ----------------------------------------------------------
 
 def test_kernel_shape():
-    k = design_interp_kernel(63)
-    assert len(k) == 63
-    assert np.allclose(k.taps, k.taps[::-1])  # linear phase
-    assert k.taps.sum() == pytest.approx(2.0, abs=1e-12)
+    k = design_interp_kernel()
+    assert len(k) == FIR_TAPS
+    assert not k.flags.writeable
+    assert np.allclose(k, k[::-1])  # linear phase
+    assert k.sum() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_upsample2_zeros():
@@ -99,7 +100,7 @@ def test_cascade_image_rejection():
     t = np.arange(n) / 44100
     stream = SampleStream(np.sin(2 * np.pi * 1000 * t) * (32767 / 32768),
                           44100)
-    kernel = design_interp_kernel(CFG.fir_taps)
+    kernel = design_interp_kernel()
     for _ in range(3):
         stream = upsample2(stream, kernel)
     assert stream.sample_rate == 352800
@@ -141,21 +142,21 @@ def test_linearize_bounded():
 # --- noise shaping ----------------------------------------------------------
 
 def test_noise_shape_zero_input_dithers_midscale():
-    q = noise_shape(SampleStream(np.zeros(512), 352800), CFG)
+    q = noise_shape(SampleStream(np.zeros(512), 352800))
     assert set(q.codes.tolist()) == {63, 64}
     assert abs(q.codes.mean() - 63.5) <= 0.5
 
 
 def test_noise_shape_rails():
-    up = noise_shape(SampleStream(np.ones(64), 352800), CFG)
+    up = noise_shape(SampleStream(np.ones(64), 352800))
     assert np.all(up.codes == 127)
-    down = noise_shape(SampleStream(-np.ones(64), 352800), CFG)
+    down = noise_shape(SampleStream(-np.ones(64), 352800))
     assert np.all(down.codes == 0)
 
 
 def test_noise_shape_codes_in_range():
     x = sine_stream(1000, 0.95, 8192)
-    q = noise_shape(x, CFG)
+    q = noise_shape(x)
     assert q.codes.min() >= 0
     assert q.codes.max() <= 127
     assert q.bits == 7
@@ -168,7 +169,7 @@ def test_noise_shaping_law(freq):
     n = 16384
     rate = 352800
     x = 0.5 * np.sin(2 * np.pi * freq * np.arange(n) / rate)
-    shaped = noise_shape(SampleStream(x, rate), CFG)
+    shaped = noise_shape(SampleStream(x, rate))
     plain = oracles.round_half_up_quantize(x, 7)
 
     nfft = n
@@ -181,12 +182,6 @@ def test_noise_shaping_law(freq):
     n_plain = oracles.band_noise_power(p_plain, rate, nfft, 100, 20000,
                                        exclude)
     assert n_shaped < n_plain
-
-
-def test_noise_shape_first_order_knob():
-    cfg1 = ChainConfig(shaper_order=1)
-    q = noise_shape(SampleStream(np.zeros(256), 352800), cfg1)
-    assert abs(q.codes.mean() - 63.5) <= 0.5
 
 
 # --- waveform generation ------------------------------------------------------
@@ -217,7 +212,7 @@ def test_generate_pwm_rejects_out_of_range():
 
 def test_convert_zero_input_duty():
     pcm = PcmStream(np.zeros(1000, dtype=np.int16), 44100)
-    pwm = convert(pcm, CFG)
+    pwm = convert(pcm)
     assert pwm.frame_count == 8000
     duty = pwm.bits.astype(np.float64).mean()
     assert abs(duty - 0.5) <= 1.0 / 128
@@ -226,27 +221,22 @@ def test_convert_zero_input_duty():
 def test_convert_length_law():
     for n in (16, 250, 2000):
         pcm = PcmStream(np.zeros(n, dtype=np.int16), 44100)
-        assert convert(pcm, CFG).frame_count == 8 * n
+        assert convert(pcm).frame_count == 8 * n
 
 
 def test_convert_deterministic():
     rng = np.random.default_rng(7)
     pcm = PcmStream(rng.integers(-2000, 2000, 500).astype(np.int16), 44100)
-    a = convert(pcm, CFG)
-    b = convert(pcm, CFG)
+    a = convert(pcm)
+    b = convert(pcm)
     assert a == b
-
-
-def test_convert_rejects_rate_mismatch():
-    with pytest.raises(ValueError):
-        convert(PcmStream(np.zeros(16, dtype=np.int16), 48000), CFG)
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.floats(min_value=-0.9, max_value=0.9))
 def test_dc_duty_law(level):
     pcm = PcmStream(np.full(512, round(level * 32767), dtype=np.int16), 44100)
-    pwm = convert(pcm, CFG)
+    pwm = convert(pcm)
     # drop the interpolator rise (about 450 frames at the output rate)
     duty = pwm.bits[pwm.frame_bits * 1024:].astype(np.float64).mean()
     expect = (level * 32767 / 32768 + 1.0) / 2.0

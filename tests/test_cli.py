@@ -127,6 +127,13 @@ def test_explore_bad_pin(capsys):
     assert main(["explore", "--pin", "S0=fpga"]) == 2
 
 
+def test_explore_unknown_pin(capsys):
+    assert main(["explore", "--pin", "FOO=hw"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "FOO" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_explore_csv(capsys):
     code = main(["explore", "--format", "csv"])
     captured = capsys.readouterr()

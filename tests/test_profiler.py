@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcm2pwm.audio_io import PcmStream
-from pcm2pwm.chain import ChainConfig, convert
+from pcm2pwm.chain import convert
 from pcm2pwm.profiler import (COUNTER_CAP, OP_KINDS, CounterOverflow,
                               CycleEstimate, MissingWeight, OpCountVector,
                               OpRecorder, ProcessingElement, UnknownBehavior,
@@ -219,7 +219,7 @@ def test_live_run_stage_ordering():
     rng = np.random.default_rng(3)
     pcm = PcmStream(rng.integers(-8000, 8000, 4410).astype(np.int16), 44100)
     rec = OpRecorder()
-    convert(pcm, ChainConfig(), recorder=rec)
+    convert(pcm, recorder=rec)
     snap = rec.snapshot()
     s1 = snap.behavior_total("S1")
     s2 = snap.behavior_total("S2")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pcm2pwm.chain import ChainConfig, QuantizedStream, SampleStream, \
-    generate_pwm, noise_shape
+from pcm2pwm.chain import QuantizedStream, SampleStream, generate_pwm, \
+    noise_shape
 from pcm2pwm.verification import (SNR_CAP_DB, LengthMismatch, MalformedStream,
                                   demodulate, measure)
 
@@ -135,7 +135,7 @@ def test_measure_detects_harmonics():
 def test_shaped_noise_beats_plain_rounding_via_measure():
     x = sine(1000, 0.5, 32768, rate=CHAIN_RATE)
     ref = SampleStream(x, CHAIN_RATE)
-    shaped = noise_shape(ref, ChainConfig())
+    shaped = noise_shape(ref)
     shaped_stream = SampleStream(oracles.dequantize(shaped.codes, 7),
                                  CHAIN_RATE)
     plain_stream = SampleStream(
