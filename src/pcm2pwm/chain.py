@@ -114,6 +114,11 @@ def windowed_sinc_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
 _S0_OPS = {"mul": 1, "mem": 2}
 _LINE_OPS = {"add": 6, "mul": 7, "cmp": 3, "mem": 4}
 _MOLD_OPS = {"add": 4, "mul": 3, "cmp": 2, "mem": 3}
+# MOLD converts this many samples to Python floats at a time.  One tolist()
+# of a whole 4.3 s stream makes 1.5 M float objects; the allocator arenas
+# they free stay resident once any long-lived object lands in one, so a
+# process that keeps a little state per conversion grew about 1 MB a call.
+_MOLD_BLOCK = 8192
 
 
 def s0_condition(pcm: PcmStream, recorder=None) -> SampleStream:
@@ -198,15 +203,17 @@ def noise_shape(stream: SampleStream, recorder=None) -> QuantizedStream:
     codes = []
     append = codes.append
     e1 = e2 = 0.0
-    for xv in stream.samples.tolist():
-        v = xv + 2.0 * e1 - e2
-        c = 1.0 if v > 1.0 else (-1.0 if v < -1.0 else v)
-        code = int((c + 1.0) * half + 0.5)  # round half-up, argument >= 0
-        if code > n_levels:
-            code = n_levels
-        append(code)
-        e2 = e1
-        e1 = v - (code * inv_half - 1.0)
+    x = stream.samples
+    for start in range(0, len(x), _MOLD_BLOCK):
+        for xv in x[start:start + _MOLD_BLOCK].tolist():
+            v = xv + 2.0 * e1 - e2
+            c = 1.0 if v > 1.0 else (-1.0 if v < -1.0 else v)
+            code = int((c + 1.0) * half + 0.5)  # round half-up, argument >= 0
+            if code > n_levels:
+                code = n_levels
+            append(code)
+            e2 = e1
+            e1 = v - (code * inv_half - 1.0)
     if recorder is not None:
         _record_block(recorder, "MOLD", _MOLD_OPS, len(codes))
     return QuantizedStream(codes=np.array(codes, dtype=np.int64),

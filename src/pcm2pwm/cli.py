@@ -9,8 +9,14 @@ Subcommands:
 
 Inputs are WAV paths or synthetic specs ("sine:FREQ_HZ:AMP_DBFS[:SECONDS]",
 "noise:AMP_DBFS[:SECONDS]", "silence[:SECONDS]"); synthetic signals default
-to 4.3 s and noise uses --seed.  Exit codes: 0 success, 2 input error,
-3 no feasible mapping, 4 quality floor missed.
+to 4.3 s and noise uses --seed.  Exit codes:
+
+    0  success
+    2  input error: a missing, malformed or empty input, a bad option
+       value, or a roundtrip input the demodulator cannot map onto its
+       rate or that is too short to score (under 256 samples)
+    3  no feasible mapping
+    4  quality floor missed
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, profiler.UnknownBehavior) as exc:
+    except (InputError, profiler.UnknownBehavior,
+            verification.LengthMismatch, verification.MalformedStream) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except dse.NoFeasibleOption as exc:
@@ -100,6 +107,8 @@ def _add_input(p, required=True):
 
 def cmd_convert(args) -> int:
     pcm = _load_input(args.input, args.seed)
+    if not len(pcm):
+        raise InputError("input has no samples")
     pwm = chain.convert(pcm)
     audio_io.write_pwm(pwm, args.output)
     print(f"frames: {pwm.frame_count}")
@@ -206,6 +215,8 @@ def _print_tradeoff(shortlist, selected, cm):
 
 def cmd_roundtrip(args) -> int:
     pcm = _load_input(args.input, args.seed)
+    if not len(pcm):
+        raise InputError("input has no samples")
     pwm = chain.convert(pcm)
     audio = verification.demodulate(pwm, pcm.sample_rate)
     report = verification.measure(chain.s0_condition(pcm), audio)

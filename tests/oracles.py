@@ -66,6 +66,16 @@ def thd_db(x, rate, f0, nfft=None, band_hz=20000.0, half_width=8):
     return 10.0 * np.log10(harm / p1)
 
 
+def decimate_direct(x, h, m):
+    """Direct-form filter, kept every m-th output, delay-compensated:
+    y[n] = sum_k h[k] x[n m + D - k], D = (len(h) - 1) // 2, with x zero
+    outside its range."""
+    if len(x) // m == 0:
+        return np.zeros(0)
+    d = (len(h) - 1) // 2
+    return np.convolve(np.asarray(x, dtype=np.float64), h)[d::m][:len(x) // m]
+
+
 def round_half_up_quantize(x, bits):
     """Plain (memoryless) rounding onto the [0, 2^bits - 1] code grid."""
     levels = 2 ** bits - 1

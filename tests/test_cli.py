@@ -42,6 +42,19 @@ def test_convert_synthetic_input(tmp_path, capsys):
     assert read_pwm(out).frame_count == 8 * 2205
 
 
+@pytest.mark.parametrize("command", ["convert", "roundtrip"])
+@pytest.mark.parametrize("source", ["silence:0", "empty.wav"])
+def test_empty_input_is_input_error(command, source, wav_file, tmp_path,
+                                    capsys):
+    if source == "empty.wav":  # a WAV whose data chunk is empty
+        source = str(wav_file(np.zeros(0, dtype=np.int16), name=source))
+    argv = [command, "--input", source]
+    if command == "convert":
+        argv += ["--output", str(tmp_path / "out.pwm")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: input has no samples\n"
+
+
 # --- profile --------------------------------------------------------------
 
 def test_profile_fixture_mode(capsys):
@@ -188,6 +201,13 @@ def test_roundtrip_csv(capsys):
     assert code == 0
     assert captured.out.splitlines()[0] == (
         "fundamental_hz,snr_db,thd_db,inband_noise_power")
+
+
+def test_roundtrip_too_short_is_input_error(capsys):
+    code = main(["roundtrip", "--input", "sine:1000:-6:0.001"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: only 44 overlapping samples\n"
 
 
 def _bundled(name):

@@ -1,12 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pcm2pwm.chain import QuantizedStream, SampleStream, generate_pwm, \
-    noise_shape
+from pcm2pwm import verification
+from pcm2pwm.audio_io import PcmStream
+from pcm2pwm.chain import QuantizedStream, SampleStream, convert, \
+    generate_pwm, noise_shape
 from pcm2pwm.verification import (SNR_CAP_DB, LengthMismatch, MalformedStream,
                                   demodulate, measure)
 
 import oracles
+from conftest import sine_int16
 
 RATE = 44100
 CHAIN_RATE = 352800
@@ -69,6 +76,63 @@ def test_demodulate_identity_ratio():
                        clock_hz=4, frame_bits=2)
     out = demodulate(pwm, 4)
     assert out.samples.tolist() == [1.0, -1.0, 1.0, 1.0]
+
+
+# --- edge-domain first stage --------------------------------------------------
+
+bitstreams = st.one_of(
+    st.lists(st.integers(0, 1), max_size=600),
+    st.integers(0, 600).map(lambda n: [0] * n),
+    st.integers(0, 600).map(lambda n: [1] * n),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=bitstreams, m=st.integers(1, 16), extra_half=st.integers(0, 40),
+       taps_seed=st.integers(0, 2 ** 32 - 1), block=st.integers(1, 9))
+@example(bits=[1], m=1, extra_half=0, taps_seed=0, block=1)
+@example(bits=[0], m=1, extra_half=3, taps_seed=1, block=4)
+@example(bits=[1, 0, 1, 1, 0, 0, 1], m=3, extra_half=0, taps_seed=2, block=1)
+def test_edge_decimate_matches_direct_form(bits, m, extra_half, taps_seed,
+                                           block):
+    taps = 2 * (m - 1 + extra_half) + 1  # odd, at least 2 m - 1
+    h = np.random.default_rng(taps_seed).standard_normal(taps)
+    b = np.array(bits, dtype=np.uint8)
+    # small blocks put block edges inside every window
+    with mock.patch.object(verification, "_EDGE_BLOCK", block):
+        y = verification._edge_decimate(b, h, m)
+    expected = oracles.decimate_direct(2.0 * b - 1.0, h, m)
+    assert y.shape == expected.shape
+    np.testing.assert_allclose(y, expected, rtol=0, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def stage1_minus6():
+    """Bits of the 4.3 s, 1 kHz, -6 dBFS clip and the first stage's filter."""
+    pwm = convert(PcmStream(sine_int16(1000, 0.5, 4.3), RATE))
+    h = verification._stage_filter(pwm.clock_hz, pwm.clock_hz // 128, RATE)
+    return pwm.bits, h
+
+
+def test_edge_decimate_matches_polyphase_on_clip(stage1_minus6):
+    bits, h = stage1_minus6
+    y = verification._edge_decimate(bits, h, 128)
+    signs = bits.astype(np.int8)  # +-1 in int8 keeps the copy at 1 byte/bit
+    signs *= 2
+    signs -= 1
+    reference = verification._polyphase_decimate(signs, h, 128)
+    del signs
+    # _polyphase_decimate counts its first inputs as zero; compare after them
+    start = -(-len(h) // 128) + 1
+    np.testing.assert_allclose(y[start:], reference[start:], rtol=0, atol=1e-9)
+
+
+def test_edge_decimate_matches_direct_form_on_clip_prefix(stage1_minus6):
+    bits, h = stage1_minus6
+    prefix = bits[:2 ** 17]
+    np.testing.assert_allclose(
+        verification._edge_decimate(prefix, h, 128),
+        oracles.decimate_direct(2.0 * prefix - 1.0, h, 128), rtol=0, atol=1e-9)
 
 
 # --- measurement ------------------------------------------------------------
