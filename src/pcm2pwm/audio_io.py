@@ -17,7 +17,8 @@ Two on-disk formats are handled here, both bit-exactly:
       16      -     payload, bits packed LSB-first into bytes
 
   The payload length must be a multiple of the frame size and the file must
-  contain exactly ceil(bits / 8) payload bytes.
+  contain exactly ceil(bits / 8) payload bytes.  The u32 length field caps a
+  stream at PWM_MAX_BITS bits; write_pwm raises StreamTooLong above it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 PWM_MAGIC = b"PWM1"
 _HEADER = struct.Struct("<4sIII")
+PWM_MAX_BITS = 2 ** 32 - 1  # largest payload length the u32 field holds
 
 
 class MalformedHeader(Exception):
@@ -43,13 +45,16 @@ class IoFailure(Exception):
     """Underlying OS read/write failed."""
 
 
+class StreamTooLong(Exception):
+    """Bitstream longer than the PWM1 length field can declare."""
+
+
 @dataclass
 class PcmStream:
     """Signed 16-bit samples at a fixed rate, mono after downmix."""
 
     samples: np.ndarray  # int16
     sample_rate: int
-    channels: int = 1
 
     def __post_init__(self):
         arr = np.asarray(self.samples)
@@ -63,10 +68,6 @@ class PcmStream:
 
     def __len__(self):
         return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
 @dataclass
@@ -90,10 +91,6 @@ class PwmBitstream:
     @property
     def frame_count(self) -> int:
         return len(self.bits) // self.frame_bits
-
-    @property
-    def frame_rate_hz(self) -> float:
-        return self.clock_hz / self.frame_bits
 
     def __eq__(self, other):
         if not isinstance(other, PwmBitstream):
@@ -158,18 +155,21 @@ def read_wav(path) -> PcmStream:
 
     frame_count = len(payload) // block_align
     raw = np.frombuffer(payload[:frame_count * block_align], dtype="<i2")
-    if channels == 1:
-        samples = raw.astype(np.int16)
-    else:
-        # arithmetic mean per frame, rounded toward zero
-        frames = raw.reshape(frame_count, channels).astype(np.int64)
-        mixed = np.trunc(frames.sum(axis=1) / channels)
-        samples = mixed.astype(np.int16)
-    return PcmStream(samples=samples, sample_rate=int(sample_rate), channels=1)
+    # arithmetic mean per frame, rounded toward zero
+    frames = raw.reshape(frame_count, channels).astype(np.int64)
+    samples = np.trunc(frames.sum(axis=1) / channels).astype(np.int16)
+    return PcmStream(samples=samples, sample_rate=int(sample_rate))
 
 
 def write_pwm(stream: PwmBitstream, path) -> None:
-    """Write a PwmBitstream to a PWM1 container file."""
+    """Write a PwmBitstream to a PWM1 container file.
+
+    Raises StreamTooLong, before touching the file, if the stream holds
+    more than PWM_MAX_BITS bits.
+    """
+    if len(stream.bits) > PWM_MAX_BITS:
+        raise StreamTooLong(f"{len(stream.bits)} bits, PWM1 holds at most "
+                            f"{PWM_MAX_BITS}")
     header = _HEADER.pack(PWM_MAGIC, stream.clock_hz, stream.frame_bits,
                           len(stream.bits))
     payload = np.packbits(stream.bits, bitorder="little").tobytes()

@@ -235,19 +235,13 @@ def generate_pwm(q: QuantizedStream) -> PwmBitstream:
                         frame_bits=frame_bits)
 
 
-def convert(pcm: PcmStream, recorder=None,
-            apply_linearization: bool = True) -> PwmBitstream:
-    """Full sequential chain S0 -> S1 -> S2 -> S3 -> LINE -> MOLD -> PWM.
-
-    apply_linearization=False bypasses LINE, e.g. to measure how much
-    distortion the correction removes.
-    """
+def convert(pcm: PcmStream, recorder=None) -> PwmBitstream:
+    """Full sequential chain S0 -> S1 -> S2 -> S3 -> LINE -> MOLD -> PWM."""
     kernel = design_interp_kernel()
     stream = s0_condition(pcm, recorder)
     for i in range(INTERP_STAGES):
         stream = upsample2(stream, kernel, recorder, f"S{i + 1}")
-    if apply_linearization:
-        stream = linearize(stream, recorder)
+    stream = linearize(stream, recorder)
     q = noise_shape(stream, recorder)
     return generate_pwm(q)
 

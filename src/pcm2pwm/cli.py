@@ -11,17 +11,20 @@ Inputs are WAV paths or synthetic specs ("sine:FREQ_HZ:AMP_DBFS[:SECONDS]",
 "noise:AMP_DBFS[:SECONDS]", "silence[:SECONDS]"); synthetic signals default
 to 4.3 s and noise uses --seed.  Exit codes:
 
-    0  success
-    2  input error: a missing, malformed or empty input, a bad option
-       value, or a roundtrip input the demodulator cannot map onto its
-       rate or that is too short to score (under 256 samples)
-    3  no feasible mapping
-    4  quality floor missed
+    0    success
+    2    input error: a missing, malformed or empty input, a bad option
+         value, a convert input over the PWM1 bit count (95.1 s at
+         44.1 kHz), or a roundtrip input the demodulator cannot map onto
+         its rate or that is too short to score (under 256 samples)
+    3    no feasible mapping
+    4    quality floor missed
+    141  stdout closed early, e.g. by `| head` (128 + SIGPIPE)
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_FEASIBLE = 3
 EXIT_QUALITY = 4
+EXIT_CLOSED_STDOUT = 141
 
 DEFAULT_SIGNAL_SECONDS = 4.3
 
@@ -45,7 +49,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: point stdout at devnull so the
+        # flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except (InputError, profiler.UnknownBehavior,
             verification.LengthMismatch, verification.MalformedStream) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -109,6 +120,10 @@ def cmd_convert(args) -> int:
     pcm = _load_input(args.input, args.seed)
     if not len(pcm):
         raise InputError("input has no samples")
+    n_bits = len(pcm) << (chain.INTERP_STAGES + chain.QUANTIZER_BITS)
+    if n_bits > audio_io.PWM_MAX_BITS:
+        raise InputError(f"input too long: {len(pcm)} samples make {n_bits} "
+                         f"bits, PWM1 holds at most {audio_io.PWM_MAX_BITS}")
     pwm = chain.convert(pcm)
     audio_io.write_pwm(pwm, args.output)
     print(f"frames: {pwm.frame_count}")
@@ -148,14 +163,13 @@ def cmd_profile(args) -> int:
         counts = recorder.snapshot()
         playback_s = len(pcm) / pcm.sample_rate if len(pcm) else (
             args.deadline_ms / 1000.0)
-        totals = {pe.name: profiler.cycles(counts, pe).total for pe in pes}
+        totals = {pe.name: sum(profiler.cycles(counts, pe).values())
+                  for pe in pes}
         rows = profiler.principal_summary_rows(totals, pes, playback_s)
+        out_lines.append(profiler.profile_report_csv(counts, pes))
         if args.format == "csv":
-            out_lines.append(profiler.profile_report_csv(counts, pes))
-            out_lines.append("")
-            out_lines.append(profiler.principal_summary_csv(rows))
+            out_lines += ["", profiler.principal_summary_csv(rows)]
         else:
-            out_lines.append(profiler.profile_report_csv(counts, pes))
             out_lines.append(profiler.format_principal_summary(rows, playback_s))
     else:
         raise InputError("profile needs --input or --scenario")

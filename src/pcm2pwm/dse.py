@@ -206,7 +206,7 @@ def enumerate_partitions(estimates: dict, cm: CostModel,
     for r in range(len(free) + 1):
         for combo in itertools.combinations(free, r):
             options.append(evaluate(forced_hw | set(combo), estimates, cm))
-    options.sort(key=_option_sort_key)
+    options.sort(key=lambda o: (not o.feasible, _option_sort_key(o)))
     return options
 
 
@@ -219,8 +219,7 @@ def select(options: list, cm: CostModel) -> PartitionOption:
     if not feasible:
         raise NoFeasibleOption(
             f"no mapping beats the {cm.deadline_ms:.1f} ms deadline")
-    return min(feasible, key=lambda o: (o.cost_cents, o.t_total_us,
-                                        len(o.hw_set), sorted(o.hw_set)))
+    return min(feasible, key=_option_sort_key)
 
 
 @dataclass(frozen=True)
@@ -240,8 +239,9 @@ def compare(a: PartitionOption, b: PartitionOption) -> OptionComparison:
 
 
 def _option_sort_key(o: PartitionOption):
-    return (not o.feasible, o.cost_cents, o.t_total_us, len(o.hw_set),
-            tuple(sorted(o.hw_set)))
+    """Cheapest first; ties go to the faster, then the smaller hardware set,
+    then by name."""
+    return (o.cost_cents, o.t_total_us, len(o.hw_set), tuple(sorted(o.hw_set)))
 
 
 def _as_fraction(value) -> Fraction:

@@ -16,7 +16,6 @@ per element:
     cost = 8.00
     freq_mhz = 60
     weights = add:1, mul:1, mac:1, cmp:1, mem:1
-    code_size = S0:1, S1:8, ...        ; optional
 
 Categories are DSP, Microproc., Microcontrol. or FPGA.
 """
@@ -26,7 +25,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain import BEHAVIORS
@@ -50,40 +49,14 @@ class CounterOverflow(Exception):
     """An operation counter hit the 2^63 - 1 cap."""
 
 
-@dataclass
-class OpCountVector:
-    """Per-behavior, per-kind operation counts."""
-
-    counts: dict = field(default_factory=lambda: {
-        b: {k: 0 for k in OP_KINDS} for b in BEHAVIORS})
-
-    def get(self, behavior: str, kind: str) -> int:
-        return self.counts[behavior][kind]
-
-    def behavior_total(self, behavior: str) -> int:
-        return sum(self.counts[behavior].values())
-
-    def __add__(self, other: "OpCountVector") -> "OpCountVector":
-        out = OpCountVector()
-        for b in BEHAVIORS:
-            for k in OP_KINDS:
-                out.counts[b][k] = self.counts[b][k] + other.counts[b][k]
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, OpCountVector):
-            return NotImplemented
-        return self.counts == other.counts
-
-
 class OpRecorder:
-    """Mutable counter set for one conversion run.
+    """Mutable counter set for one conversion run: {behavior: {kind: n}}.
 
     Use one recorder per run; concurrent runs get independent instances.
     """
 
     def __init__(self):
-        self._counts = OpCountVector()
+        self._counts = {b: {k: 0 for k in OP_KINDS} for b in BEHAVIORS}
 
     def record(self, behavior: str, kind: str, n: int = 1) -> None:
         if behavior not in BEHAVIORS:
@@ -92,21 +65,15 @@ class OpRecorder:
             raise ValueError(f"unknown op kind {kind!r}")
         if n < 0:
             raise ValueError("count must be non-negative")
-        new = self._counts.counts[behavior][kind] + n
+        new = self._counts[behavior][kind] + n
         if new > COUNTER_CAP:
-            self._counts.counts[behavior][kind] = COUNTER_CAP
+            self._counts[behavior][kind] = COUNTER_CAP
             raise CounterOverflow(f"{behavior}.{kind} exceeded 2^63 - 1")
-        self._counts.counts[behavior][kind] = new
+        self._counts[behavior][kind] = new
 
-    def reset(self) -> None:
-        self._counts = OpCountVector()
-
-    def snapshot(self) -> OpCountVector:
+    def snapshot(self) -> dict:
         """Copy of the current counts; the recorder keeps accumulating."""
-        out = OpCountVector()
-        for b in BEHAVIORS:
-            out.counts[b] = dict(self._counts.counts[b])
-        return out
+        return {b: dict(kinds) for b, kinds in self._counts.items()}
 
 
 @dataclass(frozen=True)
@@ -117,7 +84,6 @@ class ProcessingElement:
     freq_mhz: Fraction
     weights: dict  # op kind -> cycles per op
     description: str = ""
-    code_size: dict | None = None  # behavior -> abstract units
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
@@ -137,31 +103,20 @@ class ProcessingElement:
         return self.category == "FPGA"
 
 
-@dataclass
-class CycleEstimate:
-    """Weighted cycle counts per behavior on one processing element."""
-
-    pe_name: str
-    per_behavior: dict  # behavior -> cycles
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_behavior.values())
-
-
-def cycles(counts: OpCountVector, pe: ProcessingElement) -> CycleEstimate:
-    """Weight every counted operation with the element's cycles-per-op."""
+def cycles(counts: dict, pe: ProcessingElement) -> dict:
+    """Weighted cycles per behavior: every counted operation times the
+    element's cycles-per-op."""
     per_behavior = {}
     for b in BEHAVIORS:
         total = 0
-        for kind, n in counts.counts[b].items():
+        for kind, n in counts[b].items():
             if n == 0:
                 continue
             if kind not in pe.weights:
                 raise MissingWeight(f"{pe.name} has no weight for {kind!r}")
             total += n * pe.weights[kind]
         per_behavior[b] = total
-    return CycleEstimate(pe_name=pe.name, per_behavior=per_behavior)
+    return per_behavior
 
 
 def exec_time(cycle_count: int, pe: ProcessingElement) -> Fraction:
@@ -187,17 +142,13 @@ def load_pe_library(path) -> list[ProcessingElement]:
     for name in parser.sections():
         sec = parser[name]
         try:
-            weights = _parse_pairs(sec["weights"], int)
-            code_size = (_parse_pairs(sec["code_size"], float)
-                         if "code_size" in sec else None)
             pe = ProcessingElement(
                 name=name,
                 category=sec["category"].strip(),
                 cost_usd=float(sec["cost"]),
                 freq_mhz=Fraction(sec["freq_mhz"].strip()),
-                weights=weights,
+                weights=_parse_weights(sec["weights"]),
                 description=sec.get("description", "").strip(),
-                code_size=code_size,
             )
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad element entry [{name}]: {exc}") from exc
@@ -207,19 +158,19 @@ def load_pe_library(path) -> list[ProcessingElement]:
     return pes
 
 
-def _parse_pairs(text: str, value_type):
+def _parse_weights(text: str) -> dict:
     out = {}
     for item in text.replace(",", " ").split():
         key, sep, value = item.partition(":")
         if not sep or not value:
             raise ValueError(f"expected key:value, got {item!r}")
-        out[key.strip()] = value_type(value)
+        out[key.strip()] = int(value)
     return out
 
 
 # --- reporting -------------------------------------------------------------
 
-def profile_report_csv(counts: OpCountVector, pes: list[ProcessingElement]) -> str:
+def profile_report_csv(counts: dict, pes: list[ProcessingElement]) -> str:
     """Flat CSV: one row per behavior/kind with cycles and time per element."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -230,15 +181,15 @@ def profile_report_csv(counts: OpCountVector, pes: list[ProcessingElement]) -> s
     per_pe = {pe.name: cycles(counts, pe) for pe in pes}
     for b in BEHAVIORS:
         for kind in OP_KINDS:
-            n = counts.get(b, kind)
+            n = counts[b][kind]
             row = [b, kind, n]
             for pe in pes:
                 c = n * pe.weights.get(kind, 0) if n else 0
                 row += [c, f"{float(exec_time(c, pe)):.6f}"]
             writer.writerow(row)
-        row = [b, "total", counts.behavior_total(b)]
+        row = [b, "total", sum(counts[b].values())]
         for pe in pes:
-            c = per_pe[pe.name].per_behavior[b]
+            c = per_pe[pe.name][b]
             row += [c, f"{float(exec_time(c, pe)):.6f}"]
         writer.writerow(row)
     return buf.getvalue()

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcm2pwm.audio_io import (IoFailure, MalformedHeader, PwmBitstream,
-                              UnsupportedFormat, read_pwm, read_wav, write_pwm)
+from pcm2pwm.audio_io import (PWM_MAX_BITS, IoFailure, MalformedHeader,
+                              PwmBitstream, StreamTooLong, UnsupportedFormat,
+                              read_pwm, read_wav, write_pwm)
 
 from conftest import write_wav
 
@@ -17,7 +18,6 @@ def test_read_minimal_wav(wav_file):
     pcm = read_wav(path)
     assert len(pcm) == 4
     assert pcm.sample_rate == 44100
-    assert pcm.channels == 1
     assert np.array_equal(pcm.samples, np.zeros(4, dtype=np.int16))
 
 
@@ -37,15 +37,32 @@ def test_read_4_3_second_file(wav_file):
     assert n == 189630
     pcm = read_wav(wav_file(np.zeros(n, dtype=np.int16)))
     assert len(pcm) == 189630
-    assert pcm.duration_s == pytest.approx(4.3)
+    assert len(pcm) / pcm.sample_rate == pytest.approx(4.3)
 
 
 def test_stereo_downmix_rounds_toward_zero(wav_file):
     interleaved = np.array([3, 0, -3, 0, 100, 101, -32768, -32768],
                            dtype=np.int16)
     pcm = read_wav(wav_file(interleaved, channels=2))
-    assert pcm.channels == 1
     assert pcm.samples.tolist() == [1, -1, 100, -32768]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda channels: st.tuples(
+    st.just(channels),
+    st.lists(st.lists(st.integers(-32768, 32767), min_size=channels,
+                      max_size=channels), max_size=64))))
+def test_downmix_is_truncated_mean(channels_frames):
+    import tempfile
+    channels, frames = channels_frames
+    # mean of each frame rounded toward zero, in exact integer arithmetic
+    expected = [(abs(sum(f)) // channels) * (1 if sum(f) >= 0 else -1)
+                for f in frames]
+    interleaved = np.array([v for f in frames for v in f], dtype=np.int16)
+    with tempfile.TemporaryDirectory() as d:
+        pcm = read_wav(write_wav(f"{d}/x.wav", interleaved, channels=channels))
+    assert pcm.samples.dtype == np.int16
+    assert pcm.samples.tolist() == expected
 
 
 def test_rejects_non_pcm_format(tmp_path):
@@ -161,6 +178,17 @@ def test_pwm_roundtrip_property(quant_bits, n_frames, rnd):
         write_pwm(stream, f"{d}/x.pwm")
         back = read_pwm(f"{d}/x.pwm")
     assert back == stream
+
+
+def test_pwm_over_u32_bits_rejected(tmp_path):
+    # zero-stride view: 2^32 bits without allocating them
+    bits = np.broadcast_to(np.uint8(0), (2 ** 32,))
+    stream = PwmBitstream(bits=bits, clock_hz=45158400, frame_bits=128)
+    assert len(stream) == PWM_MAX_BITS + 1
+    path = tmp_path / "long.pwm"
+    with pytest.raises(StreamTooLong):
+        write_pwm(stream, path)
+    assert not path.exists()
 
 
 def test_pwm_invariant_multiple_of_frame():

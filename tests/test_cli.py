@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from pcm2pwm import chain
 from pcm2pwm.audio_io import read_pwm
-from pcm2pwm.cli import main
+from pcm2pwm.cli import EXIT_CLOSED_STDOUT, main
 
 from conftest import sine_int16
 
@@ -53,6 +58,19 @@ def test_empty_input_is_input_error(command, source, wav_file, tmp_path,
         argv += ["--output", str(tmp_path / "out.pwm")]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: input has no samples\n"
+
+
+def test_convert_too_long_is_input_error(tmp_path, capsys, monkeypatch):
+    """96 s would overflow the PWM1 u32 bit count; refused before the chain."""
+    def chain_must_not_run(*args, **kwargs):
+        raise AssertionError("the chain ran")
+    monkeypatch.setattr(chain, "convert", chain_must_not_run)
+    out = tmp_path / "long.pwm"
+    assert main(["convert", "--input", "silence:96", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: input too long: 4233600 samples make 4335206400 bits, "
+        "PWM1 holds at most 4294967295\n")
+    assert not out.exists()
 
 
 # --- profile --------------------------------------------------------------
@@ -213,3 +231,21 @@ def test_roundtrip_too_short_is_input_error(capsys):
 def _bundled(name):
     from importlib import resources
     return str(resources.files("pcm2pwm").joinpath("data", name))
+
+
+# --- closed stdout ---------------------------------------------------------
+
+def test_closed_stdout_exits_quietly():
+    """The read end is closed before the child starts, so every write to
+    stdout fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        child = subprocess.run([sys.executable, "-m", "pcm2pwm.cli", "explore"],
+                               stdout=write_end, stderr=subprocess.PIPE,
+                               env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert child.returncode == EXIT_CLOSED_STDOUT
+    assert child.stderr == b""

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from pcm2pwm.audio_io import PcmStream
 from pcm2pwm.chain import convert
+from pcm2pwm.chain import BEHAVIORS
 from pcm2pwm.profiler import (COUNTER_CAP, OP_KINDS, CounterOverflow,
-                              CycleEstimate, MissingWeight, OpCountVector,
-                              OpRecorder, ProcessingElement, UnknownBehavior,
-                              cycles, exec_time, load_pe_library,
-                              meets_realtime)
+                              MissingWeight, OpRecorder, ProcessingElement,
+                              UnknownBehavior, cycles, exec_time,
+                              load_pe_library, meets_realtime)
 
 PE_LIB = str(resources.files("pcm2pwm").joinpath("data", "pe_library.ini"))
 
@@ -24,11 +24,10 @@ def make_pe(name="X", category="DSP", cost=1.0, freq=60, weights=None):
 
 
 def counts_of(**behavior_kinds):
-    v = OpCountVector()
+    counts = {b: {k: 0 for k in OP_KINDS} for b in BEHAVIORS}
     for behavior, kinds in behavior_kinds.items():
-        for kind, n in kinds.items():
-            v.counts[behavior][kind] = n
-    return v
+        counts[behavior].update(kinds)
+    return counts
 
 
 # --- recording -----------------------------------------------------------
@@ -36,18 +35,16 @@ def counts_of(**behavior_kinds):
 def test_record_accumulates():
     rec = OpRecorder()
     rec.record("S1", "mac", 63)
-    assert rec.snapshot().get("S1", "mac") == 63
+    assert rec.snapshot()["S1"]["mac"] == 63
     rec.record("S1", "mac", 63)
-    assert rec.snapshot().get("S1", "mac") == 126
+    assert rec.snapshot()["S1"]["mac"] == 126
 
 
 def test_record_fresh_read_back():
     rec = OpRecorder()
     rec.record("MOLD", "add", 5)
     snap = rec.snapshot()
-    assert snap.get("MOLD", "add") == 5
-    assert snap.behavior_total("MOLD") == 5
-    assert snap.behavior_total("S0") == 0
+    assert snap == counts_of(MOLD={"add": 5})
 
 
 def test_record_unknown_behavior():
@@ -70,7 +67,7 @@ def test_counter_overflow_caps():
     rec.record("S1", "mac", COUNTER_CAP)
     with pytest.raises(CounterOverflow):
         rec.record("S1", "mac", 1)
-    assert rec.snapshot().get("S1", "mac") == COUNTER_CAP
+    assert rec.snapshot()["S1"]["mac"] == COUNTER_CAP
 
 
 def test_snapshot_is_independent():
@@ -78,34 +75,28 @@ def test_snapshot_is_independent():
     rec.record("S2", "mem", 3)
     snap = rec.snapshot()
     rec.record("S2", "mem", 3)
-    assert snap.get("S2", "mem") == 3
-
-
-def test_reset():
-    rec = OpRecorder()
-    rec.record("S2", "mem", 3)
-    rec.reset()
-    assert rec.snapshot().behavior_total("S2") == 0
+    snap["S1"]["mac"] = 7
+    assert snap == counts_of(S1={"mac": 7}, S2={"mem": 3})
+    assert rec.snapshot() == counts_of(S2={"mem": 6})
 
 
 # --- cycle weighting ---------------------------------------------------------
 
 def test_cycles_unit_weight():
     est = cycles(counts_of(S1={"mac": 10}), make_pe())
-    assert est.per_behavior["S1"] == 10
-    assert est.total == 10
+    assert est == {"S0": 0, "S1": 10, "S2": 0, "S3": 0, "LINE": 0, "MOLD": 0}
 
 
 def test_cycles_mixed_weights():
     pe = make_pe(weights={"add": 1, "mul": 2, "mac": 1, "cmp": 1, "mem": 1})
     est = cycles(counts_of(LINE={"add": 5, "mul": 2}), pe)
-    assert est.per_behavior["LINE"] == 9
+    assert est["LINE"] == 9
 
 
 def test_cycles_general_purpose_mac():
     pes = {pe.name: pe for pe in load_pe_library(PE_LIB)}
     est = cycles(counts_of(S1={"mac": 10}), pes["uP"])
-    assert est.per_behavior["S1"] == 30  # shipped general-purpose mac weight
+    assert est["S1"] == 30  # shipped general-purpose mac weight
 
 
 def test_cycles_missing_weight():
@@ -127,17 +118,15 @@ def test_cycles_missing_weight():
                 max_size=20))
 def test_cycles_linearity(entries_a, entries_b):
     pe = make_pe(weights={"add": 1, "mul": 2, "mac": 3, "cmp": 1, "mem": 2})
-    a, b = OpCountVector(), OpCountVector()
-    for behavior, kind, n in entries_a:
-        a.counts[behavior][kind] += n
-    for behavior, kind, n in entries_b:
-        b.counts[behavior][kind] += n
-    lhs = cycles(a + b, pe)
+    a, b, ab = counts_of(), counts_of(), counts_of()
+    for counts, entries in ((a, entries_a), (b, entries_b),
+                            (ab, entries_a + entries_b)):
+        for behavior, kind, n in entries:
+            counts[behavior][kind] += n
+    lhs = cycles(ab, pe)
     rhs_a, rhs_b = cycles(a, pe), cycles(b, pe)
-    for behavior in lhs.per_behavior:
-        assert lhs.per_behavior[behavior] == (rhs_a.per_behavior[behavior]
-                                              + rhs_b.per_behavior[behavior])
-    assert lhs.total == rhs_a.total + rhs_b.total
+    for behavior in BEHAVIORS:
+        assert lhs[behavior] == rhs_a[behavior] + rhs_b[behavior]
 
 
 # --- execution time -----------------------------------------------------------
@@ -221,10 +210,8 @@ def test_live_run_stage_ordering():
     rec = OpRecorder()
     convert(pcm, recorder=rec)
     snap = rec.snapshot()
-    s1 = snap.behavior_total("S1")
-    s2 = snap.behavior_total("S2")
-    s3 = snap.behavior_total("S3")
-    assert s3 > s2 > s1 > 0
+    totals = {b: sum(kinds.values()) for b, kinds in snap.items()}
+    assert totals["S3"] > totals["S2"] > totals["S1"] > 0
     for behavior in ("S0", "LINE", "MOLD"):
-        assert snap.behavior_total(behavior) > 0
-    assert snap.get("S1", "mac") == 63 * 2 * len(pcm)
+        assert totals[behavior] > 0
+    assert snap["S1"]["mac"] == 63 * 2 * len(pcm)
