@@ -1,8 +1,8 @@
 """PCM to Class-D PWM conversion with cost profiling and mapping exploration."""
 
-from .audio_io import (IoFailure, MalformedHeader, PcmStream, PwmBitstream,
-                       StreamTooLong, UnsupportedFormat, read_pwm, read_wav,
-                       write_pwm)
+from .audio_io import (ClockTooHigh, IoFailure, MalformedHeader, PcmStream,
+                       PwmBitstream, StreamTooLong, UnsupportedFormat, read_pwm,
+                       read_wav, write_pwm)
 from .chain import (BEHAVIORS, QuantizedStream, SampleStream, convert,
                     design_interp_kernel, generate_pwm, linearize, noise_shape,
                     s0_condition, upsample2)

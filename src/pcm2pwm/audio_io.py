@@ -17,8 +17,13 @@ Two on-disk formats are handled here, both bit-exactly:
       16      -     payload, bits packed LSB-first into bytes
 
   The payload length must be a multiple of the frame size and the file must
-  contain exactly ceil(bits / 8) payload bytes.  The u32 length field caps a
-  stream at PWM_MAX_BITS bits; write_pwm raises StreamTooLong above it.
+  contain exactly ceil(bits / 8) payload bytes.  Pad bits of the last byte
+  are written as zero and cleared on read.  The u32 fields cap a stream at
+  PWM_MAX_BITS bits and its clock at PWM_MAX_CLOCK_HZ; write_pwm raises
+  StreamTooLong or ClockTooHigh above them.
+
+In memory a PwmBitstream holds this payload as it is on disk, so writing
+and reading it is the header plus one buffer copy.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 PWM_MAGIC = b"PWM1"
 _HEADER = struct.Struct("<4sIII")
 PWM_MAX_BITS = 2 ** 32 - 1  # largest payload length the u32 field holds
+PWM_MAX_CLOCK_HZ = 2 ** 32 - 1  # largest bit clock the u32 field holds
 
 
 class MalformedHeader(Exception):
@@ -47,6 +53,10 @@ class IoFailure(Exception):
 
 class StreamTooLong(Exception):
     """Bitstream longer than the PWM1 length field can declare."""
+
+
+class ClockTooHigh(Exception):
+    """Bit clock faster than the PWM1 clock field can declare."""
 
 
 @dataclass
@@ -72,32 +82,55 @@ class PcmStream:
 
 @dataclass
 class PwmBitstream:
-    """Unpacked PWM bits (one uint8 per bit) plus the frame geometry."""
+    """PWM bits packed LSB-first into bytes with zero pad bits (the PWM1
+    payload as it is on disk), plus the frame geometry."""
 
-    bits: np.ndarray  # uint8 of 0/1
+    payload: np.ndarray  # uint8, ceil(n_bits / 8) bytes
+    n_bits: int
     clock_hz: int
     frame_bits: int
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
+        self.payload = np.asarray(self.payload, dtype=np.uint8)
         if self.frame_bits <= 0:
             raise ValueError("frame_bits must be positive")
-        if len(self.bits) % self.frame_bits != 0:
+        if self.n_bits % self.frame_bits != 0:
             raise ValueError("bit count must be a multiple of frame_bits")
+        if self.payload.shape != ((self.n_bits + 7) // 8,):
+            raise ValueError(f"{self.n_bits} bits need "
+                             f"{(self.n_bits + 7) // 8} payload bytes, "
+                             f"got shape {self.payload.shape}")
+        if self.n_bits % 8 and self.payload[-1] >> (self.n_bits % 8):
+            raise ValueError("pad bits of the last payload byte must be zero")
+
+    @classmethod
+    def from_bits(cls, bits, clock_hz: int, frame_bits: int) -> "PwmBitstream":
+        """Pack unpacked bits, one uint8 0/1 per bit, into a stream."""
+        bits = np.asarray(bits, dtype=np.uint8)
+        return cls(payload=np.packbits(bits, bitorder="little"),
+                   n_bits=len(bits), clock_hz=clock_hz, frame_bits=frame_bits)
+
+    @property
+    def bits(self) -> np.ndarray:
+        """Unpacked copy, one uint8 0/1 per bit (8x the payload's memory)."""
+        bits = np.unpackbits(self.payload, count=self.n_bits, bitorder="little")
+        bits.flags.writeable = False
+        return bits
 
     def __len__(self):
-        return len(self.bits)
+        return self.n_bits
 
     @property
     def frame_count(self) -> int:
-        return len(self.bits) // self.frame_bits
+        return self.n_bits // self.frame_bits
 
     def __eq__(self, other):
         if not isinstance(other, PwmBitstream):
             return NotImplemented
-        return (self.clock_hz == other.clock_hz
+        return (self.n_bits == other.n_bits
+                and self.clock_hz == other.clock_hz
                 and self.frame_bits == other.frame_bits
-                and np.array_equal(self.bits, other.bits))
+                and np.array_equal(self.payload, other.payload))
 
 
 def read_wav(path) -> PcmStream:
@@ -164,25 +197,32 @@ def read_wav(path) -> PcmStream:
 def write_pwm(stream: PwmBitstream, path) -> None:
     """Write a PwmBitstream to a PWM1 container file.
 
-    Raises StreamTooLong, before touching the file, if the stream holds
-    more than PWM_MAX_BITS bits.
+    Raises StreamTooLong if the stream holds more than PWM_MAX_BITS bits and
+    ClockTooHigh if its clock exceeds PWM_MAX_CLOCK_HZ, both before touching
+    the file.
     """
-    if len(stream.bits) > PWM_MAX_BITS:
-        raise StreamTooLong(f"{len(stream.bits)} bits, PWM1 holds at most "
+    if stream.n_bits > PWM_MAX_BITS:
+        raise StreamTooLong(f"{stream.n_bits} bits, PWM1 holds at most "
                             f"{PWM_MAX_BITS}")
+    if stream.clock_hz > PWM_MAX_CLOCK_HZ:
+        raise ClockTooHigh(f"{stream.clock_hz} Hz bit clock, PWM1 holds at "
+                           f"most {PWM_MAX_CLOCK_HZ}")
     header = _HEADER.pack(PWM_MAGIC, stream.clock_hz, stream.frame_bits,
-                          len(stream.bits))
-    payload = np.packbits(stream.bits, bitorder="little").tobytes()
+                          stream.n_bits)
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(payload)
+            fh.write(np.ascontiguousarray(stream.payload))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def read_pwm(path) -> PwmBitstream:
-    """Read a PWM1 container file; inverse of write_pwm, bit-exact."""
+    """Read a PWM1 container file; inverse of write_pwm, bit-exact.
+
+    Pad bits set in the last payload byte are cleared, so the stream equals
+    the one with zero padding and writes back with zero pad bits.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -195,7 +235,7 @@ def read_pwm(path) -> PwmBitstream:
     if magic != PWM_MAGIC:
         raise MalformedHeader(f"bad magic {magic!r}")
     expected_bytes = (bit_count + 7) // 8
-    payload = data[_HEADER.size:]
+    payload = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
     if len(payload) != expected_bytes:
         raise MalformedHeader(
             f"payload holds {len(payload)} bytes, header declares "
@@ -204,6 +244,9 @@ def read_pwm(path) -> PwmBitstream:
         raise MalformedHeader(
             f"bit count {bit_count} not a multiple of frame size {frame_bits}")
 
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
-                         bitorder="little")[:bit_count]
-    return PwmBitstream(bits=bits, clock_hz=clock_hz, frame_bits=frame_bits)
+    pad = -bit_count % 8
+    if pad and payload[-1] >> (8 - pad):
+        payload = payload.copy()
+        payload[-1] &= 0xFF >> pad
+    return PwmBitstream(payload=payload, n_bits=bit_count, clock_hz=clock_hz,
+                        frame_bits=frame_bits)

@@ -222,16 +222,25 @@ def noise_shape(stream: SampleStream, recorder=None) -> QuantizedStream:
 
 
 def generate_pwm(q: QuantizedStream) -> PwmBitstream:
-    """Expand codes into leading-edge pulse frames.
+    """Expand codes into leading-edge pulse frames, packed as PWM1 payload.
 
     A frame for code c is c ones followed by (2^bits - c) zeros: the
     hardware equivalent compares a free-running counter against a code
-    register.  The bit clock is sample_rate * 2^bits.
+    register.  The bit clock is sample_rate * 2^bits.  Each code is one
+    lookup into a table of the 2^bits + 1 possible frames, each 2^bits / 8
+    bytes packed LSB-first (129 x 16 bytes for 7-bit codes).  Raises
+    ValueError for bits < 3, whose frames do not fill whole bytes.
     """
+    if q.bits < 3:
+        raise ValueError(f"{2 ** q.bits}-bit frames do not fill whole bytes; "
+                         f"generate_pwm needs bits >= 3")
     frame_bits = 2 ** q.bits
-    ramp = np.arange(frame_bits, dtype=np.int64)
-    bits = (ramp[np.newaxis, :] < q.codes[:, np.newaxis]).view(np.uint8)
-    return PwmBitstream(bits=bits.reshape(-1), clock_hz=q.sample_rate * frame_bits,
+    ramp = np.arange(frame_bits)
+    table = np.packbits(ramp < np.arange(frame_bits + 1)[:, np.newaxis],
+                        axis=1, bitorder="little")
+    return PwmBitstream(payload=table[q.codes].reshape(-1),
+                        n_bits=len(q) * frame_bits,
+                        clock_hz=q.sample_rate * frame_bits,
                         frame_bits=frame_bits)
 
 

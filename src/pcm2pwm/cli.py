@@ -13,9 +13,11 @@ to 4.3 s and noise uses --seed.  Exit codes:
 
     0    success
     2    input error: a missing, malformed or empty input, a bad option
-         value, a convert input over the PWM1 bit count (95.1 s at
-         44.1 kHz), or a roundtrip input the demodulator cannot map onto
-         its rate or that is too short to score (under 256 samples)
+         value, an output path that cannot be written, a convert input
+         over the PWM1 bit count (95.1 s at 44.1 kHz) or bit clock
+         (4,194,304 Hz sample rate or more), or a roundtrip input the
+         demodulator cannot map onto its rate or that is too short to
+         score (under 256 samples)
     3    no feasible mapping
     4    quality floor missed
     141  stdout closed early, e.g. by `| head` (128 + SIGPIPE)
@@ -57,7 +59,7 @@ def main(argv=None) -> int:
         # flush at interpreter exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
-    except (InputError, profiler.UnknownBehavior,
+    except (InputError, audio_io.IoFailure, profiler.UnknownBehavior,
             verification.LengthMismatch, verification.MalformedStream) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -120,10 +122,16 @@ def cmd_convert(args) -> int:
     pcm = _load_input(args.input, args.seed)
     if not len(pcm):
         raise InputError("input has no samples")
-    n_bits = len(pcm) << (chain.INTERP_STAGES + chain.QUANTIZER_BITS)
+    bits_per_sample = 1 << (chain.INTERP_STAGES + chain.QUANTIZER_BITS)
+    n_bits = len(pcm) * bits_per_sample
     if n_bits > audio_io.PWM_MAX_BITS:
         raise InputError(f"input too long: {len(pcm)} samples make {n_bits} "
                          f"bits, PWM1 holds at most {audio_io.PWM_MAX_BITS}")
+    clock_hz = pcm.sample_rate * bits_per_sample
+    if clock_hz > audio_io.PWM_MAX_CLOCK_HZ:
+        raise InputError(f"sample rate too high: {pcm.sample_rate} Hz makes a "
+                         f"{clock_hz} Hz bit clock, PWM1 holds at most "
+                         f"{audio_io.PWM_MAX_CLOCK_HZ}")
     pwm = chain.convert(pcm)
     audio_io.write_pwm(pwm, args.output)
     print(f"frames: {pwm.frame_count}")
@@ -176,8 +184,12 @@ def cmd_profile(args) -> int:
 
     report = "\n".join(out_lines)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as exc:
+            raise audio_io.IoFailure(
+                f"cannot write {args.output}: {exc}") from exc
     else:
         print(report, end="" if report.endswith("\n") else "\n")
     return EXIT_OK

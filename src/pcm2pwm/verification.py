@@ -82,9 +82,8 @@ def demodulate(pwm: PwmBitstream, target_rate: int = 44100) -> SampleStream:
             f"bit clock {pwm.clock_hz} is not a multiple of {target_rate}")
     ratio = pwm.clock_hz // target_rate
 
-    x = pwm.bits
     if ratio == 1:
-        out = x.astype(np.float64) * 2.0 - 1.0
+        out = pwm.bits.astype(np.float64) * 2.0 - 1.0
         return SampleStream(samples=out, sample_rate=target_rate)
 
     stages = [ratio // 8, 8] if ratio % 8 == 0 and ratio > 8 else [ratio]
@@ -93,8 +92,10 @@ def demodulate(pwm: PwmBitstream, target_rate: int = 44100) -> SampleStream:
         out_rate = rate // m
         h = _stage_filter(rate, out_rate, target_rate,
                           final=(out_rate == target_rate))
-        decimate = _edge_decimate if i == 0 else _polyphase_decimate
-        x = decimate(x, h, m)
+        if i == 0:
+            x = _edge_decimate(pwm.payload, len(pwm), h, m)
+        else:
+            x = _polyphase_decimate(x, h, m)
         rate = out_rate
     np.clip(x, -1.0, 1.0, out=x)
     return SampleStream(samples=x, sample_rate=target_rate)
@@ -126,15 +127,17 @@ def _stage_filter(fs_in: int, fs_out: int, target_rate: int,
     return windowed_sinc_lowpass(num_taps, cutoff)
 
 
-def _edge_decimate(bits: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:
-    """Filter and decimate a 0/1 bitstream as +-1 samples, per transition.
+def _edge_decimate(payload: np.ndarray, n_bits: int, h: np.ndarray,
+                   m: int) -> np.ndarray:
+    """Filter and decimate a packed bitstream as +-1 samples, per transition.
 
+    payload holds n_bits bits packed LSB-first, as in PwmBitstream.
     Computes y[n] = sum_k h[k] s(n m + D - k) with s = 2 bits - 1 inside
     the stream and 0 outside, D = (len(h)-1)//2, exactly as a direct-form
     filter would.  Write s as a sum of steps: one of height +-2 at each
     transition p (bits[p] != bits[p-1]), one into the stream at 0 and one
-    out of it at len(bits).  With C the cumulative taps (C[0] = 0,
-    C[L] = H, the tap sum),
+    out of it at n_bits.  With C the cumulative taps (C[0] = 0, C[L] = H,
+    the tap sum),
 
         y[n] = H s(n m + D - L + 1) + sum_p delta_p C[n m + D - p + 1]
 
@@ -142,9 +145,10 @@ def _edge_decimate(bits: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:
     at most (L - 2) // m + 1 consecutive outputs, so the sum is one
     bincount per output phase over the transitions of a block of outputs.
     Cost follows the transitions (at most two per leading-edge PWM frame)
-    instead of L per output.
+    instead of L per output.  Only the bit window of one block is unpacked
+    at a time; the settled bits s(n m + D - L + 1) are read from the
+    payload by byte index and shift.
     """
-    n_bits = len(bits)
     n_out = n_bits // m
     y = np.zeros(n_out)
     if n_out == 0:
@@ -153,15 +157,9 @@ def _edge_decimate(bits: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:
     delay = (taps - 1) // 2
     cum = np.concatenate(([0.0], np.cumsum(h)))
 
-    # steps at or before n m + D - L + 1 have passed every tap: H s(...)
-    first = -((taps - 1 - delay) // -m)  # first n with a non-negative index
-    settled = y[first:]
-    np.multiply(bits[first * m + delay - taps + 1::m][:len(settled)],
-                2.0 * cum[-1], out=settled)
-    settled -= cum[-1]
-
     # the steps into the stream at 0 and out of it at n_bits
-    for p, delta in ((0, 2.0 * bits[0] - 1.0), (n_bits, 1.0 - 2.0 * bits[-1])):
+    for p, delta in ((0, 2.0 * _bit(payload, 0) - 1.0),
+                     (n_bits, 1.0 - 2.0 * _bit(payload, n_bits - 1))):
         n = np.arange(max(-((delay - p) // m), 0),
                       min((p - delay + taps - 2) // m + 1, n_out))
         y[n] += delta * cum[n * m + delay - p + 1]
@@ -173,13 +171,21 @@ def _edge_decimate(bits: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:
     a = np.arange(phases)[:, None] * m + np.arange(1, m + 1)
     ramp = np.where(a < taps, cum[np.minimum(a, taps)], 0.0)
     signed = np.concatenate((-2.0 * ramp, 2.0 * ramp), axis=1)
+    first = -((taps - 1 - delay) // -m)  # first n with a non-negative index
     for start in range(0, n_out, _EDGE_BLOCK):
         stop = min(start + _EDGE_BLOCK, n_out)
+        # steps at or before n m + D - L + 1 have passed every tap: H s(...)
+        head = max(start, first)
+        i = np.arange(head, stop) * m + delay - taps + 1
+        y[head:stop] += _bit(payload, i) * (2.0 * cum[-1]) - cum[-1]
+
         lo = max((start - phases) * m + delay + 1, 1)
         hi = min((stop - 1) * m + delay, n_bits - 1)
         if lo > hi:
             continue
-        seg = bits[lo - 1:hi + 1]
+        skip = (lo - 1) & 7  # bits lo - 1 .. hi, unpacked from whole bytes
+        seg = np.unpackbits(payload[(lo - 1) >> 3:(hi >> 3) + 1],
+                            bitorder="little")[skip:skip + hi - lo + 2]
         q = np.flatnonzero(seg[1:] != seg[:-1])
         p = q + lo
         n0 = (p - delay + m - 1) // m
@@ -191,6 +197,11 @@ def _edge_decimate(bits: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:
             acc += np.bincount(idx + j, weights=signed[j][col], minlength=size)
         y[start:stop] += acc[phases:phases + stop - start]
     return y
+
+
+def _bit(payload: np.ndarray, i):
+    """Bit i (an index or an index array) of an LSB-first packed payload."""
+    return (payload[i >> 3] >> (i & 7)) & 1
 
 
 def _polyphase_decimate(x: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:

@@ -76,6 +76,14 @@ def decimate_direct(x, h, m):
     return np.convolve(np.asarray(x, dtype=np.float64), h)[d::m][:len(x) // m]
 
 
+def leading_edge_bits(codes, bits):
+    """Leading-edge PWM frames, one uint8 0/1 per bit: the frame for code c
+    is c ones followed by 2^bits - c zeros."""
+    ramp = np.arange(2 ** bits)
+    frames = ramp[np.newaxis, :] < np.asarray(codes)[:, np.newaxis]
+    return frames.astype(np.uint8).reshape(-1)
+
+
 def round_half_up_quantize(x, bits):
     """Plain (memoryless) rounding onto the [0, 2^bits - 1] code grid."""
     levels = 2 ** bits - 1

@@ -240,7 +240,7 @@ def test_criterion_6_format_roundtrips(tmp_path):
             frame_bits = 2 ** int(rng.integers(1, 9))
             n_frames = int(rng.integers(0, 40))
             bits = rng.integers(0, 2, frame_bits * n_frames).astype(np.uint8)
-            stream = audio_io.PwmBitstream(
+            stream = audio_io.PwmBitstream.from_bits(
                 bits=bits, clock_hz=frame_bits * 352800,
                 frame_bits=frame_bits)
             path = tmp_path / f"s{i}.pwm"

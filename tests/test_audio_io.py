@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcm2pwm.audio_io import (PWM_MAX_BITS, IoFailure, MalformedHeader,
-                              PwmBitstream, StreamTooLong, UnsupportedFormat,
-                              read_pwm, read_wav, write_pwm)
+from pcm2pwm.audio_io import (PWM_MAX_BITS, PWM_MAX_CLOCK_HZ, ClockTooHigh,
+                              IoFailure, MalformedHeader, PwmBitstream,
+                              StreamTooLong, UnsupportedFormat, read_pwm,
+                              read_wav, write_pwm)
 
 from conftest import write_wav
 
@@ -121,7 +122,7 @@ def test_wav_roundtrip_identity(samples, rate):
 
 def test_pwm_roundtrip_basic(tmp_path):
     bits = np.tile([1, 0], 64).astype(np.uint8)
-    stream = PwmBitstream(bits=bits, clock_hz=45158400, frame_bits=128)
+    stream = PwmBitstream.from_bits(bits, clock_hz=45158400, frame_bits=128)
     path = tmp_path / "x.pwm"
     write_pwm(stream, path)
     assert path.stat().st_size == 16 + 16  # header + 128 bits packed
@@ -130,13 +131,13 @@ def test_pwm_roundtrip_basic(tmp_path):
 
 
 def test_pwm_empty_stream(tmp_path):
-    stream = PwmBitstream(bits=np.zeros(0, dtype=np.uint8),
-                          clock_hz=45158400, frame_bits=128)
+    stream = PwmBitstream.from_bits(np.zeros(0, dtype=np.uint8),
+                                    clock_hz=45158400, frame_bits=128)
     path = tmp_path / "empty.pwm"
     write_pwm(stream, path)
     assert path.stat().st_size == 16
     back = read_pwm(path)
-    assert len(back.bits) == 0
+    assert len(back) == 0
     assert back == stream
 
 
@@ -160,7 +161,7 @@ def test_pwm_header_layout_bit_exact(tmp_path):
     # documented hex example: bits 11001111 at 100 Hz, frame size 4
     bits = np.array([1, 1, 0, 0, 1, 1, 1, 1], dtype=np.uint8)
     path = tmp_path / "doc.pwm"
-    write_pwm(PwmBitstream(bits=bits, clock_hz=100, frame_bits=4), path)
+    write_pwm(PwmBitstream.from_bits(bits, clock_hz=100, frame_bits=4), path)
     assert path.read_bytes() == bytes.fromhex(
         "50574d31" "64000000" "04000000" "08000000" "f3")
 
@@ -172,8 +173,8 @@ def test_pwm_roundtrip_property(quant_bits, n_frames, rnd):
     frame_bits = 2 ** quant_bits
     bits = np.array([rnd.randint(0, 1) for _ in range(frame_bits * n_frames)],
                     dtype=np.uint8)
-    stream = PwmBitstream(bits=bits, clock_hz=frame_bits * 352800,
-                          frame_bits=frame_bits)
+    stream = PwmBitstream.from_bits(bits, clock_hz=frame_bits * 352800,
+                                    frame_bits=frame_bits)
     with tempfile.TemporaryDirectory() as d:
         write_pwm(stream, f"{d}/x.pwm")
         back = read_pwm(f"{d}/x.pwm")
@@ -181,9 +182,10 @@ def test_pwm_roundtrip_property(quant_bits, n_frames, rnd):
 
 
 def test_pwm_over_u32_bits_rejected(tmp_path):
-    # zero-stride view: 2^32 bits without allocating them
-    bits = np.broadcast_to(np.uint8(0), (2 ** 32,))
-    stream = PwmBitstream(bits=bits, clock_hz=45158400, frame_bits=128)
+    # zero-stride payload: 2^32 bits without allocating them
+    payload = np.broadcast_to(np.uint8(0), (2 ** 29,))
+    stream = PwmBitstream(payload=payload, n_bits=2 ** 32, clock_hz=45158400,
+                          frame_bits=128)
     assert len(stream) == PWM_MAX_BITS + 1
     path = tmp_path / "long.pwm"
     with pytest.raises(StreamTooLong):
@@ -191,10 +193,54 @@ def test_pwm_over_u32_bits_rejected(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("clock_hz,fits", [(PWM_MAX_CLOCK_HZ, True),
+                                           (PWM_MAX_CLOCK_HZ + 1, False)])
+def test_pwm_clock_field_limit(clock_hz, fits, tmp_path):
+    stream = PwmBitstream.from_bits(np.ones(8, dtype=np.uint8),
+                                    clock_hz=clock_hz, frame_bits=8)
+    path = tmp_path / "clock.pwm"
+    if fits:
+        write_pwm(stream, path)
+        assert read_pwm(path) == stream
+    else:
+        with pytest.raises(ClockTooHigh):
+            write_pwm(stream, path)
+        assert not path.exists()
+
+
 def test_pwm_invariant_multiple_of_frame():
     with pytest.raises(ValueError):
-        PwmBitstream(bits=np.zeros(100, dtype=np.uint8), clock_hz=1000,
-                     frame_bits=128)
+        PwmBitstream.from_bits(np.zeros(100, dtype=np.uint8), clock_hz=1000,
+                               frame_bits=128)
+
+
+def test_pwm_payload_invariants():
+    ones = np.array([0xFF], dtype=np.uint8)
+    with pytest.raises(ValueError):  # 12 bits need 2 bytes
+        PwmBitstream(payload=ones, n_bits=12, clock_hz=100, frame_bits=4)
+    with pytest.raises(ValueError):  # bits 4-7 are pad bits and set
+        PwmBitstream(payload=ones, n_bits=4, clock_hz=100, frame_bits=4)
+    stream = PwmBitstream(payload=np.array([0x0F], dtype=np.uint8), n_bits=4,
+                          clock_hz=100, frame_bits=4)
+    assert stream.bits.tolist() == [1, 1, 1, 1]
+    assert not stream.bits.flags.writeable
+
+
+@pytest.mark.parametrize("n_bits", [1, 4, 7, 9, 12])
+def test_read_pwm_clears_set_pad_bits(n_bits, tmp_path):
+    bits = np.ones(n_bits, dtype=np.uint8)
+    stream = PwmBitstream.from_bits(bits, clock_hz=100, frame_bits=1)
+    path = tmp_path / "pad.pwm"
+    n_bytes = (n_bits + 7) // 8
+    path.write_bytes(struct.pack("<4sIII", b"PWM1", 100, 1, n_bits)
+                     + b"\xff" * n_bytes)
+    back = read_pwm(path)
+    assert back == stream
+    assert back.bits.tolist() == bits.tolist()
+    write_pwm(back, tmp_path / "again.pwm")
+    payload = (tmp_path / "again.pwm").read_bytes()[16:]
+    assert payload == np.packbits(bits, bitorder="little").tobytes()
+    assert payload[-1] >> (n_bits - 8 * (n_bytes - 1)) == 0
 
 
 # --- fuzzed readers -------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcm2pwm.audio_io import PcmStream
@@ -206,6 +206,25 @@ def test_generate_pwm_clock():
 def test_generate_pwm_rejects_out_of_range():
     with pytest.raises(ValueError):
         generate_pwm(QuantizedStream(np.array([128]), 7, 352800))
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+def test_generate_pwm_rejects_frames_under_a_byte(bits):
+    with pytest.raises(ValueError, match="whole bytes"):
+        generate_pwm(QuantizedStream(np.array([1]), bits, 352800))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda bits: st.tuples(
+    st.just(bits), st.lists(st.integers(0, 2 ** bits - 1), max_size=300))))
+@example((QUANTIZER_BITS, list(range(2 ** QUANTIZER_BITS))))
+def test_generate_pwm_packed_equals_unpacked(bits_codes):
+    bits, codes = bits_codes
+    pwm = generate_pwm(QuantizedStream(np.array(codes, dtype=np.int64), bits,
+                                       352800))
+    expected = oracles.leading_edge_bits(codes, bits)
+    assert len(pwm) == len(expected) == 2 ** bits * len(codes)
+    assert np.array_equal(pwm.payload, np.packbits(expected, bitorder="little"))
 
 
 # --- full chain ---------------------------------------------------------------

@@ -73,6 +73,40 @@ def test_convert_too_long_is_input_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate,code", [(4194303, 0), (4194304, 2)])
+def test_convert_bit_clock_limit(rate, code, wav_file, tmp_path, capsys,
+                                 monkeypatch):
+    """1024 bits per input sample: 4,194,304 Hz makes a 2^32 Hz bit clock,
+    one more than the PWM1 clock field holds; refused before the chain."""
+    path = str(wav_file(sine_int16(1000, 0.5, 300 / rate, rate=rate),
+                        rate=rate))
+    if code:
+        def chain_must_not_run(*args, **kwargs):
+            raise AssertionError("the chain ran")
+        monkeypatch.setattr(chain, "convert", chain_must_not_run)
+    out = tmp_path / "fast.pwm"
+    assert main(["convert", "--input", path, "--output", str(out)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == (
+            "error: sample rate too high: 4194304 Hz makes a 4294967296 Hz "
+            "bit clock, PWM1 holds at most 4294967295\n")
+        assert not out.exists()
+    else:
+        assert read_pwm(out).clock_hz == 4294966272
+        assert read_pwm(out).frame_count == 8 * 300
+
+
+@pytest.mark.parametrize("command", ["convert", "profile"])
+def test_unwritable_output_is_input_error(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "out"
+    assert main([command, "--input", "sine:1000:-6:0.01",
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # --- profile --------------------------------------------------------------
 
 def test_profile_fixture_mode(capsys):

@@ -44,7 +44,7 @@ def test_demodulate_midscale():
 def test_demodulate_all_ones():
     bits = np.ones(128 * 2048, dtype=np.uint8)
     from pcm2pwm.audio_io import PwmBitstream
-    pwm = PwmBitstream(bits=bits, clock_hz=45158400, frame_bits=128)
+    pwm = PwmBitstream.from_bits(bits, clock_hz=45158400, frame_bits=128)
     out = demodulate(pwm, RATE)
     assert np.all(settled(out.samples) >= 0.99)
 
@@ -72,8 +72,8 @@ def test_demodulate_rejects_bad_ratio():
 
 def test_demodulate_identity_ratio():
     from pcm2pwm.audio_io import PwmBitstream
-    pwm = PwmBitstream(bits=np.array([1, 0, 1, 1], dtype=np.uint8),
-                       clock_hz=4, frame_bits=2)
+    pwm = PwmBitstream.from_bits(np.array([1, 0, 1, 1], dtype=np.uint8),
+                                 clock_hz=4, frame_bits=2)
     out = demodulate(pwm, 4)
     assert out.samples.tolist() == [1.0, -1.0, 1.0, 1.0]
 
@@ -93,14 +93,17 @@ bitstreams = st.one_of(
 @example(bits=[1], m=1, extra_half=0, taps_seed=0, block=1)
 @example(bits=[0], m=1, extra_half=3, taps_seed=1, block=4)
 @example(bits=[1, 0, 1, 1, 0, 0, 1], m=3, extra_half=0, taps_seed=2, block=1)
+@example(bits=[1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1], m=2, extra_half=1, taps_seed=3,
+         block=3)
 def test_edge_decimate_matches_direct_form(bits, m, extra_half, taps_seed,
                                            block):
     taps = 2 * (m - 1 + extra_half) + 1  # odd, at least 2 m - 1
     h = np.random.default_rng(taps_seed).standard_normal(taps)
     b = np.array(bits, dtype=np.uint8)
-    # small blocks put block edges inside every window
+    payload = np.packbits(b, bitorder="little")
+    # small blocks put block edges, and window starts, inside bytes
     with mock.patch.object(verification, "_EDGE_BLOCK", block):
-        y = verification._edge_decimate(b, h, m)
+        y = verification._edge_decimate(payload, len(b), h, m)
     expected = oracles.decimate_direct(2.0 * b - 1.0, h, m)
     assert y.shape == expected.shape
     np.testing.assert_allclose(y, expected, rtol=0, atol=1e-9)
@@ -108,16 +111,18 @@ def test_edge_decimate_matches_direct_form(bits, m, extra_half, taps_seed,
 
 @pytest.fixture(scope="module")
 def stage1_minus6():
-    """Bits of the 4.3 s, 1 kHz, -6 dBFS clip and the first stage's filter."""
+    """The 4.3 s, 1 kHz, -6 dBFS clip and the first stage's filter."""
     pwm = convert(PcmStream(sine_int16(1000, 0.5, 4.3), RATE))
     h = verification._stage_filter(pwm.clock_hz, pwm.clock_hz // 128, RATE)
-    return pwm.bits, h
+    return pwm, h
 
 
 def test_edge_decimate_matches_polyphase_on_clip(stage1_minus6):
-    bits, h = stage1_minus6
-    y = verification._edge_decimate(bits, h, 128)
-    signs = bits.astype(np.int8)  # +-1 in int8 keeps the copy at 1 byte/bit
+    pwm, h = stage1_minus6
+    y = verification._edge_decimate(pwm.payload, len(pwm), h, 128)
+    # +-1 in int8 keeps the unpacked copy at 1 byte/bit
+    signs = np.unpackbits(pwm.payload, count=len(pwm),
+                          bitorder="little").view(np.int8)
     signs *= 2
     signs -= 1
     reference = verification._polyphase_decimate(signs, h, 128)
@@ -128,10 +133,11 @@ def test_edge_decimate_matches_polyphase_on_clip(stage1_minus6):
 
 
 def test_edge_decimate_matches_direct_form_on_clip_prefix(stage1_minus6):
-    bits, h = stage1_minus6
-    prefix = bits[:2 ** 17]
+    pwm, h = stage1_minus6
+    payload = pwm.payload[:2 ** 14]  # the first 2^17 bits
+    prefix = np.unpackbits(payload, bitorder="little")
     np.testing.assert_allclose(
-        verification._edge_decimate(prefix, h, 128),
+        verification._edge_decimate(payload, 2 ** 17, h, 128),
         oracles.decimate_direct(2.0 * prefix - 1.0, h, 128), rtol=0, atol=1e-9)
 
 
