@@ -8,11 +8,10 @@ from .chain import (BEHAVIORS, QuantizedStream, SampleStream, convert,
                     s0_condition, upsample2)
 from .dse import (AllZeroSizes, BehaviorEstimate, CostModel, NoFeasibleOption,
                   OptionComparison, PartitionOption, Scenario, TooManyBehaviors,
-                  compare, enumerate_partitions, evaluate, hw_cost_share,
-                  load_scenario, select)
-from .profiler import (CounterOverflow, MissingWeight, OpRecorder,
-                       ProcessingElement, UnknownBehavior, cycles, exec_time,
-                       load_pe_library, meets_realtime)
+                  UnknownBehavior, compare, enumerate_partitions, evaluate,
+                  hw_cost_share, load_scenario, select)
+from .profiler import (MissingWeight, ProcessingElement, cycles, exec_time,
+                       load_pe_library, meets_realtime, op_counts)
 from .verification import (LengthMismatch, MalformedStream, SpectrumReport,
                            demodulate, measure)
 

@@ -92,8 +92,8 @@ class PwmBitstream:
 
     def __post_init__(self):
         self.payload = np.asarray(self.payload, dtype=np.uint8)
-        if self.frame_bits <= 0:
-            raise ValueError("frame_bits must be positive")
+        if not 0 < self.frame_bits < 2 ** 32:  # a PWM1 u32 field
+            raise ValueError("frame_bits must be in 1 .. 2^32 - 1")
         if self.n_bits % self.frame_bits != 0:
             raise ValueError("bit count must be a multiple of frame_bits")
         if self.payload.shape != ((self.n_bits + 7) // 8,):

@@ -16,9 +16,8 @@ Every rate follows from the input stream; for 44.1 kHz input the bit clock
 is 352800 * 128 = 45,158,400 Hz, where doing the same job without the chain
 would take 2^16 * 44100 = 2,890,137,600 Hz of pulse resolution.
 
-All arithmetic is double precision; stages are pure functions, and an
-optional operation recorder can observe each stage's work for cost
-estimation.
+All arithmetic is double precision and stages are pure functions.  The
+operations each stage is modelled to perform are profiler.op_counts.
 """
 
 from __future__ import annotations
@@ -108,12 +107,6 @@ def windowed_sinc_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-# Static per-sample operation model of each behavior, used by the recorder
-# hooks.  Interpolators are dominated by the kernel MACs and get their tally
-# from the kernel length at run time.
-_S0_OPS = {"mul": 1, "mem": 2}
-_LINE_OPS = {"add": 6, "mul": 7, "cmp": 3, "mem": 4}
-_MOLD_OPS = {"add": 4, "mul": 3, "cmp": 2, "mem": 3}
 # MOLD converts this many samples to Python floats at a time.  One tolist()
 # of a whole 4.3 s stream makes 1.5 M float objects; the allocator arenas
 # they free stay resident once any long-lived object lands in one, so a
@@ -121,20 +114,20 @@ _MOLD_OPS = {"add": 4, "mul": 3, "cmp": 2, "mem": 3}
 _MOLD_BLOCK = 8192
 
 
-def s0_condition(pcm: PcmStream, recorder=None) -> SampleStream:
+def s0_condition(pcm: PcmStream) -> SampleStream:
     """S0: map 16-bit integers onto [-1, +1); the rate is unchanged."""
     samples = pcm.samples.astype(np.float64) / PCM_FULL_SCALE
-    if recorder is not None:
-        _record_block(recorder, "S0", _S0_OPS, len(samples))
     return SampleStream(samples=samples, sample_rate=pcm.sample_rate)
 
 
-def upsample2(stream: SampleStream, kernel: np.ndarray,
-              recorder=None, behavior: str = "S1") -> SampleStream:
+def upsample2(stream: SampleStream, kernel: np.ndarray, *,
+              behavior: str = "S1") -> SampleStream:
     """One x2 interpolation stage: zero-stuff, filter, saturate.
 
     Output is the causal head of the full convolution, so the stage delays
-    the signal by (taps - 1) / 2 output samples.
+    the signal by (taps - 1) / 2 output samples.  `behavior` (S1, S2 or S3)
+    does not change the result; its only use is to let the benchmark
+    tracer, perfbench/tracing.py, tell the three calls apart.
     """
     if len(stream) == 0:
         raise ValueError("cannot upsample an empty stream")
@@ -142,13 +135,10 @@ def upsample2(stream: SampleStream, kernel: np.ndarray,
     stuffed[::2] = stream.samples
     out = np.convolve(stuffed, kernel)[:len(stuffed)]
     np.clip(out, -1.0, 1.0, out=out)
-    if recorder is not None:
-        recorder.record(behavior, "mac", len(kernel) * len(out))
-        _record_block(recorder, behavior, {"cmp": 2, "mem": 2}, len(out))
     return SampleStream(samples=out, sample_rate=2 * stream.sample_rate)
 
 
-def linearize(stream: SampleStream, recorder=None) -> SampleStream:
+def linearize(stream: SampleStream) -> SampleStream:
     """LINE: replace each sample with the signal value at its pulse crossing.
 
     Uniformly sampled PWM fixes the pulse width from the sample at the frame
@@ -184,12 +174,10 @@ def linearize(stream: SampleStream, recorder=None) -> SampleStream:
     out[0] = x[0]
     out[-1] = x[-1]
     out[1:-1] = 2.0 * t - 1.0
-    if recorder is not None:
-        _record_block(recorder, "LINE", _LINE_OPS, max(len(x) - 2, 0))
     return SampleStream(samples=out, sample_rate=stream.sample_rate)
 
 
-def noise_shape(stream: SampleStream, recorder=None) -> QuantizedStream:
+def noise_shape(stream: SampleStream) -> QuantizedStream:
     """MOLD: error-feedback quantizer with noise transfer (1 - z^-1)^2.
 
     Per sample: v = x + 2 e[k-1] - e[k-2], v is clamped to [-1, 1], rounded
@@ -214,8 +202,6 @@ def noise_shape(stream: SampleStream, recorder=None) -> QuantizedStream:
             append(code)
             e2 = e1
             e1 = v - (code * inv_half - 1.0)
-    if recorder is not None:
-        _record_block(recorder, "MOLD", _MOLD_OPS, len(codes))
     return QuantizedStream(codes=np.array(codes, dtype=np.int64),
                            bits=QUANTIZER_BITS,
                            sample_rate=stream.sample_rate)
@@ -244,17 +230,12 @@ def generate_pwm(q: QuantizedStream) -> PwmBitstream:
                         frame_bits=frame_bits)
 
 
-def convert(pcm: PcmStream, recorder=None) -> PwmBitstream:
+def convert(pcm: PcmStream) -> PwmBitstream:
     """Full sequential chain S0 -> S1 -> S2 -> S3 -> LINE -> MOLD -> PWM."""
     kernel = design_interp_kernel()
-    stream = s0_condition(pcm, recorder)
+    stream = s0_condition(pcm)
     for i in range(INTERP_STAGES):
-        stream = upsample2(stream, kernel, recorder, f"S{i + 1}")
-    stream = linearize(stream, recorder)
-    q = noise_shape(stream, recorder)
+        stream = upsample2(stream, kernel, behavior=f"S{i + 1}")
+    stream = linearize(stream)
+    q = noise_shape(stream)
     return generate_pwm(q)
-
-
-def _record_block(recorder, behavior, ops, n):
-    for kind, per_sample in ops.items():
-        recorder.record(behavior, kind, per_sample * n)

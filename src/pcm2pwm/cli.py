@@ -3,7 +3,7 @@
 Subcommands:
 
     convert    WAV -> PWM1 file, reporting the achieved and avoided clocks
-    profile    operation counts and per-element time estimates
+    profile    modelled operation counts and per-element time estimates
     explore    exhaustive hardware/software mapping search
     roundtrip  convert, demodulate and score against the input
 
@@ -26,6 +26,7 @@ to 4.3 s and noise uses --seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from importlib import resources
@@ -59,7 +60,7 @@ def main(argv=None) -> int:
         # flush at interpreter exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
-    except (InputError, audio_io.IoFailure, profiler.UnknownBehavior,
+    except (InputError, audio_io.IoFailure, dse.UnknownBehavior,
             verification.LengthMismatch, verification.MalformedStream) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="count operations and estimate times")
     _add_input(p, required=False)
     p.add_argument("--scenario", help="scenario file with principal cycle "
-                                      "totals (instead of a live run)")
+                                      "totals (instead of modelled counts)")
     p.add_argument("--pe-lib", help="processing-element library (INI)")
     p.add_argument("--deadline-ms", type=float, default=4300.0,
                    help="real-time goal for fixture runs (default 4300)")
@@ -144,44 +145,39 @@ def cmd_convert(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    playback_s = _finite("--deadline-ms", args.deadline_ms,
+                         positive=True) / 1000.0
     pes = profiler.load_pe_library(args.pe_lib or _bundled("pe_library.ini"))
     out_lines = []
 
     if args.scenario:
         scenario = _load_scenario(args.scenario)
-        if not scenario.principal_cycles:
+        totals = scenario.principal_cycles
+        if not totals:
             raise InputError(f"{args.scenario} has no [principal_cycles]")
-        missing = scenario.principal_cycles.keys() - {pe.name for pe in pes}
+        missing = totals.keys() - {pe.name for pe in pes}
         if missing:
             raise InputError(f"cycle totals for unknown elements: "
                              f"{sorted(missing)}")
-        used = [pe for pe in pes if pe.name in scenario.principal_cycles]
-        playback_s = args.deadline_ms / 1000.0
-        rows = profiler.principal_summary_rows(scenario.principal_cycles,
-                                               used, playback_s)
-        if args.format == "csv":
-            out_lines.append(profiler.principal_summary_csv(rows))
-        else:
-            out_lines.append(profiler.format_principal_summary(rows, playback_s))
+        pes = [pe for pe in pes if pe.name in totals]
     elif args.input:
         pcm = _load_input(args.input, args.seed)
-        recorder = profiler.OpRecorder()
-        if len(pcm):  # nothing to run on empty input: all counts stay zero
-            chain.convert(pcm, recorder=recorder)
-        counts = recorder.snapshot()
-        playback_s = len(pcm) / pcm.sample_rate if len(pcm) else (
-            args.deadline_ms / 1000.0)
+        counts = profiler.op_counts(len(pcm))
+        if len(pcm):  # an empty input plays for the deadline
+            playback_s = len(pcm) / pcm.sample_rate
         totals = {pe.name: sum(profiler.cycles(counts, pe).values())
                   for pe in pes}
-        rows = profiler.principal_summary_rows(totals, pes, playback_s)
         out_lines.append(profiler.profile_report_csv(counts, pes))
         if args.format == "csv":
-            out_lines += ["", profiler.principal_summary_csv(rows)]
-        else:
-            out_lines.append(profiler.format_principal_summary(rows, playback_s))
+            out_lines.append("")
     else:
         raise InputError("profile needs --input or --scenario")
 
+    rows = profiler.principal_summary_rows(totals, pes, playback_s)
+    if args.format == "csv":
+        out_lines.append(profiler.principal_summary_csv(rows))
+    else:
+        out_lines.append(profiler.format_principal_summary(rows, playback_s))
     report = "\n".join(out_lines)
     if args.output:
         try:
@@ -199,9 +195,10 @@ def cmd_explore(args) -> int:
     scenario = _load_scenario(args.scenario or _bundled("baseline.scenario"))
     cm = scenario.cost_model
     if args.deadline_ms is not None:
+        deadline_ms = _finite("--deadline-ms", args.deadline_ms, positive=True)
         cm = dse.CostModel(sw_fixed_cost_cents=cm.sw_fixed_cost_cents,
                            hw_total_cost_cents=cm.hw_total_cost_cents,
-                           deadline_us=int(round(args.deadline_ms * 1000)))
+                           deadline_us=int(round(deadline_ms * 1000)))
     pins = _parse_pins(args.pin)
     options = dse.enumerate_partitions(scenario.estimates, cm, pins)
     selected = dse.select(options, cm)  # exits 3 via NoFeasibleOption
@@ -240,6 +237,7 @@ def _print_tradeoff(shortlist, selected, cm):
 
 
 def cmd_roundtrip(args) -> int:
+    floor_db = _finite("--snr-floor-db", args.snr_floor_db)
     pcm = _load_input(args.input, args.seed)
     if not len(pcm):
         raise InputError("input has no samples")
@@ -250,9 +248,9 @@ def cmd_roundtrip(args) -> int:
         print(report.csv(), end="")
     else:
         print(report.text(), end="")
-    if report.snr_db < args.snr_floor_db:
+    if report.snr_db < floor_db:
         print(f"snr {report.snr_db:.2f} dB below the "
-              f"{args.snr_floor_db:.2f} dB floor", file=sys.stderr)
+              f"{floor_db:.2f} dB floor", file=sys.stderr)
         return EXIT_QUALITY
     return EXIT_OK
 
@@ -270,27 +268,37 @@ def _load_input(spec: str, seed: int) -> audio_io.PcmStream:
 
 
 def _synthesize(kind: str, rest: str, seed: int) -> audio_io.PcmStream:
-    parts = [p for p in rest.split(":") if p]
     rate = 44100
+    n_args = {"sine": 2, "noise": 1, "silence": 0}[kind]  # before SECONDS
     try:
+        values = [float(p) for p in rest.split(":") if p]
+        if len(values) == n_args:
+            values.append(DEFAULT_SIGNAL_SECONDS)
+        *params, seconds = values
+        if (len(params) != n_args or not all(map(math.isfinite, values))
+                or seconds < 0 or (kind == "sine" and params[0] < 0)):
+            raise ValueError("wrong count, or not finite, or FREQ/SECONDS < 0")
+        n = int(round(seconds * rate))
         if kind == "sine":
-            freq = float(parts[0])
-            amp = 10.0 ** (float(parts[1]) / 20.0)
-            seconds = float(parts[2]) if len(parts) > 2 else DEFAULT_SIGNAL_SECONDS
-            t = np.arange(int(round(seconds * rate))) / rate
-            wave = amp * np.sin(2.0 * np.pi * freq * t)
+            amp = 10.0 ** (params[1] / 20.0)
+            wave = amp * np.sin(2.0 * np.pi * params[0] * (np.arange(n) / rate))
         elif kind == "noise":
-            amp = 10.0 ** (float(parts[0]) / 20.0)
-            seconds = float(parts[1]) if len(parts) > 1 else DEFAULT_SIGNAL_SECONDS
-            rng = np.random.default_rng(seed)
-            wave = amp * rng.uniform(-1.0, 1.0, int(round(seconds * rate)))
+            amp = 10.0 ** (params[0] / 20.0)
+            wave = amp * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
         else:
-            seconds = float(parts[0]) if parts else DEFAULT_SIGNAL_SECONDS
-            wave = np.zeros(int(round(seconds * rate)))
-    except (IndexError, ValueError) as exc:
+            wave = np.zeros(n)
+    except (OverflowError, ValueError) as exc:
         raise InputError(f"bad synthetic signal spec {kind}:{rest}") from exc
     samples = np.clip(np.round(wave * 32767.0), -32768, 32767).astype(np.int16)
     return audio_io.PcmStream(samples=samples, sample_rate=rate)
+
+
+def _finite(option: str, value: float, positive: bool = False) -> float:
+    """value, or InputError unless it is finite (and > 0 if positive)."""
+    if not math.isfinite(value) or (positive and value <= 0):
+        sign = " positive" if positive else ""
+        raise InputError(f"{option} {value:g} is not a finite{sign} number")
+    return value
 
 
 def _load_scenario(path):

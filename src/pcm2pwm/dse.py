@@ -42,8 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .profiler import UnknownBehavior
-
 MAX_BEHAVIORS = 20
 TOTALS_TOLERANCE_US = 500  # estimate tables may disagree with a quoted total
 
@@ -68,6 +66,10 @@ class TooManyBehaviors(Exception):
 
 class NoFeasibleOption(Exception):
     """No mapping beats the deadline."""
+
+
+class UnknownBehavior(Exception):
+    """A mapped or pinned behavior missing from the estimate table."""
 
 
 @dataclass(frozen=True)

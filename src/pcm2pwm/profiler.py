@@ -1,11 +1,12 @@
 """Operation counting and weighted cycle/time estimation.
 
-A conversion run is observed through an OpRecorder: each behavior reports
-how many operations of each kind it performed.  Counts are turned into
-cycle estimates by weighting each operation kind with a processing
-element's cycles-per-op table (a MAC costs one cycle on a DSP, several on
-a general-purpose core), and into time by dividing through the element's
-clock.  Times are exact rationals until formatted.
+The op model gives each behavior a fixed number of operations of each kind
+per output sample; op_counts multiplies that table by the samples each
+stage emits, so counting a conversion needs only its input length.  Counts
+are turned into cycle estimates by weighting each operation kind with a
+processing element's cycles-per-op table (a MAC costs one cycle on a DSP,
+several on a general-purpose core), and into time by dividing through the
+element's clock.  Times are exact rationals until formatted.
 
 Processing elements are described in a plain-text INI library, one section
 per element:
@@ -28,52 +29,36 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import BEHAVIORS
+from .chain import BEHAVIORS, FIR_TAPS
 
 OP_KINDS = ("add", "mul", "mac", "cmp", "mem")
 CATEGORIES = ("DSP", "Microproc.", "Microcontrol.", "FPGA")
 
-COUNTER_CAP = 2 ** 63 - 1
-
-
-class UnknownBehavior(Exception):
-    """Behavior name outside the fixed six-behavior set or missing from a
-    scenario's estimate table."""
+# Operations per output sample; S1-S3 make one MAC per kernel tap.
+_OPS_PER_SAMPLE = {
+    "S0": {"mul": 1, "mem": 2},
+    **dict.fromkeys(("S1", "S2", "S3"), {"mac": FIR_TAPS, "cmp": 2, "mem": 2}),
+    "LINE": {"add": 6, "mul": 7, "cmp": 3, "mem": 4},
+    "MOLD": {"add": 4, "mul": 3, "cmp": 2, "mem": 3},
+}
 
 
 class MissingWeight(Exception):
     """A counted operation kind has no weight on the target element."""
 
 
-class CounterOverflow(Exception):
-    """An operation counter hit the 2^63 - 1 cap."""
-
-
-class OpRecorder:
-    """Mutable counter set for one conversion run: {behavior: {kind: n}}.
-
-    Use one recorder per run; concurrent runs get independent instances.
-    """
-
-    def __init__(self):
-        self._counts = {b: {k: 0 for k in OP_KINDS} for b in BEHAVIORS}
-
-    def record(self, behavior: str, kind: str, n: int = 1) -> None:
-        if behavior not in BEHAVIORS:
-            raise UnknownBehavior(f"{behavior!r} is not one of {BEHAVIORS}")
-        if kind not in OP_KINDS:
-            raise ValueError(f"unknown op kind {kind!r}")
-        if n < 0:
-            raise ValueError("count must be non-negative")
-        new = self._counts[behavior][kind] + n
-        if new > COUNTER_CAP:
-            self._counts[behavior][kind] = COUNTER_CAP
-            raise CounterOverflow(f"{behavior}.{kind} exceeded 2^63 - 1")
-        self._counts[behavior][kind] = new
-
-    def snapshot(self) -> dict:
-        """Copy of the current counts; the recorder keeps accumulating."""
-        return {b: dict(kinds) for b, kinds in self._counts.items()}
+def op_counts(n_samples: int) -> dict:
+    """{behavior: {kind: count}}, every OP_KINDS key, for converting
+    n_samples input samples: each behavior's row times the samples it
+    emits.  LINE passes its two end samples through uncounted, and nothing
+    runs for n = 0."""
+    n = n_samples
+    if n < 0:
+        raise ValueError("sample count must be non-negative")
+    emitted = {"S0": n, "S1": 2 * n, "S2": 4 * n, "S3": 8 * n,
+               "LINE": max(8 * n - 2, 0), "MOLD": 8 * n}
+    return {b: {k: _OPS_PER_SAMPLE[b].get(k, 0) * emitted[b] for k in OP_KINDS}
+            for b in BEHAVIORS}
 
 
 @dataclass(frozen=True)

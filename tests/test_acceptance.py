@@ -60,7 +60,7 @@ def _convert_without_line(pcm):
     kernel = chain.design_interp_kernel()
     stream = chain.s0_condition(pcm)
     for i in range(chain.INTERP_STAGES):
-        stream = chain.upsample2(stream, kernel, None, f"S{i + 1}")
+        stream = chain.upsample2(stream, kernel, behavior=f"S{i + 1}")
     return chain.generate_pwm(chain.noise_shape(stream))
 
 
@@ -269,8 +269,6 @@ def test_criterion_7_profiler_laws():
             assert sum(profiler.cycles(combined, pe).values()) == split_total
 
         pcm = audio_io.PcmStream(sine_int16(1000, 0.5, 0.2), RATE)
-        recorder = profiler.OpRecorder()
-        chain.convert(pcm, recorder=recorder)
         totals = {behavior: sum(kinds.values())
-                  for behavior, kinds in recorder.snapshot().items()}
+                  for behavior, kinds in profiler.op_counts(len(pcm)).items()}
         assert totals["S3"] > totals["S2"] > totals["S1"] > 0

@@ -208,6 +208,23 @@ def test_pwm_clock_field_limit(clock_hz, fits, tmp_path):
         assert not path.exists()
 
 
+@pytest.mark.parametrize("frame_bits,fits", [(2 ** 32 - 1, True),
+                                            (2 ** 32, False), (0, False)])
+def test_pwm_frame_field_limit(frame_bits, fits, tmp_path):
+    """frame_bits is a PWM1 u32 field.  An empty stream is a whole number
+    of frames of any size, so the stream itself refuses what the field
+    cannot hold, before write_pwm packs the header."""
+    fields = dict(payload=np.zeros(0, np.uint8), n_bits=0, clock_hz=1,
+                  frame_bits=frame_bits)
+    if fits:
+        path = tmp_path / "frame.pwm"
+        write_pwm(PwmBitstream(**fields), path)
+        assert read_pwm(path) == PwmBitstream(**fields)
+    else:
+        with pytest.raises(ValueError, match="frame_bits"):
+            PwmBitstream(**fields)
+
+
 def test_pwm_invariant_multiple_of_frame():
     with pytest.raises(ValueError):
         PwmBitstream.from_bits(np.zeros(100, dtype=np.uint8), clock_hz=1000,

@@ -163,6 +163,26 @@ def test_profile_needs_source(capsys):
     assert main(["profile"]) == 2
 
 
+@pytest.mark.parametrize("source,n", [("noise:-6:200", 8_820_000),
+                                      ("sine:1000:-6:0.00003", 1),
+                                      ("silence:0", 0)])
+def test_profile_does_not_run_the_chain(source, n, capsys, monkeypatch):
+    """Counts come from the op model's closed form, even for inputs far
+    past what one conversion could hold."""
+    def chain_must_not_run(*args, **kwargs):
+        raise AssertionError("the chain ran")
+    monkeypatch.setattr(chain, "convert", chain_must_not_run)
+    assert main(["profile", "--input", source, "--format", "csv"]) == 0
+    counts = {(parts[0], parts[1]): int(parts[2]) for parts in
+              (line.split(",") for line in capsys.readouterr().out.splitlines())
+              if parts[0] in chain.BEHAVIORS}
+    assert counts["S0", "mul"] == n
+    assert counts["S1", "mac"] == 63 * 2 * n
+    assert counts["S3", "mac"] == 63 * 8 * n
+    assert counts["LINE", "add"] == 6 * max(8 * n - 2, 0)
+    assert counts["MOLD", "total"] == 12 * 8 * n
+
+
 # --- explore --------------------------------------------------------------
 
 def test_explore_selects_cheapest(capsys):
@@ -260,6 +280,47 @@ def test_roundtrip_too_short_is_input_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: only 44 overlapping samples\n"
+
+
+# --- bad numbers ------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    "sine:1000:-6:inf", "silence:inf", "noise:-6:inf", "sine:inf:-6:0.01",
+    "sine:nan:-6:0.01", "sine:1000:nan:0.5", "noise:nan", "sine:1000:1e308",
+    "silence:-1", "sine:1000:-6:-1", "noise:-6:-0.5", "sine:-1000:-6:0.01",
+    "sine:1000", "silence:1:2", "noise:x"])
+@pytest.mark.parametrize("command", ["convert", "profile", "roundtrip"])
+def test_bad_synthetic_spec_is_input_error(command, spec, tmp_path, capsys):
+    argv = [command, "--input", spec]
+    if command == "convert":
+        argv += ["--output", str(tmp_path / "out.pwm")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad synthetic signal spec {spec}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "--deadline-ms", "inf"],
+    ["explore", "--deadline-ms", "nan"],
+    ["explore", "--deadline-ms", "-5"],
+    ["explore", "--deadline-ms", "0"],
+    ["profile", "--scenario", "BUNDLED", "--deadline-ms", "0"],
+    ["profile", "--scenario", "BUNDLED", "--deadline-ms", "-1"],
+    ["profile", "--scenario", "BUNDLED", "--deadline-ms", "inf"],
+    ["profile", "--input", "silence:0", "--deadline-ms", "nan"],
+    ["roundtrip", "--input", "sine:1000:-6:0.3", "--snr-floor-db", "nan"],
+    ["roundtrip", "--input", "sine:1000:-6:0.3", "--snr-floor-db", "inf"],
+])
+def test_bad_numeric_option_is_input_error(argv, capsys):
+    argv = [_bundled("baseline.scenario") if a == "BUNDLED" else a
+            for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    option, value = argv[-2:]
+    assert captured.err.startswith(f"error: {option} {value} is not a finite ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def _bundled(name):

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcm2pwm.audio_io import PcmStream
-from pcm2pwm.chain import convert
-from pcm2pwm.chain import BEHAVIORS
-from pcm2pwm.profiler import (COUNTER_CAP, OP_KINDS, CounterOverflow,
-                              MissingWeight, OpRecorder, ProcessingElement,
-                              UnknownBehavior, cycles, exec_time,
-                              load_pe_library, meets_realtime)
+from pcm2pwm.chain import (BEHAVIORS, INTERP_STAGES, design_interp_kernel,
+                           linearize, noise_shape, s0_condition, upsample2)
+from pcm2pwm.profiler import (OP_KINDS, MissingWeight, ProcessingElement,
+                              cycles, exec_time, load_pe_library,
+                              meets_realtime, op_counts)
 
 PE_LIB = str(resources.files("pcm2pwm").joinpath("data", "pe_library.ini"))
 
@@ -30,54 +29,42 @@ def counts_of(**behavior_kinds):
     return counts
 
 
-# --- recording -----------------------------------------------------------
+# --- op model -----------------------------------------------------------------
 
-def test_record_accumulates():
-    rec = OpRecorder()
-    rec.record("S1", "mac", 63)
-    assert rec.snapshot()["S1"]["mac"] == 63
-    rec.record("S1", "mac", 63)
-    assert rec.snapshot()["S1"]["mac"] == 126
-
-
-def test_record_fresh_read_back():
-    rec = OpRecorder()
-    rec.record("MOLD", "add", 5)
-    snap = rec.snapshot()
-    assert snap == counts_of(MOLD={"add": 5})
+# Operations per output sample of each behavior, as the op model tabulates
+# them; the x2 interpolators make one MAC per tap of their 63-tap kernel.
+ROWS = {"S0": {"mul": 1, "mem": 2},
+        **{s: {"mac": 63, "cmp": 2, "mem": 2} for s in ("S1", "S2", "S3")},
+        "LINE": {"add": 6, "mul": 7, "cmp": 3, "mem": 4},
+        "MOLD": {"add": 4, "mul": 3, "cmp": 2, "mem": 3}}
 
 
-def test_record_unknown_behavior():
-    with pytest.raises(UnknownBehavior):
-        OpRecorder().record("S9", "mac", 1)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2000), st.integers(0, 2 ** 32 - 1))
+def test_op_counts_follow_the_chain(n, seed):
+    """Each behavior's counts are its row times the samples the stage
+    really emits; LINE's two end samples pass through uncounted."""
+    pcm = PcmStream(np.random.default_rng(seed).integers(
+        -32768, 32768, n).astype(np.int16), 44100)
+    kernel = design_interp_kernel()
+    stream = s0_condition(pcm)
+    emitted = {"S0": len(stream)}
+    for i in range(INTERP_STAGES):
+        stream = upsample2(stream, kernel, behavior=f"S{i + 1}")
+        emitted[f"S{i + 1}"] = len(stream)
+    stream = linearize(stream)
+    emitted["LINE"] = len(stream) - 2
+    emitted["MOLD"] = len(noise_shape(stream))
+    counts = op_counts(n)
+    for b in BEHAVIORS:
+        assert counts[b] == {k: ROWS[b].get(k, 0) * emitted[b]
+                             for k in OP_KINDS}
 
 
-def test_record_unknown_kind():
+def test_op_counts_empty_input():
+    assert op_counts(0) == counts_of()
     with pytest.raises(ValueError):
-        OpRecorder().record("S1", "div", 1)
-
-
-def test_record_negative():
-    with pytest.raises(ValueError):
-        OpRecorder().record("S1", "mac", -1)
-
-
-def test_counter_overflow_caps():
-    rec = OpRecorder()
-    rec.record("S1", "mac", COUNTER_CAP)
-    with pytest.raises(CounterOverflow):
-        rec.record("S1", "mac", 1)
-    assert rec.snapshot()["S1"]["mac"] == COUNTER_CAP
-
-
-def test_snapshot_is_independent():
-    rec = OpRecorder()
-    rec.record("S2", "mem", 3)
-    snap = rec.snapshot()
-    rec.record("S2", "mem", 3)
-    snap["S1"]["mac"] = 7
-    assert snap == counts_of(S1={"mac": 7}, S2={"mem": 3})
-    assert rec.snapshot() == counts_of(S2={"mem": 6})
+        op_counts(-1)
 
 
 # --- cycle weighting ---------------------------------------------------------
@@ -201,17 +188,15 @@ def test_pe_validation():
         make_pe(freq=0)
 
 
-# --- live instrumentation ------------------------------------------------------
+# --- stage ordering -------------------------------------------------------------
 
 def test_live_run_stage_ordering():
-    """Each x2 stage handles twice its predecessor's samples."""
-    rng = np.random.default_rng(3)
-    pcm = PcmStream(rng.integers(-8000, 8000, 4410).astype(np.int16), 44100)
-    rec = OpRecorder()
-    convert(pcm, recorder=rec)
-    snap = rec.snapshot()
-    totals = {b: sum(kinds.values()) for b, kinds in snap.items()}
+    """Each x2 stage handles twice its predecessor's samples, and S1 makes
+    63 MACs per output sample however the host filters."""
+    pcm = PcmStream(np.zeros(4410, dtype=np.int16), 44100)
+    counts = op_counts(len(pcm))
+    totals = {b: sum(kinds.values()) for b, kinds in counts.items()}
     assert totals["S3"] > totals["S2"] > totals["S1"] > 0
     for behavior in ("S0", "LINE", "MOLD"):
         assert totals[behavior] > 0
-    assert snap["S1"]["mac"] == 63 * 2 * len(pcm)
+    assert counts["S1"]["mac"] == 63 * 2 * len(pcm)
