@@ -1,9 +1,11 @@
 """PCM to Class-D PWM conversion with cost profiling and mapping exploration."""
 
 from .audio_io import (ClockTooHigh, IoFailure, MalformedHeader, PcmStream,
-                       PwmBitstream, StreamTooLong, UnsupportedFormat, read_pwm,
-                       read_wav, write_pwm)
-from .chain import (BEHAVIORS, QuantizedStream, SampleStream, convert,
+                       PwmBitstream, StreamTooLong, UnsupportedFormat,
+                       WavReader, read_pwm, read_wav, write_pwm,
+                       write_pwm_blocks)
+from .chain import (BEHAVIORS, FirState, LineState, MoldState,
+                    QuantizedStream, SampleStream, convert, convert_stream,
                     design_interp_kernel, generate_pwm, linearize, noise_shape,
                     s0_condition, upsample2)
 from .dse import (AllZeroSizes, BehaviorEstimate, CostModel, NoFeasibleOption,

@@ -16,13 +16,25 @@ Every rate follows from the input stream; for 44.1 kHz input the bit clock
 is 352800 * 128 = 45,158,400 Hz, where doing the same job without the chain
 would take 2^16 * 44100 = 2,890,137,600 Hz of pulse resolution.
 
-All arithmetic is double precision and stages are pure functions.  The
-operations each stage is modelled to perform are profiler.op_counts.
+All arithmetic is double precision.  The operations each stage is
+modelled to perform are profiler.op_counts.
+
+convert_stream runs the chain over bounded blocks of input, as the
+SpecC behaviors do, so memory does not grow with the clip.  Each stage
+takes a block plus the state it carried from the previous block: S1-S3
+their last FIR_TAPS - 1 zero-stuffed input samples (FirState), LINE the
+look-behind and the pending look-ahead sample (LineState), MOLD its
+error feedback e1, e2 (MoldState); S0 and the waveform generator carry
+nothing.  A stage called without state treats its input as the whole
+stream, and every chunking gives the same bits as that one-block case.
+convert is convert_stream over one PcmStream, collected into one
+preallocated payload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -113,6 +125,43 @@ def windowed_sinc_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
 # process that keeps a little state per conversion grew about 1 MB a call.
 _MOLD_BLOCK = 8192
 
+# convert_stream feeds the chain at most this many input samples at a time;
+# the largest block any stage holds is 8 x this many float64 samples.
+_BLOCK = 4096
+
+# Input samples the first block needs: zero-stuffed, it must be at least as
+# long as the kernel, or np.convolve swaps its operands and sums the first
+# outputs in another order than a one-block call would.
+_HEAD = FIR_TAPS // 2 + 1
+
+# PWM bits each input sample becomes: 2^INTERP_STAGES outputs of S3, each
+# one frame of 2^QUANTIZER_BITS bits.
+PWM_BITS_PER_SAMPLE = 1 << (INTERP_STAGES + QUANTIZER_BITS)
+
+
+@dataclass
+class FirState:
+    """What an x2 stage carries between blocks: its last FIR_TAPS - 1
+    zero-stuffed input samples, None before the first block."""
+
+    history: np.ndarray | None = None
+
+
+@dataclass
+class LineState:
+    """What LINE carries between blocks: its last two input samples, the
+    look-behind and the sample that still waits for its look-ahead."""
+
+    tail: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+
+@dataclass
+class MoldState:
+    """What MOLD carries between blocks: the errors e[k-1], e[k-2]."""
+
+    e1: float = 0.0
+    e2: float = 0.0
+
 
 def s0_condition(pcm: PcmStream) -> SampleStream:
     """S0: map 16-bit integers onto [-1, +1); the rate is unchanged."""
@@ -121,24 +170,38 @@ def s0_condition(pcm: PcmStream) -> SampleStream:
 
 
 def upsample2(stream: SampleStream, kernel: np.ndarray, *,
-              behavior: str = "S1") -> SampleStream:
+              behavior: str = "S1", state: FirState | None = None
+              ) -> SampleStream:
     """One x2 interpolation stage: zero-stuff, filter, saturate.
 
     Output is the causal head of the full convolution, so the stage delays
     the signal by (taps - 1) / 2 output samples.  `behavior` (S1, S2 or S3)
     does not change the result; its only use is to let the benchmark
     tracer, perfbench/tracing.py, tell the three calls apart.
+
+    With `state`, `stream` is the next block of a longer stream: it is
+    filtered after the history the state holds, which it then updates.
+    Each output is then the same 63-term dot product as in a one-block
+    call, bit for bit, provided the first block holds at least
+    FIR_TAPS // 2 + 1 samples; convert_stream sees to that.
     """
     if len(stream) == 0:
         raise ValueError("cannot upsample an empty stream")
     stuffed = np.zeros(2 * len(stream))
     stuffed[::2] = stream.samples
-    out = np.convolve(stuffed, kernel)[:len(stuffed)]
+    skip = 0
+    if state is not None:
+        if state.history is not None:
+            skip = len(state.history)
+            stuffed = np.concatenate([state.history, stuffed])
+        state.history = stuffed[-(len(kernel) - 1):].copy()
+    out = np.convolve(stuffed, kernel)[skip:len(stuffed)]
     np.clip(out, -1.0, 1.0, out=out)
     return SampleStream(samples=out, sample_rate=2 * stream.sample_rate)
 
 
-def linearize(stream: SampleStream) -> SampleStream:
+def linearize(stream: SampleStream, state: LineState | None = None,
+              last: bool = True) -> SampleStream:
     """LINE: replace each sample with the signal value at its pulse crossing.
 
     Uniformly sampled PWM fixes the pulse width from the sample at the frame
@@ -149,11 +212,27 @@ def linearize(stream: SampleStream) -> SampleStream:
     solve u(t) = t on the frame, 0 <= t <= 1, and emit 2 t - 1.  The first
     and last samples have no complete neighbourhood and pass through
     unchanged.
+
+    With `state`, `stream` is the next block of a longer stream and `last`
+    says whether it ends the stream.  A sample is emitted once its
+    look-ahead has arrived, so a block's output lags its input by one
+    sample, and the last block emits the held sample too.
     """
     x = stream.samples
-    if len(x) < 3:
-        return SampleStream(samples=x.copy(), sample_rate=stream.sample_rate)
+    first = True
+    if state is not None:
+        first = len(state.tail) == 0
+        x = np.concatenate([state.tail, x])
+        state.tail = x[-2:].copy()
+    parts = [x[:1] if first else x[:0], _crossings(x)]
+    if last and len(x) > 1:
+        parts.append(x[-1:])
+    return SampleStream(samples=np.concatenate(parts),
+                        sample_rate=stream.sample_rate)
 
+
+def _crossings(x: np.ndarray) -> np.ndarray:
+    """LINE's output for x[1:-1], each sample between its two neighbours."""
     u = 0.5 * (x + 1.0)
     c0 = u[1:-1]
     c1 = 0.5 * (u[2:] - u[:-2])
@@ -169,39 +248,39 @@ def linearize(stream: SampleStream) -> SampleStream:
     t = 2.0 * c0 / np.where(bad, 1.0, denom)
     t = np.where(bad, c0, t)
     np.clip(t, 0.0, 1.0, out=t)
-
-    out = np.empty_like(x)
-    out[0] = x[0]
-    out[-1] = x[-1]
-    out[1:-1] = 2.0 * t - 1.0
-    return SampleStream(samples=out, sample_rate=stream.sample_rate)
+    return 2.0 * t - 1.0
 
 
-def noise_shape(stream: SampleStream) -> QuantizedStream:
+def noise_shape(stream: SampleStream, state: MoldState | None = None
+                ) -> QuantizedStream:
     """MOLD: error-feedback quantizer with noise transfer (1 - z^-1)^2.
 
     Per sample: v = x + 2 e[k-1] - e[k-2], v is clamped to [-1, 1], rounded
     half-up onto the 2^QUANTIZER_BITS - 1 grid, and the pre-clamp error
-    v - dequantized(code) is fed back.  State starts at zero.
+    v - dequantized(code) is fed back.  State starts at zero, or at what
+    `state` carried from the previous block, which it then updates.
     """
     n_levels = 2 ** QUANTIZER_BITS - 1
     half = n_levels / 2.0
     inv_half = 1.0 / half
+    deq = [code * inv_half - 1.0 for code in range(n_levels + 1)]
 
     codes = []
     append = codes.append
-    e1 = e2 = 0.0
+    e1, e2 = (state.e1, state.e2) if state is not None else (0.0, 0.0)
     x = stream.samples
     for start in range(0, len(x), _MOLD_BLOCK):
         for xv in x[start:start + _MOLD_BLOCK].tolist():
             v = xv + 2.0 * e1 - e2
             c = 1.0 if v > 1.0 else (-1.0 if v < -1.0 else v)
-            code = int((c + 1.0) * half + 0.5)  # round half-up, argument >= 0
-            if code > n_levels:
-                code = n_levels
+            # round half-up; -1 <= c <= 1 puts the argument in [0, 127.5],
+            # so code is 0 .. n_levels and needs no clamp
+            code = int((c + 1.0) * half + 0.5)
             append(code)
             e2 = e1
-            e1 = v - (code * inv_half - 1.0)
+            e1 = v - deq[code]
+    if state is not None:
+        state.e1, state.e2 = e1, e2
     return QuantizedStream(codes=np.array(codes, dtype=np.int64),
                            bits=QUANTIZER_BITS,
                            sample_rate=stream.sample_rate)
@@ -230,12 +309,69 @@ def generate_pwm(q: QuantizedStream) -> PwmBitstream:
                         frame_bits=frame_bits)
 
 
-def convert(pcm: PcmStream) -> PwmBitstream:
-    """Full sequential chain S0 -> S1 -> S2 -> S3 -> LINE -> MOLD -> PWM."""
+def convert_stream(blocks: Iterable[np.ndarray], sample_rate: int
+                   ) -> Iterator[np.ndarray]:
+    """Run the chain over blocks of 16-bit PCM samples at `sample_rate` and
+    yield the packed PWM1 payload, block by block.
+
+    The blocks may have any sizes; the chain sees them re-cut into at most
+    _BLOCK samples, the first one at least _HEAD, and every cut gives the
+    same bytes.  All payload blocks joined are what generate_pwm would
+    make for the whole stream: PWM_BITS_PER_SAMPLE bits per input sample
+    at a sample_rate * PWM_BITS_PER_SAMPLE Hz bit clock.  Raises
+    ValueError, on the first step, for a stream with no samples.
+    """
     kernel = design_interp_kernel()
-    stream = s0_condition(pcm)
-    for i in range(INTERP_STAGES):
-        stream = upsample2(stream, kernel, behavior=f"S{i + 1}")
-    stream = linearize(stream)
-    q = noise_shape(stream)
-    return generate_pwm(q)
+    fir = [FirState() for _ in range(INTERP_STAGES)]
+    line, mold = LineState(), MoldState()
+    for block, last in _bounded(blocks):
+        stream = s0_condition(PcmStream(block, sample_rate))
+        for i, state in enumerate(fir):
+            stream = upsample2(stream, kernel, behavior=f"S{i + 1}",
+                               state=state)
+        q = noise_shape(linearize(stream, line, last), mold)
+        yield generate_pwm(q).payload
+
+
+def _bounded(blocks: Iterable[np.ndarray]) -> Iterator[tuple]:
+    """(block, is_last) for the samples of `blocks`: non-empty blocks of at
+    most _BLOCK samples, the first at least _HEAD unless the whole stream
+    is shorter."""
+    def pieces():
+        head = []  # the first blocks, until they hold _HEAD samples
+        for block in blocks:
+            if head is not None:
+                head.append(block)
+                if sum(map(len, head)) < _HEAD:
+                    continue
+                if len(head) > 1:  # one block alone is used as it is
+                    block = np.concatenate(head)
+                head = None
+            for start in range(0, len(block), _BLOCK):
+                yield block[start:start + _BLOCK]
+        if head:
+            yield np.concatenate(head)
+
+    held = None
+    for piece in pieces():
+        if len(piece):
+            if held is not None:
+                yield held, False
+            held = piece
+    if held is None:
+        raise ValueError("cannot convert an empty stream")
+    yield held, True
+
+
+def convert(pcm: PcmStream) -> PwmBitstream:
+    """Full chain S0 -> S1 -> S2 -> S3 -> LINE -> MOLD -> PWM over a whole
+    stream: convert_stream's blocks copied into one preallocated payload."""
+    n_bits = len(pcm) * PWM_BITS_PER_SAMPLE
+    payload = np.empty(n_bits // 8, dtype=np.uint8)
+    pos = 0
+    for block in convert_stream([pcm.samples], pcm.sample_rate):
+        payload[pos:pos + len(block)] = block
+        pos += len(block)
+    return PwmBitstream(payload=payload, n_bits=n_bits,
+                        clock_hz=pcm.sample_rate * PWM_BITS_PER_SAMPLE,
+                        frame_bits=2 ** QUANTIZER_BITS)

@@ -26,6 +26,7 @@ to 4.3 s and noise uses --seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -42,6 +43,7 @@ EXIT_QUALITY = 4
 EXIT_CLOSED_STDOUT = 141
 
 DEFAULT_SIGNAL_SECONDS = 4.3
+_SYNTH_BLOCK = 4096  # samples a synthetic input makes at a time
 
 
 class InputError(Exception):
@@ -60,8 +62,9 @@ def main(argv=None) -> int:
         # flush at interpreter exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
-    except (InputError, audio_io.IoFailure, dse.UnknownBehavior,
-            verification.LengthMismatch, verification.MalformedStream) as exc:
+    except (InputError, audio_io.IoFailure, audio_io.MalformedHeader,
+            dse.UnknownBehavior, verification.LengthMismatch,
+            verification.MalformedStream) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except dse.NoFeasibleOption as exc:
@@ -120,26 +123,30 @@ def _add_input(p, required=True):
 
 
 def cmd_convert(args) -> int:
-    pcm = _load_input(args.input, args.seed)
-    if not len(pcm):
-        raise InputError("input has no samples")
-    bits_per_sample = 1 << (chain.INTERP_STAGES + chain.QUANTIZER_BITS)
-    n_bits = len(pcm) * bits_per_sample
-    if n_bits > audio_io.PWM_MAX_BITS:
-        raise InputError(f"input too long: {len(pcm)} samples make {n_bits} "
-                         f"bits, PWM1 holds at most {audio_io.PWM_MAX_BITS}")
-    clock_hz = pcm.sample_rate * bits_per_sample
-    if clock_hz > audio_io.PWM_MAX_CLOCK_HZ:
-        raise InputError(f"sample rate too high: {pcm.sample_rate} Hz makes a "
-                         f"{clock_hz} Hz bit clock, PWM1 holds at most "
-                         f"{audio_io.PWM_MAX_CLOCK_HZ}")
-    pwm = chain.convert(pcm)
-    audio_io.write_pwm(pwm, args.output)
-    print(f"frames: {pwm.frame_count}")
-    print(f"frame bits: {pwm.frame_bits}")
-    print(f"pwm clock: {pwm.clock_hz} Hz")
+    with _open_input(args.input, args.seed) as source:
+        n = source.frame_count
+        if not n:
+            raise InputError("input has no samples")
+        n_bits = n * chain.PWM_BITS_PER_SAMPLE
+        if n_bits > audio_io.PWM_MAX_BITS:
+            raise InputError(f"input too long: {n} samples make {n_bits} "
+                             f"bits, PWM1 holds at most "
+                             f"{audio_io.PWM_MAX_BITS}")
+        rate = source.sample_rate
+        clock_hz = rate * chain.PWM_BITS_PER_SAMPLE
+        if clock_hz > audio_io.PWM_MAX_CLOCK_HZ:
+            raise InputError(f"sample rate too high: {rate} Hz makes a "
+                             f"{clock_hz} Hz bit clock, PWM1 holds at most "
+                             f"{audio_io.PWM_MAX_CLOCK_HZ}")
+        frame_bits = 2 ** chain.QUANTIZER_BITS
+        audio_io.write_pwm_blocks(
+            chain.convert_stream(source.blocks(), rate), args.output,
+            n_bits=n_bits, clock_hz=clock_hz, frame_bits=frame_bits)
+    print(f"frames: {n_bits // frame_bits}")
+    print(f"frame bits: {frame_bits}")
+    print(f"pwm clock: {clock_hz} Hz")
     # pulse resolution a direct 16-bit amplitude-to-width mapping would need
-    print(f"naive clock: {2 ** 16 * pcm.sample_rate} Hz")
+    print(f"naive clock: {2 ** 16 * rate} Hz")
     print(f"wrote: {args.output}")
     return EXIT_OK
 
@@ -161,10 +168,11 @@ def cmd_profile(args) -> int:
                              f"{sorted(missing)}")
         pes = [pe for pe in pes if pe.name in totals]
     elif args.input:
-        pcm = _load_input(args.input, args.seed)
-        counts = profiler.op_counts(len(pcm))
-        if len(pcm):  # an empty input plays for the deadline
-            playback_s = len(pcm) / pcm.sample_rate
+        with _open_input(args.input, args.seed) as source:  # header only
+            n, rate = source.frame_count, source.sample_rate
+        counts = profiler.op_counts(n)
+        if n:  # an empty input plays for the deadline
+            playback_s = n / rate
         totals = {pe.name: sum(profiler.cycles(counts, pe).values())
                   for pe in pes}
         out_lines.append(profiler.profile_report_csv(counts, pes))
@@ -256,41 +264,67 @@ def cmd_roundtrip(args) -> int:
 
 
 def _load_input(spec: str, seed: int) -> audio_io.PcmStream:
+    """The whole input in memory."""
+    with _open_input(spec, seed) as source:
+        return audio_io.collect(source)
+
+
+@contextlib.contextmanager
+def _open_input(spec: str, seed: int):
+    """The input as a reader whose sample_rate and frame_count are known
+    before blocks() yields a sample: an audio_io.WavReader, or a
+    _Synthetic for a synthetic spec."""
     kind, _, rest = spec.partition(":")
     if kind in ("sine", "noise", "silence"):
-        return _synthesize(kind, rest, seed)
+        yield _Synthetic(kind, rest, seed)
+        return
     try:
-        return audio_io.read_wav(spec)
+        wav = audio_io.WavReader(spec)
     except audio_io.IoFailure as exc:
         raise InputError(f"input not found: {spec}") from exc
     except (audio_io.MalformedHeader, audio_io.UnsupportedFormat) as exc:
         raise InputError(f"{spec}: {exc}") from exc
+    with wav:
+        yield wav
 
 
-def _synthesize(kind: str, rest: str, seed: int) -> audio_io.PcmStream:
-    rate = 44100
-    n_args = {"sine": 2, "noise": 1, "silence": 0}[kind]  # before SECONDS
-    try:
-        values = [float(p) for p in rest.split(":") if p]
-        if len(values) == n_args:
-            values.append(DEFAULT_SIGNAL_SECONDS)
-        *params, seconds = values
-        if (len(params) != n_args or not all(map(math.isfinite, values))
-                or seconds < 0 or (kind == "sine" and params[0] < 0)):
-            raise ValueError("wrong count, or not finite, or FREQ/SECONDS < 0")
-        n = int(round(seconds * rate))
-        if kind == "sine":
-            amp = 10.0 ** (params[1] / 20.0)
-            wave = amp * np.sin(2.0 * np.pi * params[0] * (np.arange(n) / rate))
-        elif kind == "noise":
-            amp = 10.0 ** (params[0] / 20.0)
-            wave = amp * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
-        else:
-            wave = np.zeros(n)
-    except (OverflowError, ValueError) as exc:
-        raise InputError(f"bad synthetic signal spec {kind}:{rest}") from exc
-    samples = np.clip(np.round(wave * 32767.0), -32768, 32767).astype(np.int16)
-    return audio_io.PcmStream(samples=samples, sample_rate=rate)
+class _Synthetic:
+    """A synthetic signal spec, checked and sized on construction, whose
+    blocks() makes the samples a block at a time, once (the same samples
+    as one whole-array pass)."""
+
+    sample_rate = 44100
+
+    def __init__(self, kind: str, rest: str, seed: int):
+        n_args = {"sine": 2, "noise": 1, "silence": 0}[kind]  # before SECONDS
+        try:
+            values = [float(p) for p in rest.split(":") if p]
+            if len(values) == n_args:
+                values.append(DEFAULT_SIGNAL_SECONDS)
+            *params, seconds = values
+            if (len(params) != n_args or not all(map(math.isfinite, values))
+                    or seconds < 0 or (kind == "sine" and params[0] < 0)):
+                raise ValueError("wrong count, or not finite, or "
+                                 "FREQ/SECONDS < 0")
+            self.frame_count = int(round(seconds * self.sample_rate))
+            self._amp = 10.0 ** (params[-1] / 20.0) if params else 0.0
+            self._rng = np.random.default_rng(seed) if kind == "noise" else None
+        except (OverflowError, ValueError) as exc:
+            raise InputError(f"bad synthetic signal spec {kind}:{rest}") from exc
+        self._freq = params[0] if kind == "sine" else None
+
+    def blocks(self):
+        for start in range(0, self.frame_count, _SYNTH_BLOCK):
+            n = min(_SYNTH_BLOCK, self.frame_count - start)
+            if self._freq is not None:
+                t = np.arange(start, start + n) / self.sample_rate
+                wave = self._amp * np.sin(2.0 * np.pi * self._freq * t)
+            elif self._rng is not None:
+                wave = self._amp * self._rng.uniform(-1.0, 1.0, n)
+            else:
+                wave = np.zeros(n)
+            yield np.clip(np.round(wave * 32767.0), -32768, 32767
+                          ).astype(np.int16)
 
 
 def _finite(option: str, value: float, positive: bool = False) -> float:

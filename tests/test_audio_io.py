@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcm2pwm import audio_io
 from pcm2pwm.audio_io import (PWM_MAX_BITS, PWM_MAX_CLOCK_HZ, ClockTooHigh,
                               IoFailure, MalformedHeader, PwmBitstream,
-                              StreamTooLong, UnsupportedFormat, read_pwm,
-                              read_wav, write_pwm)
+                              StreamTooLong, UnsupportedFormat, WavReader,
+                              read_pwm, read_wav, write_pwm, write_pwm_blocks)
 
 from conftest import write_wav
 
@@ -56,14 +57,56 @@ def test_stereo_downmix_rounds_toward_zero(wav_file):
 def test_downmix_is_truncated_mean(channels_frames):
     import tempfile
     channels, frames = channels_frames
-    # mean of each frame rounded toward zero, in exact integer arithmetic
-    expected = [(abs(sum(f)) // channels) * (1 if sum(f) >= 0 else -1)
-                for f in frames]
     interleaved = np.array([v for f in frames for v in f], dtype=np.int16)
     with tempfile.TemporaryDirectory() as d:
         pcm = read_wav(write_wav(f"{d}/x.wav", interleaved, channels=channels))
     assert pcm.samples.dtype == np.int16
-    assert pcm.samples.tolist() == expected
+    assert pcm.samples.tolist() == _truncated_means(frames, channels)
+
+
+def _truncated_means(frames, channels):
+    """Mean of each frame rounded toward zero, in exact integer arithmetic."""
+    return [(abs(sum(f)) // channels) * (1 if sum(f) >= 0 else -1)
+            for f in frames]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda channels: st.tuples(
+    st.just(channels),
+    st.lists(st.lists(st.integers(-32768, 32767), min_size=channels,
+                      max_size=channels), max_size=64))),
+    st.integers(1, 9))
+def test_downmix_per_block(channels_frames, block):
+    """The incremental reader downmixes block by block, at most _WAV_BLOCK
+    frames at a time, to the same truncated means."""
+    import tempfile
+    from unittest import mock
+    channels, frames = channels_frames
+    interleaved = np.array([v for f in frames for v in f], dtype=np.int16)
+    with tempfile.TemporaryDirectory() as d, \
+            mock.patch.object(audio_io, "_WAV_BLOCK", block):
+        path = write_wav(f"{d}/x.wav", interleaved, channels=channels)
+        with WavReader(path) as wav:
+            assert (wav.sample_rate, wav.frame_count) == (44100, len(frames))
+            blocks = list(wav.blocks())
+    assert all(0 < len(b) <= block and b.dtype == np.int16 for b in blocks)
+    joined = [v for b in blocks for v in b.tolist()]
+    assert joined == _truncated_means(frames, channels)
+
+
+def test_wav_reader_checks_structure_before_samples(tmp_path):
+    """A chunk that overruns the file fails on opening, before any sample;
+    a data chunk that shrinks after opening fails while reading."""
+    good = write_wav(tmp_path / "good.wav", np.arange(5000, dtype=np.int16))
+    data = good.read_bytes()
+    (tmp_path / "cut.wav").write_bytes(data[:-2])
+    with pytest.raises(MalformedHeader, match="truncated chunk"):
+        WavReader(tmp_path / "cut.wav")
+    with WavReader(good) as wav:
+        assert wav.frame_count == 5000
+        good.write_bytes(data[:-2])
+        with pytest.raises(MalformedHeader, match="shrank"):
+            list(wav.blocks())
 
 
 def test_rejects_non_pcm_format(tmp_path):
@@ -223,6 +266,28 @@ def test_pwm_frame_field_limit(frame_bits, fits, tmp_path):
     else:
         with pytest.raises(ValueError, match="frame_bits"):
             PwmBitstream(**fields)
+
+
+def test_pwm_blocks_written_in_order(tmp_path):
+    stream = PwmBitstream.from_bits(np.tile([1, 1, 0], 64), clock_hz=300,
+                                    frame_bits=24)
+    path = tmp_path / "blocks.pwm"
+    write_pwm_blocks((stream.payload[i:i + 5] for i in range(0, 24, 5)), path,
+                     n_bits=192, clock_hz=300, frame_bits=24)
+    assert read_pwm(path) == stream
+
+
+@pytest.mark.parametrize("n_blocks", [0, 1, 3])
+def test_pwm_blocks_short_or_long_keep_old_file(n_blocks, tmp_path):
+    """Blocks that do not hold the declared payload raise ValueError; the
+    file that was there stays, and nothing else is left beside it."""
+    path = tmp_path / "out.pwm"
+    path.write_bytes(b"previous")
+    with pytest.raises(ValueError, match="payload blocks hold"):
+        write_pwm_blocks([np.zeros(16, np.uint8)] * n_blocks, path,
+                         n_bits=256, clock_hz=100, frame_bits=128)
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.pwm"]
 
 
 def test_pwm_invariant_multiple_of_frame():

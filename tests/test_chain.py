@@ -3,9 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pcm2pwm import chain
 from pcm2pwm.audio_io import PcmStream
 from pcm2pwm.chain import (BEHAVIORS, FIR_TAPS, INTERP_STAGES, QUANTIZER_BITS,
-                           QuantizedStream, SampleStream, convert,
+                           FirState, LineState, MoldState, QuantizedStream,
+                           SampleStream, convert, convert_stream,
                            design_interp_kernel, generate_pwm, linearize,
                            noise_shape, s0_condition, upsample2)
 
@@ -260,3 +262,93 @@ def test_dc_duty_law(level):
     duty = pwm.bits[pwm.frame_bits * 1024:].astype(np.float64).mean()
     expect = (level * 32767 / 32768 + 1.0) / 2.0
     assert abs(duty - expect) <= 1.0 / 128
+
+
+# --- streaming ----------------------------------------------------------------
+
+def _one_shot_codes(pcm):
+    """MOLD codes of one whole-array call of each stage, no state carried."""
+    kernel = design_interp_kernel()
+    stream = s0_condition(pcm)
+    for i in range(INTERP_STAGES):
+        stream = upsample2(stream, kernel, behavior=f"S{i + 1}")
+    return noise_shape(linearize(stream))
+
+
+def _split(x, cuts):
+    return np.split(x, sorted(c % (len(x) + 1) for c in cuts))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(-32768, 32767), min_size=1, max_size=700),
+       st.lists(st.integers(0, 10 ** 6), max_size=40), st.booleans())
+def test_stream_cuts_match_one_shot(samples, cuts, ones):
+    """Any cut of the input, down to 1-sample blocks, gives the payload and
+    the MOLD codes of one whole-array pass."""
+    x = np.array(samples, dtype=np.int16)
+    blocks = [x[i:i + 1] for i in range(len(x))] if ones else _split(x, cuts)
+    payload = np.concatenate(list(convert_stream(blocks, 44100)))
+    q = _one_shot_codes(PcmStream(x, 44100))
+    assert np.array_equal(payload, generate_pwm(q).payload)
+    codes = np.unpackbits(payload).reshape(-1, 2 ** QUANTIZER_BITS).sum(axis=1)
+    assert np.array_equal(codes, q.codes)
+
+
+def test_convert_is_one_shot_across_blocks():
+    """convert cuts a long stream into blocks; the bits stay those of one
+    whole-array pass, also when the caller's blocks are cut elsewhere."""
+    x = np.random.default_rng(3).integers(-30000, 30000, 9000).astype(np.int16)
+    pcm = PcmStream(x, 44100)
+    expected = generate_pwm(_one_shot_codes(pcm))
+    assert convert(pcm) == expected
+    payload = np.concatenate(list(convert_stream(_split(x, [5, 4200, 4201]),
+                                                 44100)))
+    assert np.array_equal(payload, expected.payload)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=400),
+       st.lists(st.integers(0, 10 ** 6), max_size=30))
+def test_stage_states_carry_across_blocks(samples, cuts):
+    """Each stateful stage, block by block with its state, equals its one
+    whole-array call; x2 stages need a first block of FIR_TAPS // 2 + 1."""
+    x = np.array(samples)
+    kernel = design_interp_kernel()
+    blocks = _split(x, cuts)
+    line, mold = LineState(), MoldState()
+    lined = [linearize(SampleStream(b, 352800), line, last=i == len(blocks) - 1)
+             for i, b in enumerate(blocks)]
+    lined = np.concatenate([s.samples for s in lined])
+    assert np.array_equal(lined, linearize(SampleStream(x, 352800)).samples)
+    codes = np.concatenate([noise_shape(SampleStream(b, 352800), mold).codes
+                            for b in blocks])
+    assert np.array_equal(codes, noise_shape(SampleStream(x, 352800)).codes)
+
+    head = FIR_TAPS // 2 + 1
+    if len(x) >= head:
+        fir = FirState()
+        up = [upsample2(SampleStream(b, 44100), kernel, state=fir).samples
+              for b in [x[:head]] + _split(x[head:], cuts) if len(b)]
+        assert np.array_equal(np.concatenate(up),
+                              upsample2(SampleStream(x, 44100), kernel).samples)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 9000), st.lists(st.integers(0, 10 ** 6), max_size=40))
+def test_blocks_are_bounded_with_a_full_head(n, cuts):
+    """The chain sees the samples in order, in blocks of at most _BLOCK,
+    the first one long enough for the x2 stages to match a one-block call
+    (FIR_TAPS // 2 + 1 samples) unless the stream is shorter."""
+    x = np.arange(n)
+    pairs = list(chain._bounded(_split(x, cuts)))
+    blocks = [b for b, _ in pairs]
+    assert np.array_equal(np.concatenate(blocks), x)
+    assert all(0 < len(b) <= chain._BLOCK for b in blocks)
+    assert len(blocks[0]) >= min(n, FIR_TAPS // 2 + 1)
+    assert [last for _, last in pairs] == [False] * (len(pairs) - 1) + [True]
+
+
+def test_convert_stream_rejects_empty():
+    for blocks in ([], [np.zeros(0, dtype=np.int16)]):
+        with pytest.raises(ValueError, match="empty"):
+            next(convert_stream(blocks, 44100))

@@ -5,11 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from pcm2pwm import chain
+from pcm2pwm import audio_io, chain, cli
 from pcm2pwm.audio_io import read_pwm
 from pcm2pwm.cli import EXIT_CLOSED_STDOUT, main
 
-from conftest import sine_int16
+from conftest import sine_int16, write_wav
 
 
 @pytest.fixture
@@ -64,7 +64,7 @@ def test_convert_too_long_is_input_error(tmp_path, capsys, monkeypatch):
     """96 s would overflow the PWM1 u32 bit count; refused before the chain."""
     def chain_must_not_run(*args, **kwargs):
         raise AssertionError("the chain ran")
-    monkeypatch.setattr(chain, "convert", chain_must_not_run)
+    monkeypatch.setattr(chain, "convert_stream", chain_must_not_run)
     out = tmp_path / "long.pwm"
     assert main(["convert", "--input", "silence:96", "--output", str(out)]) == 2
     assert capsys.readouterr().err == (
@@ -83,7 +83,7 @@ def test_convert_bit_clock_limit(rate, code, wav_file, tmp_path, capsys,
     if code:
         def chain_must_not_run(*args, **kwargs):
             raise AssertionError("the chain ran")
-        monkeypatch.setattr(chain, "convert", chain_must_not_run)
+        monkeypatch.setattr(chain, "convert_stream", chain_must_not_run)
     out = tmp_path / "fast.pwm"
     assert main(["convert", "--input", path, "--output", str(out)]) == code
     captured = capsys.readouterr()
@@ -95,6 +95,77 @@ def test_convert_bit_clock_limit(rate, code, wav_file, tmp_path, capsys,
     else:
         assert read_pwm(out).clock_hz == 4294966272
         assert read_pwm(out).frame_count == 8 * 300
+
+
+@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+def test_failed_convert_keeps_previous_output(failure, wav_file, tmp_path,
+                                              monkeypatch):
+    """A stage that raises after the header and some payload blocks are
+    written leaves --output byte-identical and no file beside it."""
+    path = str(wav_file(sine_int16(1000, 0.5, 0.5)))  # several chain blocks
+    out = tmp_path / "out.pwm"
+    out.write_bytes(b"the previous conversion")
+    calls = []
+    real = chain.noise_shape
+
+    def fails_on_third_block(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise failure("stage failed mid-stream")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(chain, "noise_shape", fails_on_third_block)
+    with pytest.raises(failure):
+        main(["convert", "--input", path, "--output", str(out)])
+    assert len(calls) == 3
+    assert out.read_bytes() == b"the previous conversion"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "out.pwm"]
+
+
+def test_convert_memory_flat_in_clip_length(tmp_path):
+    """Fresh-process peak RSS of convert on a 40 s WAV is within 10 % (plus
+    a few MB of slack) of a 5 s one: the chain streams bounded blocks.
+
+    The child reports its own VmHWM: its ru_maxrss would start at this
+    process's high-water mark, which exec carries over."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status for the peak RSS")
+    script = ("import sys\n"
+              "from pcm2pwm.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print([l.split()[1] for l in fh if l.startswith('VmHWM')][0])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    peak_kb = {}
+    for seconds in (5, 40):
+        wav = write_wav(tmp_path / f"{seconds}.wav",
+                        sine_int16(1000, 0.5, seconds), channels=1)
+        child = subprocess.run(
+            [sys.executable, "-c", script, "convert", "--input", str(wav),
+             "--output", str(tmp_path / f"{seconds}.pwm")],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert child.returncode == 0, child.stderr
+        peak_kb[seconds] = int(child.stdout.splitlines()[-1])
+    assert peak_kb[40] <= 1.10 * peak_kb[5] + 4096, peak_kb
+
+
+def test_convert_to_a_device_writes_in_place(short_sine_wav, capsys):
+    """An --output that is not a regular file is written to, never
+    replaced by a renamed file."""
+    assert main(["convert", "--input", short_sine_wav,
+                 "--output", os.devnull]) == 0
+    assert not os.path.isfile(os.devnull)
+
+
+def test_wav_on_a_pipe(short_sine_wav):
+    """A WAV that arrives on a pipe, which cannot seek, still reads."""
+    with open(short_sine_wav, "rb") as fh:
+        wav = fh.read()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-m", "pcm2pwm.cli", "profile",
+                            "--input", "/dev/stdin", "--format", "csv"],
+                           input=wav, capture_output=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert b"S0,mul,4410," in child.stdout
 
 
 @pytest.mark.parametrize("command", ["convert", "profile"])
@@ -171,7 +242,7 @@ def test_profile_does_not_run_the_chain(source, n, capsys, monkeypatch):
     past what one conversion could hold."""
     def chain_must_not_run(*args, **kwargs):
         raise AssertionError("the chain ran")
-    monkeypatch.setattr(chain, "convert", chain_must_not_run)
+    monkeypatch.setattr(chain, "convert_stream", chain_must_not_run)
     assert main(["profile", "--input", source, "--format", "csv"]) == 0
     counts = {(parts[0], parts[1]): int(parts[2]) for parts in
               (line.split(",") for line in capsys.readouterr().out.splitlines())
@@ -181,6 +252,18 @@ def test_profile_does_not_run_the_chain(source, n, capsys, monkeypatch):
     assert counts["S3", "mac"] == 63 * 8 * n
     assert counts["LINE", "add"] == 6 * max(8 * n - 2, 0)
     assert counts["MOLD", "total"] == 12 * 8 * n
+
+
+def test_profile_reads_only_the_length(short_sine_wav, capsys, monkeypatch):
+    """profile takes a WAV's length from its header and a synthetic spec's
+    from its SECONDS; no sample is read or made."""
+    def must_not_read(self):
+        raise AssertionError("samples were read")
+    monkeypatch.setattr(audio_io.WavReader, "blocks", must_not_read)
+    monkeypatch.setattr(cli._Synthetic, "blocks", must_not_read)
+    for source in (short_sine_wav, "noise:-6:200", "sine:1000:-6"):
+        assert main(["profile", "--input", source, "--format", "csv"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # --- explore --------------------------------------------------------------

@@ -10,13 +10,15 @@ BLOCKS = re.findall(r"```python\n(.*?)```",
 
 
 def test_readme_python_examples(monkeypatch, capsys):
-    assert len(BLOCKS) == 2
+    assert len(BLOCKS) == 3
     monkeypatch.chdir(ROOT)
     namespace = {}
     for block in BLOCKS:
         exec(compile(block, "README.md", "exec"), namespace)
-    snr_db, dsp_s = map(float, capsys.readouterr().out.split())
+    snr_db, same_bytes, dsp_s = capsys.readouterr().out.split()
+    snr_db, dsp_s = float(snr_db), float(dsp_s)
     assert snr_db > 60.0
+    assert same_bytes == "True"  # convert_stream over 1000-sample blocks
     # 1 s of audio on the DSP: the op model's total over its 60 MHz clock
     assert namespace["counts"]["S1"]["mac"] == 5_556_600
     assert abs(dsp_s - sum(namespace["per_behavior"].values()) / 60e6) < 1e-9
