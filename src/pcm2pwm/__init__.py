@@ -15,6 +15,6 @@ from .dse import (AllZeroSizes, BehaviorEstimate, CostModel, NoFeasibleOption,
 from .profiler import (MissingWeight, ProcessingElement, cycles, exec_time,
                        load_pe_library, meets_realtime, op_counts)
 from .verification import (LengthMismatch, MalformedStream, SpectrumReport,
-                           demodulate, measure)
+                           demodulate, demodulate_stream, measure)
 
 __version__ = "0.1.0"

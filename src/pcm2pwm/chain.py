@@ -265,7 +265,7 @@ def noise_shape(stream: SampleStream, state: MoldState | None = None
     inv_half = 1.0 / half
     deq = [code * inv_half - 1.0 for code in range(n_levels + 1)]
 
-    codes = []
+    codes = bytearray()  # 0 .. n_levels fits a byte
     append = codes.append
     e1, e2 = (state.e1, state.e2) if state is not None else (0.0, 0.0)
     x = stream.samples
@@ -281,7 +281,7 @@ def noise_shape(stream: SampleStream, state: MoldState | None = None
             e1 = v - deq[code]
     if state is not None:
         state.e1, state.e2 = e1, e2
-    return QuantizedStream(codes=np.array(codes, dtype=np.int64),
+    return QuantizedStream(codes=np.frombuffer(codes, dtype=np.uint8),
                            bits=QUANTIZER_BITS,
                            sample_rate=stream.sample_rate)
 

@@ -21,6 +21,12 @@ to 4.3 s and noise uses --seed.  Exit codes:
     3    no feasible mapping
     4    quality floor missed
     141  stdout closed early, e.g. by `| head` (128 + SIGPIPE)
+
+convert and roundtrip stream: the chain runs over bounded blocks, and
+roundtrip feeds its PWM payload blocks straight into the demodulator
+(verification.demodulate_stream), so neither holds a whole PWM stream.
+roundtrip still holds the input clip, the clip demodulated back to the
+input rate and the FFTs measure takes of them.
 """
 
 from __future__ import annotations
@@ -249,8 +255,12 @@ def cmd_roundtrip(args) -> int:
     pcm = _load_input(args.input, args.seed)
     if not len(pcm):
         raise InputError("input has no samples")
-    pwm = chain.convert(pcm)
-    audio = verification.demodulate(pwm, pcm.sample_rate)
+    rate = pcm.sample_rate
+    blocks = verification.demodulate_stream(
+        chain.convert_stream([pcm.samples], rate),
+        n_bits=len(pcm) * chain.PWM_BITS_PER_SAMPLE,
+        clock_hz=rate * chain.PWM_BITS_PER_SAMPLE, target_rate=rate)
+    audio = chain.SampleStream(np.concatenate([np.zeros(0), *blocks]), rate)
     report = verification.measure(chain.s0_condition(pcm), audio)
     if args.format == "csv":
         print(report.csv(), end="")

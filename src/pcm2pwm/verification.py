@@ -10,6 +10,13 @@ samples polyphase, one branch per phase.  Scoring aligns the result
 against a reference in gain and (fractional) delay, then reports SNR, THD
 at the detected fundamental and the 0-20 kHz noise floor.  SNR is capped
 at +140 dB so identical streams yield a finite sentinel.
+
+demodulate_stream takes the PWM1 payload a block at a time and yields the
+audio a block at a time, each stage carrying a few hundred samples of
+state, so `pcm2pwm roundtrip` feeds it chain.convert_stream's blocks and
+never holds a whole PWM stream; every cut gives the same samples bit for
+bit.  demodulate is its one-block case, collected.  measure works on
+whole clips: it holds the reference, the demodulated audio and their FFTs.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -65,40 +73,79 @@ class SpectrumReport:
 
 
 def demodulate(pwm: PwmBitstream, target_rate: int = 44100) -> SampleStream:
-    """Recover audio from a PWM bitstream.
+    """Recover audio from a whole PWM bitstream: demodulate_stream over its
+    payload as one block, collected."""
+    blocks = demodulate_stream([pwm.payload], n_bits=len(pwm),
+                               clock_hz=pwm.clock_hz, target_rate=target_rate)
+    return SampleStream(samples=np.concatenate([np.zeros(0), *blocks]),
+                        sample_rate=target_rate)
 
-    The bit clock must be an integer multiple of target_rate.  Large ratios
-    are decimated in two stages; each stage's filter keeps the band that
-    can fold onto 0-20 kHz at least 60 dB down.  Stages compensate their
-    own group delay, so the output sits on the stream's own time grid.
+
+def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
+                      clock_hz: int, target_rate: int) -> Iterator[np.ndarray]:
+    """Recover audio from a PWM bitstream that arrives a payload block at a
+    time, and yield it a block at a time.
+
+    blocks are the PWM1 payload of n_bits bits at clock_hz, packed
+    LSB-first into uint8 arrays (as PwmBitstream.payload, or as
+    chain.convert_stream yields it) and cut at any byte.  The bit clock
+    must be an integer multiple of target_rate.  Large ratios are
+    decimated in two stages; each stage's filter keeps the band that can
+    fold onto 0-20 kHz at least 60 dB down.  Stages compensate their own
+    group delay, so the output sits on the stream's own time grid:
+    n_bits // ratio samples in all, which every cut gives bit for bit.
     The first stage reads only the bit transitions (_edge_decimate): a
     leading-edge PWM frame has at most two, against the 795 taps a
-    direct-form filter would spend per output at 45.1584 MHz.
+    direct-form filter would spend per output at 45.1584 MHz.  Each stage
+    carries a few hundred samples of state from block to block, so memory
+    does not grow with the stream.  Raises MalformedStream, on the first
+    step, for a rate the stages cannot reach, and at the end for a payload
+    that is not the ceil(n_bits / 8) bytes n_bits need.
     """
     if target_rate <= 0:
         raise MalformedStream("target rate must be positive")
-    if pwm.clock_hz % target_rate != 0:
+    if clock_hz % target_rate != 0:
         raise MalformedStream(
-            f"bit clock {pwm.clock_hz} is not a multiple of {target_rate}")
-    ratio = pwm.clock_hz // target_rate
+            f"bit clock {clock_hz} is not a multiple of {target_rate}")
+    ratio = clock_hz // target_rate
+    blocks = _payload(blocks, n_bits)
 
     if ratio == 1:
-        out = pwm.bits.astype(np.float64) * 2.0 - 1.0
-        return SampleStream(samples=out, sample_rate=target_rate)
+        done = 0
+        for block in blocks:
+            bits = np.unpackbits(block, bitorder="little")
+            bits = bits[:max(n_bits - done, 0)]  # not the pad bits
+            done += len(bits)
+            yield bits.astype(np.float64) * 2.0 - 1.0
+        return
 
     stages = [ratio // 8, 8] if ratio % 8 == 0 and ratio > 8 else [ratio]
-    rate = pwm.clock_hz
+    rate, n_in = clock_hz, n_bits
     for i, m in enumerate(stages):
         out_rate = rate // m
         h = _stage_filter(rate, out_rate, target_rate,
                           final=(out_rate == target_rate))
         if i == 0:
-            x = _edge_decimate(pwm.payload, len(pwm), h, m)
+            blocks = _edge_decimate(blocks, n_in, h, m)
         else:
-            x = _polyphase_decimate(x, h, m)
-        rate = out_rate
-    np.clip(x, -1.0, 1.0, out=x)
-    return SampleStream(samples=x, sample_rate=target_rate)
+            blocks = _polyphase_decimate(blocks, n_in, h, m)
+        rate, n_in = out_rate, n_in // m
+    for y in blocks:
+        np.clip(y, -1.0, 1.0, out=y)
+        yield y
+
+
+def _payload(blocks: Iterable[np.ndarray], n_bits: int
+             ) -> Iterator[np.ndarray]:
+    """The payload blocks, then MalformedStream if they did not hold the
+    bytes n_bits need."""
+    size = 0
+    for block in blocks:
+        size += len(block)
+        yield block
+    if size != (n_bits + 7) // 8:
+        raise MalformedStream(f"{n_bits} bits need {(n_bits + 7) // 8} "
+                              f"payload bytes, got {size}")
 
 
 def _stage_filter(fs_in: int, fs_out: int, target_rate: int,
@@ -127,17 +174,17 @@ def _stage_filter(fs_in: int, fs_out: int, target_rate: int,
     return windowed_sinc_lowpass(num_taps, cutoff)
 
 
-def _edge_decimate(payload: np.ndarray, n_bits: int, h: np.ndarray,
-                   m: int) -> np.ndarray:
+def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
+                   m: int) -> Iterator[np.ndarray]:
     """Filter and decimate a packed bitstream as +-1 samples, per transition.
 
-    payload holds n_bits bits packed LSB-first, as in PwmBitstream.
-    Computes y[n] = sum_k h[k] s(n m + D - k) with s = 2 bits - 1 inside
-    the stream and 0 outside, D = (len(h)-1)//2, exactly as a direct-form
-    filter would.  Write s as a sum of steps: one of height +-2 at each
-    transition p (bits[p] != bits[p-1]), one into the stream at 0 and one
-    out of it at n_bits.  With C the cumulative taps (C[0] = 0, C[L] = H,
-    the tap sum),
+    blocks hold n_bits bits packed LSB-first, as in PwmBitstream, cut at
+    any byte.  Computes y[n] = sum_k h[k] s(n m + D - k) with s = 2 bits - 1
+    inside the stream and 0 outside, D = (len(h)-1)//2, exactly as a
+    direct-form filter would.  Write s as a sum of steps: one of height +-2
+    at each transition p (bits[p] != bits[p-1]), one into the stream at 0
+    and one out of it at n_bits.  With C the cumulative taps (C[0] = 0,
+    C[L] = H, the tap sum),
 
         y[n] = H s(n m + D - L + 1) + sum_p delta_p C[n m + D - p + 1]
 
@@ -148,21 +195,18 @@ def _edge_decimate(payload: np.ndarray, n_bits: int, h: np.ndarray,
     instead of L per output.  Only the bit window of one block is unpacked
     at a time; the settled bits s(n m + D - L + 1) are read from the
     payload by byte index and shift.
+
+    Outputs are computed on a fixed grid of _EDGE_BLOCK-output blocks, each
+    once the payload reaches D bits past its last output; the bytes no
+    later window reads (about L bits before the next block) are dropped.
+    Blocks are joined only when they complete a grid block, which is then
+    yielded with any others they complete, so every cut computes every
+    output the same way.
     """
     n_out = n_bits // m
-    y = np.zeros(n_out)
-    if n_out == 0:
-        return y
     taps = len(h)
     delay = (taps - 1) // 2
     cum = np.concatenate(([0.0], np.cumsum(h)))
-
-    # the steps into the stream at 0 and out of it at n_bits
-    for p, delta in ((0, 2.0 * _bit(payload, 0) - 1.0),
-                     (n_bits, 1.0 - 2.0 * _bit(payload, n_bits - 1))):
-        n = np.arange(max(-((delay - p) // m), 0),
-                      min((p - delay + taps - 2) // m + 1, n_out))
-        y[n] += delta * cum[n * m + delay - p + 1]
 
     # a transition at p adds delta C[r + 1 + j m] to output n0 + j, where n0
     # is the first output it reaches and r = n0 m + D - p is in [0, m);
@@ -172,31 +216,70 @@ def _edge_decimate(payload: np.ndarray, n_bits: int, h: np.ndarray,
     ramp = np.where(a < taps, cum[np.minimum(a, taps)], 0.0)
     signed = np.concatenate((-2.0 * ramp, 2.0 * ramp), axis=1)
     first = -((taps - 1 - delay) // -m)  # first n with a non-negative index
-    for start in range(0, n_out, _EDGE_BLOCK):
-        stop = min(start + _EDGE_BLOCK, n_out)
-        # steps at or before n m + D - L + 1 have passed every tap: H s(...)
-        head = max(start, first)
-        i = np.arange(head, stop) * m + delay - taps + 1
-        y[head:stop] += _bit(payload, i) * (2.0 * cum[-1]) - cum[-1]
 
-        lo = max((start - phases) * m + delay + 1, 1)
-        hi = min((stop - 1) * m + delay, n_bits - 1)
-        if lo > hi:
+    buf = np.zeros(0, dtype=np.uint8)  # payload bytes base, base + 1, ...
+    pending = []  # blocks that arrived after buf
+    base = received = done = 0
+    lead = 0.0  # the step into the stream: s(0)
+    for block in blocks:
+        if not received and len(block):
+            lead = 2.0 * _bit(block, 0) - 1.0
+        pending.append(block)
+        received += len(block)
+        # the outputs whose windows the payload covers, down to the grid
+        reach = (8 * received - 1 - delay) // m + 1
+        if 8 * received >= n_bits or reach >= n_out:
+            ready = n_out
+        else:
+            ready = max(reach, 0) // _EDGE_BLOCK * _EDGE_BLOCK
+        if ready <= done:
             continue
-        skip = (lo - 1) & 7  # bits lo - 1 .. hi, unpacked from whole bytes
-        seg = np.unpackbits(payload[(lo - 1) >> 3:(hi >> 3) + 1],
-                            bitorder="little")[skip:skip + hi - lo + 2]
-        q = np.flatnonzero(seg[1:] != seg[:-1])
-        p = q + lo
-        n0 = (p - delay + m - 1) // m
-        col = n0 * m + delay - p + m * seg[q + 1].astype(np.intp)
-        idx = n0 - (start - phases)
-        size = stop - start + 2 * phases
-        acc = np.zeros(size)
-        for j in range(phases):
-            acc += np.bincount(idx + j, weights=signed[j][col], minlength=size)
-        y[start:stop] += acc[phases:phases + stop - start]
-    return y
+        parts = [buf, *pending] if len(buf) else pending
+        buf = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        pending = []
+        y = np.zeros(ready - done)
+        for start in range(done, ready, _EDGE_BLOCK):
+            stop = min(start + _EDGE_BLOCK, n_out)
+            # the steps into the stream at 0 and out of it at n_bits
+            for p in (0, n_bits):
+                n = np.arange(max(-((delay - p) // m), start),
+                              min((p - delay + taps - 2) // m + 1, stop))
+                if len(n):
+                    delta = lead if p == 0 else (
+                        1.0 - 2.0 * _bit(buf, n_bits - 1 - 8 * base))
+                    y[n - done] += delta * cum[n * m + delay - p + 1]
+
+            # steps at or before n m + D - L + 1 have passed all taps: H s(...)
+            head = max(start, first)
+            i = np.arange(head, stop) * m + delay - taps + 1 - 8 * base
+            y[head - done:stop - done] += (_bit(buf, i) * (2.0 * cum[-1])
+                                           - cum[-1])
+
+            lo = max((start - phases) * m + delay + 1, 1)
+            hi = min((stop - 1) * m + delay, n_bits - 1)
+            if lo > hi:
+                continue
+            skip = (lo - 1) & 7  # bits lo - 1 .. hi, unpacked from whole bytes
+            lo_byte = ((lo - 1) >> 3) - base
+            seg = np.unpackbits(buf[lo_byte:(hi >> 3) + 1 - base],
+                                bitorder="little")[skip:skip + hi - lo + 2]
+            q = np.flatnonzero(seg[1:] != seg[:-1])
+            p = q + lo
+            n0 = (p - delay + m - 1) // m
+            col = n0 * m + delay - p + m * seg[q + 1].astype(np.intp)
+            idx = n0 - (start - phases)
+            size = stop - start + 2 * phases
+            acc = np.zeros(size)
+            for j in range(phases):
+                acc += np.bincount(idx + j, weights=signed[j][col],
+                                   minlength=size)
+            y[start - done:stop - done] += acc[phases:phases + stop - start]
+        done = ready
+        # the first byte the next grid block reads
+        keep = max((done - phases) * m + delay, 0) >> 3
+        buf = buf[keep - base:]
+        base = keep
+        yield y
 
 
 def _bit(payload: np.ndarray, i):
@@ -204,31 +287,51 @@ def _bit(payload: np.ndarray, i):
     return (payload[i >> 3] >> (i & 7)) & 1
 
 
-def _polyphase_decimate(x: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:
+def _polyphase_decimate(blocks: Iterable[np.ndarray], n_in: int,
+                        h: np.ndarray, m: int) -> Iterator[np.ndarray]:
     """Filter and keep every m-th sample, compensating the filter delay.
 
-    Meant to compute y[n] = sum_k h[k] x(n m + D - k) with D = (len(h)-1)/2
-    and x zero outside its range, touching only the samples that survive
-    decimation.  Known defect: branch r starts at x[D - r], so the inputs
-    x[0 .. D - m] are treated as zero as well, and outputs
-    0 .. (2 D - m) // m miss their terms.  At the final demodulator stage
-    (D = 473, m = 8) that drops the first 466 input samples.
+    blocks hold the n_in input samples, cut anywhere.  Meant to compute
+    y[n] = sum_k h[k] x(n m + D - k) with D = (len(h)-1)/2 and x zero
+    outside its range, touching only the samples that survive decimation:
+    branch r filters x[D - r::m] with h[r::m].  Known defect: branch r
+    starts at x[D - r], so the inputs x[0 .. D - m] are treated as zero as
+    well, and outputs 0 .. (2 D - m) // m miss their terms.  At the final
+    demodulator stage (D = 473, m = 8) that drops the first 466 input
+    samples.
+
+    Each block costs one np.convolve per branch, over the branch's new
+    samples after the last len(h[0::m]) it has seen.  Blocks are gathered
+    until every branch holds that many samples, as np.convolve swaps an
+    operand shorter than its filter, so every cut sums each output in the
+    same order as one block does.
     """
-    n_out = len(x) // m
-    if n_out == 0:
-        return np.zeros(0)
+    n_out = n_in // m
     delay = (len(h) - 1) // 2
     if delay < m - 1:  # keep every branch's start index non-negative
         raise ValueError("filter too short for this decimation factor")
-    y = np.zeros(n_out)
-    for r in range(m):
-        branch_taps = h[r::m]
-        xs = np.asarray(x[delay - r::m], dtype=np.float64)
-        if len(xs) == 0:
+    branch_taps = [h[r::m] for r in range(m)]
+    history = len(branch_taps[0])  # the longest branch filter
+    xs = [np.zeros(0) for _ in range(m)]  # branch samples base, base + 1, ...
+    base = received = done = 0
+    for x in blocks:
+        for r in range(m):  # x[D - r + j m] is sample j of branch r
+            k = delay - r - received
+            xs[r] = np.concatenate((xs[r], x[max(k, k % m)::m]))
+        received += len(x)
+        have = base + len(xs[0])  # branch 0 has the fewest samples
+        ready = n_out if received >= n_in else have if have >= history else 0
+        if ready <= done:
             continue
-        acc = np.convolve(xs, branch_taps)
-        y += acc[:n_out] if len(acc) >= n_out else np.pad(acc, (0, n_out - len(acc)))
-    return y
+        y = np.zeros(ready - done)
+        for branch, taps in zip(xs, branch_taps):
+            if len(branch):
+                acc = np.convolve(branch, taps)[done - base:ready - base]
+                y[:len(acc)] += acc
+        done = ready
+        xs = [branch[done - history - base:] for branch in xs]
+        base = done - history
+        yield y
 
 
 def blackman_harris(n: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from pcm2pwm import audio_io, chain, cli
+from pcm2pwm import audio_io, chain, cli, verification
 from pcm2pwm.audio_io import read_pwm
 from pcm2pwm.cli import EXIT_CLOSED_STDOUT, main
 
@@ -121,30 +121,60 @@ def test_failed_convert_keeps_previous_output(failure, wav_file, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "out.pwm"]
 
 
-def test_convert_memory_flat_in_clip_length(tmp_path):
-    """Fresh-process peak RSS of convert on a 40 s WAV is within 10 % (plus
-    a few MB of slack) of a 5 s one: the chain streams bounded blocks.
+def child_peak_kb(script, *args):
+    """Run script in a fresh interpreter and return its peak RSS in kB.
 
     The child reports its own VmHWM: its ru_maxrss would start at this
     process's high-water mark, which exec carries over."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs /proc/self/status for the peak RSS")
+    script += ("with open('/proc/self/status') as fh:\n"
+               "    print([l.split()[1] for l in fh"
+               " if l.startswith('VmHWM')][0])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", script, *args],
+                           capture_output=True, text=True, env=env,
+                           timeout=600)
+    assert child.returncode == 0, child.stderr
+    return int(child.stdout.splitlines()[-1])
+
+
+def test_convert_memory_flat_in_clip_length(tmp_path):
+    """Fresh-process peak RSS of convert on a 40 s WAV is within 10 % (plus
+    a few MB of slack) of a 5 s one: the chain streams bounded blocks."""
     script = ("import sys\n"
               "from pcm2pwm.cli import main\n"
-              "assert main(sys.argv[1:]) == 0\n"
-              "with open('/proc/self/status') as fh:\n"
-              "    print([l.split()[1] for l in fh if l.startswith('VmHWM')][0])\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+              "assert main(sys.argv[1:]) == 0\n")
     peak_kb = {}
     for seconds in (5, 40):
         wav = write_wav(tmp_path / f"{seconds}.wav",
                         sine_int16(1000, 0.5, seconds), channels=1)
-        child = subprocess.run(
-            [sys.executable, "-c", script, "convert", "--input", str(wav),
-             "--output", str(tmp_path / f"{seconds}.pwm")],
-            capture_output=True, text=True, env=env, timeout=600)
-        assert child.returncode == 0, child.stderr
-        peak_kb[seconds] = int(child.stdout.splitlines()[-1])
+        peak_kb[seconds] = child_peak_kb(
+            script, "convert", "--input", str(wav),
+            "--output", str(tmp_path / f"{seconds}.pwm"))
+    assert peak_kb[40] <= 1.10 * peak_kb[5] + 4096, peak_kb
+
+
+def test_demodulate_stream_memory_flat_in_clip_length():
+    """Fresh-process peak RSS of demodulate_stream fed by convert_stream,
+    each audio block dropped after use, is on a 40 s clip within 10 % (plus
+    4 MB) of a 5 s one: no stage of either holds more than a block."""
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "from pcm2pwm import convert_stream, demodulate_stream\n"
+              "n = int(sys.argv[1]) * 44100\n"
+              "def pcm():\n"
+              "    for start in range(0, n, 4096):\n"
+              "        t = np.arange(start, min(start + 4096, n)) / 44100\n"
+              "        yield np.round(16383 * np.sin(2 * np.pi * 1000 * t)"
+              ").astype(np.int16)\n"
+              "blocks = demodulate_stream(convert_stream(pcm(), 44100),\n"
+              "                           n_bits=n * 1024,\n"
+              "                           clock_hz=44100 * 1024,\n"
+              "                           target_rate=44100)\n"
+              "assert sum(len(y) for y in blocks) == n\n")
+    peak_kb = {seconds: child_peak_kb(script, str(seconds))
+               for seconds in (5, 40)}
     assert peak_kb[40] <= 1.10 * peak_kb[5] + 4096, peak_kb
 
 
@@ -356,6 +386,20 @@ def test_roundtrip_csv(capsys):
     assert code == 0
     assert captured.out.splitlines()[0] == (
         "fundamental_hz,snr_db,thd_db,inband_noise_power")
+
+
+def test_roundtrip_never_holds_the_whole_stream(capsys, monkeypatch):
+    """roundtrip streams the chain into the demodulator: neither the
+    whole-stream convert nor demodulate runs, and the report is theirs."""
+    def whole_stream(*args, **kwargs):
+        raise AssertionError("a whole PWM stream was built")
+    monkeypatch.setattr(chain, "convert", whole_stream)
+    monkeypatch.setattr(verification, "demodulate", whole_stream)
+    assert main(["roundtrip", "--input", "sine:1000:-6:0.5"]) == 0
+    assert capsys.readouterr().out == ("fundamental: 1000.0 Hz\n"
+                                       "snr: 68.16 dB\n"
+                                       "thd: -84.89 dB\n"
+                                       "inband noise (rel): 5.839e-08\n")
 
 
 def test_roundtrip_too_short_is_input_error(capsys):
