@@ -25,10 +25,11 @@ takes a block plus the state it carried from the previous block: S1-S3
 their last FIR_TAPS - 1 zero-stuffed input samples (FirState), LINE the
 look-behind and the pending look-ahead sample (LineState), MOLD its
 error feedback e1, e2 (MoldState); S0 and the waveform generator carry
-nothing.  A stage called without state treats its input as the whole
-stream, and every chunking gives the same bits as that one-block case.
-convert is convert_stream over one PcmStream, collected into one
-preallocated payload.
+nothing.  A stage called without state starts a fresh one, so it
+treats its input as the whole stream, and every cut, down to 1-sample
+blocks, gives the same bits as that one-block call.  convert is
+convert_stream over one PcmStream, collected into one preallocated
+payload.
 """
 
 from __future__ import annotations
@@ -129,11 +130,6 @@ _MOLD_BLOCK = 8192
 # the largest block any stage holds is 8 x this many float64 samples.
 _BLOCK = 4096
 
-# Input samples the first block needs: zero-stuffed, it must be at least as
-# long as the kernel, or np.convolve swaps its operands and sums the first
-# outputs in another order than a one-block call would.
-_HEAD = FIR_TAPS // 2 + 1
-
 # PWM bits each input sample becomes: 2^INTERP_STAGES outputs of S3, each
 # one frame of 2^QUANTIZER_BITS bits.
 PWM_BITS_PER_SAMPLE = 1 << (INTERP_STAGES + QUANTIZER_BITS)
@@ -142,9 +138,9 @@ PWM_BITS_PER_SAMPLE = 1 << (INTERP_STAGES + QUANTIZER_BITS)
 @dataclass
 class FirState:
     """What an x2 stage carries between blocks: its last FIR_TAPS - 1
-    zero-stuffed input samples, None before the first block."""
+    zero-stuffed input samples, fewer until it has seen that many."""
 
-    history: np.ndarray | None = None
+    history: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 @dataclass
@@ -180,24 +176,28 @@ def upsample2(stream: SampleStream, kernel: np.ndarray, *,
     tracer, perfbench/tracing.py, tell the three calls apart.
 
     With `state`, `stream` is the next block of a longer stream: it is
-    filtered after the history the state holds, which it then updates.
-    Each output is then the same 63-term dot product as in a one-block
-    call, bit for bit, provided the first block holds at least
-    FIR_TAPS // 2 + 1 samples; convert_stream sees to that.
+    filtered after the history the state holds, which it then updates, and
+    each output is the same dot product as in a one-block call, bit for bit.
     """
     if len(stream) == 0:
         raise ValueError("cannot upsample an empty stream")
-    stuffed = np.zeros(2 * len(stream))
-    stuffed[::2] = stream.samples
-    skip = 0
-    if state is not None:
-        if state.history is not None:
-            skip = len(state.history)
-            stuffed = np.concatenate([state.history, stuffed])
-        state.history = stuffed[-(len(kernel) - 1):].copy()
-    out = np.convolve(stuffed, kernel)[skip:len(stuffed)]
+    state = state or FirState()
+    stuffed = np.zeros(len(state.history) + 2 * len(stream))
+    stuffed[:len(state.history)] = state.history
+    stuffed[len(state.history)::2] = stream.samples
+    out = _convolve(stuffed, kernel)[len(state.history):len(stuffed)]
+    state.history = stuffed[-(len(kernel) - 1):].copy()
     np.clip(out, -1.0, 1.0, out=out)
     return SampleStream(samples=out, sample_rate=2 * stream.sample_rate)
+
+
+def _convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """np.convolve(x, h) with an x shorter than h zero-padded to its length,
+    so the operands never swap: the first len(x) outputs are then summed
+    the same way whatever samples follow x."""
+    if len(x) < len(h):
+        x = np.concatenate((x, np.zeros(len(h) - len(x))))
+    return np.convolve(x, h)
 
 
 def linearize(stream: SampleStream, state: LineState | None = None,
@@ -218,12 +218,10 @@ def linearize(stream: SampleStream, state: LineState | None = None,
     look-ahead has arrived, so a block's output lags its input by one
     sample, and the last block emits the held sample too.
     """
-    x = stream.samples
-    first = True
-    if state is not None:
-        first = len(state.tail) == 0
-        x = np.concatenate([state.tail, x])
-        state.tail = x[-2:].copy()
+    state = state or LineState()
+    first = len(state.tail) == 0
+    x = np.concatenate([state.tail, stream.samples])
+    state.tail = x[-2:].copy()
     parts = [x[:1] if first else x[:0], _crossings(x)]
     if last and len(x) > 1:
         parts.append(x[-1:])
@@ -267,7 +265,8 @@ def noise_shape(stream: SampleStream, state: MoldState | None = None
 
     codes = bytearray()  # 0 .. n_levels fits a byte
     append = codes.append
-    e1, e2 = (state.e1, state.e2) if state is not None else (0.0, 0.0)
+    state = state or MoldState()
+    e1, e2 = state.e1, state.e2
     x = stream.samples
     for start in range(0, len(x), _MOLD_BLOCK):
         for xv in x[start:start + _MOLD_BLOCK].tolist():
@@ -279,8 +278,7 @@ def noise_shape(stream: SampleStream, state: MoldState | None = None
             append(code)
             e2 = e1
             e1 = v - deq[code]
-    if state is not None:
-        state.e1, state.e2 = e1, e2
+    state.e1, state.e2 = e1, e2
     return QuantizedStream(codes=np.frombuffer(codes, dtype=np.uint8),
                            bits=QUANTIZER_BITS,
                            sample_rate=stream.sample_rate)
@@ -315,11 +313,11 @@ def convert_stream(blocks: Iterable[np.ndarray], sample_rate: int
     yield the packed PWM1 payload, block by block.
 
     The blocks may have any sizes; the chain sees them re-cut into at most
-    _BLOCK samples, the first one at least _HEAD, and every cut gives the
-    same bytes.  All payload blocks joined are what generate_pwm would
-    make for the whole stream: PWM_BITS_PER_SAMPLE bits per input sample
-    at a sample_rate * PWM_BITS_PER_SAMPLE Hz bit clock.  Raises
-    ValueError, on the first step, for a stream with no samples.
+    _BLOCK samples, and every cut gives the same bytes.  All payload
+    blocks joined are what generate_pwm would make for the whole stream:
+    PWM_BITS_PER_SAMPLE bits per input sample at a sample_rate *
+    PWM_BITS_PER_SAMPLE Hz bit clock.  Raises ValueError, on the first
+    step, for a stream with no samples.
     """
     kernel = design_interp_kernel()
     fir = [FirState() for _ in range(INTERP_STAGES)]
@@ -335,29 +333,13 @@ def convert_stream(blocks: Iterable[np.ndarray], sample_rate: int
 
 def _bounded(blocks: Iterable[np.ndarray]) -> Iterator[tuple]:
     """(block, is_last) for the samples of `blocks`: non-empty blocks of at
-    most _BLOCK samples, the first at least _HEAD unless the whole stream
-    is shorter."""
-    def pieces():
-        head = []  # the first blocks, until they hold _HEAD samples
-        for block in blocks:
-            if head is not None:
-                head.append(block)
-                if sum(map(len, head)) < _HEAD:
-                    continue
-                if len(head) > 1:  # one block alone is used as it is
-                    block = np.concatenate(head)
-                head = None
-            for start in range(0, len(block), _BLOCK):
-                yield block[start:start + _BLOCK]
-        if head:
-            yield np.concatenate(head)
-
+    most _BLOCK samples."""
     held = None
-    for piece in pieces():
-        if len(piece):
+    for block in blocks:
+        for start in range(0, len(block), _BLOCK):
             if held is not None:
                 yield held, False
-            held = piece
+            held = block[start:start + _BLOCK]
     if held is None:
         raise ValueError("cannot convert an empty stream")
     yield held, True

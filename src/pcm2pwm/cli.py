@@ -13,7 +13,11 @@ to 4.3 s and noise uses --seed.  Exit codes:
 
     0    success
     2    input error: a missing, malformed or empty input, a bad option
-         value, an output path that cannot be written, a convert input
+         value, a scenario or element library that is missing, a
+         directory, not UTF-8 or malformed (no section header, a
+         duplicate section, a missing key or weight, a negative cycle
+         total, all code sizes 0, over 20 behaviors to explore), an
+         output path that cannot be written, a convert input
          over the PWM1 bit count (95.1 s at 44.1 kHz) or bit clock
          (4,194,304 Hz sample rate or more), or a roundtrip input the
          demodulator cannot map onto its rate or that is too short to
@@ -32,6 +36,7 @@ input rate and the FFTs measure takes of them.
 from __future__ import annotations
 
 import argparse
+import configparser
 import contextlib
 import math
 import os
@@ -69,7 +74,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
     except (InputError, audio_io.IoFailure, audio_io.MalformedHeader,
-            dse.UnknownBehavior, verification.LengthMismatch,
+            dse.AllZeroSizes, dse.TooManyBehaviors, dse.UnknownBehavior,
+            profiler.MissingWeight, verification.LengthMismatch,
             verification.MalformedStream) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -160,11 +166,12 @@ def cmd_convert(args) -> int:
 def cmd_profile(args) -> int:
     playback_s = _finite("--deadline-ms", args.deadline_ms,
                          positive=True) / 1000.0
-    pes = profiler.load_pe_library(args.pe_lib or _bundled("pe_library.ini"))
+    pes = _load(profiler.load_pe_library,
+                args.pe_lib or _bundled("pe_library.ini"))
     out_lines = []
 
     if args.scenario:
-        scenario = _load_scenario(args.scenario)
+        scenario = _load(dse.load_scenario, args.scenario)
         totals = scenario.principal_cycles
         if not totals:
             raise InputError(f"{args.scenario} has no [principal_cycles]")
@@ -206,7 +213,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    scenario = _load_scenario(args.scenario or _bundled("baseline.scenario"))
+    scenario = _load(dse.load_scenario,
+                     args.scenario or _bundled("baseline.scenario"))
     cm = scenario.cost_model
     if args.deadline_ms is not None:
         deadline_ms = _finite("--deadline-ms", args.deadline_ms, positive=True)
@@ -345,13 +353,17 @@ def _finite(option: str, value: float, positive: bool = False) -> float:
     return value
 
 
-def _load_scenario(path):
+def _load(loader, path):
+    """loader(path), with a missing, unreadable or malformed file raised as
+    one line of InputError."""
     try:
-        return dse.load_scenario(path)
+        return loader(path)
     except FileNotFoundError as exc:
         raise InputError(f"input not found: {path}") from exc
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from exc
+    except (OSError, ValueError, configparser.Error) as exc:
+        raise InputError(f"{path}: {' '.join(str(exc).split())}") from exc
 
 
 def _parse_pins(pin_args):

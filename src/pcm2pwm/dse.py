@@ -342,6 +342,9 @@ def load_scenario(path) -> Scenario:
         scenario.principal_cycles = {
             name: int(value) for name, value in parser["principal_cycles"].items()
         }
+        negative = [n for n, c in scenario.principal_cycles.items() if c < 0]
+        if negative:
+            raise ValueError(f"negative principal cycle totals: {negative}")
 
     return scenario
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .audio_io import PwmBitstream
-from .chain import SampleStream, windowed_sinc_lowpass
+from .chain import SampleStream, _convolve, windowed_sinc_lowpass
 
 SNR_CAP_DB = 140.0
 AUDIO_BAND_HZ = 20000.0
@@ -196,12 +196,9 @@ def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
     at a time; the settled bits s(n m + D - L + 1) are read from the
     payload by byte index and shift.
 
-    Outputs are computed on a fixed grid of _EDGE_BLOCK-output blocks, each
-    once the payload reaches D bits past its last output; the bytes no
-    later window reads (about L bits before the next block) are dropped.
-    Blocks are joined only when they complete a grid block, which is then
-    yielded with any others they complete, so every cut computes every
-    output the same way.
+    Each output is computed once the payload reaches D bits past it, in
+    blocks of at most _EDGE_BLOCK outputs; the bytes no later window reads
+    (about L bits before the next output) are dropped.
     """
     n_out = n_bits // m
     taps = len(h)
@@ -226,12 +223,9 @@ def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
             lead = 2.0 * _bit(block, 0) - 1.0
         pending.append(block)
         received += len(block)
-        # the outputs whose windows the payload covers, down to the grid
+        # the outputs whose windows the payload covers
         reach = (8 * received - 1 - delay) // m + 1
-        if 8 * received >= n_bits or reach >= n_out:
-            ready = n_out
-        else:
-            ready = max(reach, 0) // _EDGE_BLOCK * _EDGE_BLOCK
+        ready = n_out if 8 * received >= n_bits else min(reach, n_out)
         if ready <= done:
             continue
         parts = [buf, *pending] if len(buf) else pending
@@ -239,7 +233,7 @@ def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
         pending = []
         y = np.zeros(ready - done)
         for start in range(done, ready, _EDGE_BLOCK):
-            stop = min(start + _EDGE_BLOCK, n_out)
+            stop = min(start + _EDGE_BLOCK, ready)
             # the steps into the stream at 0 and out of it at n_bits
             for p in (0, n_bits):
                 n = np.arange(max(-((delay - p) // m), start),
@@ -275,7 +269,7 @@ def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
                                    minlength=size)
             y[start - done:stop - done] += acc[phases:phases + stop - start]
         done = ready
-        # the first byte the next grid block reads
+        # the first byte the next output reads
         keep = max((done - phases) * m + delay, 0) >> 3
         buf = buf[keep - base:]
         base = keep
@@ -300,11 +294,9 @@ def _polyphase_decimate(blocks: Iterable[np.ndarray], n_in: int,
     demodulator stage (D = 473, m = 8) that drops the first 466 input
     samples.
 
-    Each block costs one np.convolve per branch, over the branch's new
-    samples after the last len(h[0::m]) it has seen.  Blocks are gathered
-    until every branch holds that many samples, as np.convolve swaps an
-    operand shorter than its filter, so every cut sums each output in the
-    same order as one block does.
+    Each block costs one convolution per branch, over the branch's new
+    samples after the last len(h[0::m]) it has seen, and yields every
+    output its branches cover.
     """
     n_out = n_in // m
     delay = (len(h) - 1) // 2
@@ -319,18 +311,18 @@ def _polyphase_decimate(blocks: Iterable[np.ndarray], n_in: int,
             k = delay - r - received
             xs[r] = np.concatenate((xs[r], x[max(k, k % m)::m]))
         received += len(x)
-        have = base + len(xs[0])  # branch 0 has the fewest samples
-        ready = n_out if received >= n_in else have if have >= history else 0
+        # branch 0 has the fewest samples
+        ready = n_out if received >= n_in else base + len(xs[0])
         if ready <= done:
             continue
         y = np.zeros(ready - done)
         for branch, taps in zip(xs, branch_taps):
-            if len(branch):
-                acc = np.convolve(branch, taps)[done - base:ready - base]
-                y[:len(acc)] += acc
+            acc = _convolve(branch, taps)[done - base:ready - base]
+            y[:len(acc)] += acc
         done = ready
-        xs = [branch[done - history - base:] for branch in xs]
-        base = done - history
+        keep = max(done - history, base)
+        xs = [branch[keep - base:] for branch in xs]
+        base = keep
         yield y
 
 

@@ -309,9 +309,10 @@ def test_convert_is_one_shot_across_blocks():
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=400),
        st.lists(st.integers(0, 10 ** 6), max_size=30))
+@example(samples=[0.25] * 70, cuts=[1])
 def test_stage_states_carry_across_blocks(samples, cuts):
     """Each stateful stage, block by block with its state, equals its one
-    whole-array call; x2 stages need a first block of FIR_TAPS // 2 + 1."""
+    whole-array call, over any cut down to a 1-sample first block."""
     x = np.array(samples)
     kernel = design_interp_kernel()
     blocks = _split(x, cuts)
@@ -324,28 +325,38 @@ def test_stage_states_carry_across_blocks(samples, cuts):
                             for b in blocks])
     assert np.array_equal(codes, noise_shape(SampleStream(x, 352800)).codes)
 
-    head = FIR_TAPS // 2 + 1
-    if len(x) >= head:
-        fir = FirState()
-        up = [upsample2(SampleStream(b, 44100), kernel, state=fir).samples
-              for b in [x[:head]] + _split(x[head:], cuts) if len(b)]
-        assert np.array_equal(np.concatenate(up),
-                              upsample2(SampleStream(x, 44100), kernel).samples)
+    fir = FirState()
+    up = [upsample2(SampleStream(b, 44100), kernel, state=fir).samples
+          for b in blocks if len(b)]
+    assert np.array_equal(np.concatenate(up),
+                          upsample2(SampleStream(x, 44100), kernel).samples)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 9000), st.lists(st.integers(0, 10 ** 6), max_size=40))
-def test_blocks_are_bounded_with_a_full_head(n, cuts):
-    """The chain sees the samples in order, in blocks of at most _BLOCK,
-    the first one long enough for the x2 stages to match a one-block call
-    (FIR_TAPS // 2 + 1 samples) unless the stream is shorter."""
+def test_blocks_are_bounded_and_in_order(n, cuts):
+    """The chain sees the samples in order, in non-empty blocks of at most
+    _BLOCK, with only the last one flagged last."""
     x = np.arange(n)
     pairs = list(chain._bounded(_split(x, cuts)))
     blocks = [b for b, _ in pairs]
     assert np.array_equal(np.concatenate(blocks), x)
     assert all(0 < len(b) <= chain._BLOCK for b in blocks)
-    assert len(blocks[0]) >= min(n, FIR_TAPS // 2 + 1)
     assert [last for _, last in pairs] == [False] * (len(pairs) - 1) + [True]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 130),
+       st.integers(0, 300))
+def test_convolve_head_ignores_what_follows(seed, n_x, n_h, n_z):
+    """The first len(x) outputs of chain._convolve(x, h) are those of a
+    convolution over x and any continuation z that reaches len(h), byte
+    for byte: the operands never swap, so the sums run in one order."""
+    rng = np.random.default_rng(seed)
+    x, h = rng.standard_normal(n_x), rng.standard_normal(n_h)
+    z = rng.standard_normal(max(n_z, n_h - n_x))
+    head = chain._convolve(x, h)[:n_x]
+    assert head.tobytes() == np.convolve(np.concatenate((x, z)), h)[:n_x].tobytes()
 
 
 def test_convert_stream_rejects_empty():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -453,6 +454,70 @@ def test_bad_numeric_option_is_input_error(argv, capsys):
 def _bundled(name):
     from importlib import resources
     return str(resources.files("pcm2pwm").joinpath("data", name))
+
+
+# --- malformed scenario and element library files ---------------------------
+
+def _many_behaviors(n):
+    rows = "".join(f"[behavior B{i}]\nt_hw_ms = 1\nt_sw_ms = 2\ncode_size = 1\n"
+                   for i in range(n))
+    return rows + ("[cost_model]\nsw_fixed_cost = 9\nhw_total_cost = 30\n"
+                   "deadline_ms = 4300\n")
+
+
+def _edited(name, pattern, new):
+    """A bundled data file with every match of `pattern` replaced."""
+    with open(_bundled(name), encoding="utf-8") as fh:
+        text, count = re.subn(pattern, new, fh.read())
+    assert count
+    return text
+
+
+# option, file content (None: no file, "DIR": a directory), command
+_BAD_FILES = {
+    "all-code-sizes-zero": ("--scenario", _edited(
+        "baseline.scenario", r"code_size = \d+", "code_size = 0"), "explore"),
+    "21-behaviors": ("--scenario", _many_behaviors(21), "explore"),
+    "no-t_hw_ms": ("--scenario", _edited("baseline.scenario",
+                                         r"t_hw_ms = 2\.2\n", ""), "explore"),
+    "duplicate-section": ("--scenario", _edited(
+        "baseline.scenario", r"\[behavior S1\]", "[behavior S0]"), "explore"),
+    "no-section-header": ("--scenario", "t_hw_ms = 2.2\n" + _many_behaviors(2),
+                          "explore"),
+    "scenario-directory": ("--scenario", "DIR", "explore"),
+    "negative-cycles": ("--scenario", _edited("baseline.scenario",
+                                              "DSP = 272935511", "DSP = -1"),
+                        "profile"),
+    "pe-lib-missing": ("--pe-lib", None, "profile"),
+    "pe-lib-directory": ("--pe-lib", "DIR", "profile"),
+    "pe-lib-bad-entry": ("--pe-lib", _edited("pe_library.ini", "freq_mhz = 60",
+                                             "freq_mhz = fast"), "profile"),
+    "pe-lib-not-utf8": ("--pe-lib", _edited("pe_library.ini", "DSP 56600",
+                                            "DSP\udcff 56600"), "profile"),
+    "pe-lib-no-weight": ("--pe-lib", _edited("pe_library.ini", "mac:3, ", ""),
+                         "profile"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FILES))
+def test_malformed_file_is_input_error(case, tmp_path, capsys):
+    """A missing, unreadable or malformed scenario or element library exits
+    2 with one error line, never a traceback."""
+    option, content, command = _BAD_FILES[case]
+    path = tmp_path / "file.ini"
+    if content == "DIR":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content.encode("utf-8", "surrogateescape"))
+    argv = [command, option, str(path)]
+    if command == "profile" and option == "--pe-lib":
+        argv += ["--input", "silence:0.01"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    if content is None:
+        assert captured.err == f"error: input not found: {path}\n"
 
 
 # --- closed stdout ---------------------------------------------------------
