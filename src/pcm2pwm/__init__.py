@@ -4,10 +4,9 @@ from .audio_io import (ClockTooHigh, IoFailure, MalformedHeader, PcmStream,
                        PwmBitstream, StreamTooLong, UnsupportedFormat,
                        WavReader, read_pwm, read_wav, write_pwm,
                        write_pwm_blocks)
-from .chain import (BEHAVIORS, FirState, LineState, MoldState,
-                    QuantizedStream, SampleStream, convert, convert_stream,
-                    design_interp_kernel, generate_pwm, linearize, noise_shape,
-                    s0_condition, upsample2)
+from .chain import (BEHAVIORS, FirState, LineState, MoldState, convert,
+                    convert_stream, design_interp_kernel, generate_pwm,
+                    linearize, noise_shape, s0_condition, upsample2)
 from .dse import (AllZeroSizes, BehaviorEstimate, CostModel, NoFeasibleOption,
                   OptionComparison, PartitionOption, Scenario, TooManyBehaviors,
                   UnknownBehavior, compare, enumerate_partitions, evaluate,

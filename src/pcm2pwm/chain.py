@@ -16,8 +16,12 @@ Every rate follows from the input stream; for 44.1 kHz input the bit clock
 is 352800 * 128 = 45,158,400 Hz, where doing the same job without the chain
 would take 2^16 * 44100 = 2,890,137,600 Hz of pulse resolution.
 
-All arithmetic is double precision.  The operations each stage is
-modelled to perform are profiler.op_counts.
+The stages pass plain numpy arrays: S0 takes int16 samples and returns
+float64 in [-1, +1), S1-S3 and LINE map float64 to float64, MOLD returns
+its codes as uint8, and generate_pwm packs codes into a PwmBitstream.
+No rate travels with them: the design fixes each stage's rate as a
+multiple of the input's.  All arithmetic is double precision.  The
+operations each stage is modelled to perform are profiler.op_counts.
 
 convert_stream runs the chain over bounded blocks of input, as the
 SpecC behaviors do, so memory does not grow with the clip.  Each stage
@@ -47,39 +51,8 @@ PCM_FULL_SCALE = 32768  # divisor for S0; 16-bit two's-complement range
 
 INTERP_STAGES = 3  # x2 interpolators S1-S3
 FIR_TAPS = 63  # length of the kernel S1-S3 share
-QUANTIZER_BITS = 7  # MOLD output codes; one PWM frame is 2^7 bits
-
-
-@dataclass
-class SampleStream:
-    """Real-valued samples in [-1, +1] at a fixed rate."""
-
-    samples: np.ndarray  # float64
-    sample_rate: int
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-
-    def __len__(self):
-        return len(self.samples)
-
-
-@dataclass
-class QuantizedStream:
-    """Integer codes in [0, 2^bits - 1] at a fixed rate."""
-
-    codes: np.ndarray  # int
-    bits: int
-    sample_rate: int
-
-    def __post_init__(self):
-        self.codes = np.asarray(self.codes, dtype=np.int64)
-        if len(self.codes) and (self.codes.min() < 0
-                                or self.codes.max() >= 2 ** self.bits):
-            raise ValueError(f"codes out of range for {self.bits} bits")
-
-    def __len__(self):
-        return len(self.codes)
+QUANTIZER_BITS = 7  # MOLD output codes
+FRAME_BITS = 2 ** QUANTIZER_BITS  # one PWM frame, a counter period per code
 
 
 def _blackman_sinc(num_taps: int, cutoff: float) -> np.ndarray:
@@ -93,14 +66,14 @@ def _blackman_sinc(num_taps: int, cutoff: float) -> np.ndarray:
     return 2.0 * cutoff * np.sinc(2.0 * cutoff * m) * np.blackman(num_taps)
 
 
-def design_interp_kernel(num_taps: int = FIR_TAPS) -> np.ndarray:
-    """Read-only taps of a x2 interpolator: a Blackman-windowed sinc with
-    its cutoff at a quarter of the stage output rate.
+def design_interp_kernel() -> np.ndarray:
+    """Read-only FIR_TAPS taps of a x2 interpolator: a Blackman-windowed
+    sinc with its cutoff at a quarter of the stage output rate.
 
     The kernel is scaled so each polyphase branch sums to exactly 1, which
     makes the x2 stage DC-exact (total tap sum 2.0).
     """
-    taps = 2.0 * _blackman_sinc(num_taps, 0.25)
+    taps = 2.0 * _blackman_sinc(FIR_TAPS, 0.25)
     # exact unit DC gain per polyphase branch
     for phase in (0, 1):
         s = taps[phase::2].sum()
@@ -131,8 +104,13 @@ _MOLD_BLOCK = 8192
 _BLOCK = 4096
 
 # PWM bits each input sample becomes: 2^INTERP_STAGES outputs of S3, each
-# one frame of 2^QUANTIZER_BITS bits.
-PWM_BITS_PER_SAMPLE = 1 << (INTERP_STAGES + QUANTIZER_BITS)
+# one frame of FRAME_BITS bits.
+PWM_BITS_PER_SAMPLE = FRAME_BITS << INTERP_STAGES
+
+# The leading-edge frame of each MOLD code c, c ones then zeros, packed
+# LSB-first: 2^QUANTIZER_BITS rows of FRAME_BITS / 8 bytes.
+_FRAMES = np.packbits(np.arange(FRAME_BITS) < np.arange(FRAME_BITS)[:, None],
+                      axis=1, bitorder="little")
 
 
 @dataclass
@@ -159,15 +137,13 @@ class MoldState:
     e2: float = 0.0
 
 
-def s0_condition(pcm: PcmStream) -> SampleStream:
-    """S0: map 16-bit integers onto [-1, +1); the rate is unchanged."""
-    samples = pcm.samples.astype(np.float64) / PCM_FULL_SCALE
-    return SampleStream(samples=samples, sample_rate=pcm.sample_rate)
+def s0_condition(samples: np.ndarray) -> np.ndarray:
+    """S0: map int16 samples onto [-1, +1) as float64."""
+    return samples.astype(np.float64) / PCM_FULL_SCALE
 
 
-def upsample2(stream: SampleStream, kernel: np.ndarray, *,
-              behavior: str = "S1", state: FirState | None = None
-              ) -> SampleStream:
+def upsample2(x: np.ndarray, kernel: np.ndarray, *, behavior: str = "S1",
+              state: FirState | None = None) -> np.ndarray:
     """One x2 interpolation stage: zero-stuff, filter, saturate.
 
     Output is the causal head of the full convolution, so the stage delays
@@ -175,20 +151,19 @@ def upsample2(stream: SampleStream, kernel: np.ndarray, *,
     does not change the result; its only use is to let the benchmark
     tracer, perfbench/tracing.py, tell the three calls apart.
 
-    With `state`, `stream` is the next block of a longer stream: it is
-    filtered after the history the state holds, which it then updates, and
-    each output is the same dot product as in a one-block call, bit for bit.
+    With `state`, `x` is the next block of a longer stream: it is filtered
+    after the history the state holds, which it then updates, and each
+    output is the same dot product as in a one-block call, bit for bit.
     """
-    if len(stream) == 0:
+    if len(x) == 0:
         raise ValueError("cannot upsample an empty stream")
     state = state or FirState()
-    stuffed = np.zeros(len(state.history) + 2 * len(stream))
+    stuffed = np.zeros(len(state.history) + 2 * len(x))
     stuffed[:len(state.history)] = state.history
-    stuffed[len(state.history)::2] = stream.samples
+    stuffed[len(state.history)::2] = x
     out = _convolve(stuffed, kernel)[len(state.history):len(stuffed)]
     state.history = stuffed[-(len(kernel) - 1):].copy()
-    np.clip(out, -1.0, 1.0, out=out)
-    return SampleStream(samples=out, sample_rate=2 * stream.sample_rate)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def _convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -200,8 +175,8 @@ def _convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.convolve(x, h)
 
 
-def linearize(stream: SampleStream, state: LineState | None = None,
-              last: bool = True) -> SampleStream:
+def linearize(x: np.ndarray, state: LineState | None = None,
+              last: bool = True) -> np.ndarray:
     """LINE: replace each sample with the signal value at its pulse crossing.
 
     Uniformly sampled PWM fixes the pulse width from the sample at the frame
@@ -213,20 +188,19 @@ def linearize(stream: SampleStream, state: LineState | None = None,
     and last samples have no complete neighbourhood and pass through
     unchanged.
 
-    With `state`, `stream` is the next block of a longer stream and `last`
-    says whether it ends the stream.  A sample is emitted once its
+    With `state`, `x` is the next block of a longer stream and `last` says
+    whether it ends the stream.  A sample is emitted once its
     look-ahead has arrived, so a block's output lags its input by one
     sample, and the last block emits the held sample too.
     """
     state = state or LineState()
     first = len(state.tail) == 0
-    x = np.concatenate([state.tail, stream.samples])
+    x = np.concatenate([state.tail, x])
     state.tail = x[-2:].copy()
     parts = [x[:1] if first else x[:0], _crossings(x)]
     if last and len(x) > 1:
         parts.append(x[-1:])
-    return SampleStream(samples=np.concatenate(parts),
-                        sample_rate=stream.sample_rate)
+    return np.concatenate(parts)
 
 
 def _crossings(x: np.ndarray) -> np.ndarray:
@@ -249,14 +223,14 @@ def _crossings(x: np.ndarray) -> np.ndarray:
     return 2.0 * t - 1.0
 
 
-def noise_shape(stream: SampleStream, state: MoldState | None = None
-                ) -> QuantizedStream:
+def noise_shape(x: np.ndarray, state: MoldState | None = None) -> np.ndarray:
     """MOLD: error-feedback quantizer with noise transfer (1 - z^-1)^2.
 
     Per sample: v = x + 2 e[k-1] - e[k-2], v is clamped to [-1, 1], rounded
     half-up onto the 2^QUANTIZER_BITS - 1 grid, and the pre-clamp error
     v - dequantized(code) is fed back.  State starts at zero, or at what
     `state` carried from the previous block, which it then updates.
+    Returns the codes, 0 .. 2^QUANTIZER_BITS - 1, as uint8.
     """
     n_levels = 2 ** QUANTIZER_BITS - 1
     half = n_levels / 2.0
@@ -267,7 +241,6 @@ def noise_shape(stream: SampleStream, state: MoldState | None = None
     append = codes.append
     state = state or MoldState()
     e1, e2 = state.e1, state.e2
-    x = stream.samples
     for start in range(0, len(x), _MOLD_BLOCK):
         for xv in x[start:start + _MOLD_BLOCK].tolist():
             v = xv + 2.0 * e1 - e2
@@ -279,37 +252,28 @@ def noise_shape(stream: SampleStream, state: MoldState | None = None
             e2 = e1
             e1 = v - deq[code]
     state.e1, state.e2 = e1, e2
-    return QuantizedStream(codes=np.frombuffer(codes, dtype=np.uint8),
-                           bits=QUANTIZER_BITS,
-                           sample_rate=stream.sample_rate)
+    return np.frombuffer(codes, dtype=np.uint8)
 
 
-def generate_pwm(q: QuantizedStream) -> PwmBitstream:
-    """Expand codes into leading-edge pulse frames, packed as PWM1 payload.
+def generate_pwm(codes: np.ndarray, sample_rate: int) -> PwmBitstream:
+    """Expand MOLD codes at `sample_rate` into leading-edge pulse frames,
+    packed as PWM1 payload.
 
-    A frame for code c is c ones followed by (2^bits - c) zeros: the
+    A frame for code c is c ones followed by (FRAME_BITS - c) zeros: the
     hardware equivalent compares a free-running counter against a code
-    register.  The bit clock is sample_rate * 2^bits.  Each code is one
-    lookup into a table of the 2^bits + 1 possible frames, each 2^bits / 8
-    bytes packed LSB-first (129 x 16 bytes for 7-bit codes).  Raises
-    ValueError for bits < 3, whose frames do not fill whole bytes.
+    register.  The bit clock is sample_rate * FRAME_BITS.  Each code is
+    one lookup into the table of the 128 frames; a code of 128 or more
+    raises IndexError.
     """
-    if q.bits < 3:
-        raise ValueError(f"{2 ** q.bits}-bit frames do not fill whole bytes; "
-                         f"generate_pwm needs bits >= 3")
-    frame_bits = 2 ** q.bits
-    ramp = np.arange(frame_bits)
-    table = np.packbits(ramp < np.arange(frame_bits + 1)[:, np.newaxis],
-                        axis=1, bitorder="little")
-    return PwmBitstream(payload=table[q.codes].reshape(-1),
-                        n_bits=len(q) * frame_bits,
-                        clock_hz=q.sample_rate * frame_bits,
-                        frame_bits=frame_bits)
+    return PwmBitstream(payload=_FRAMES.take(codes, axis=0).reshape(-1),
+                        n_bits=len(codes) * FRAME_BITS,
+                        clock_hz=sample_rate * FRAME_BITS,
+                        frame_bits=FRAME_BITS)
 
 
 def convert_stream(blocks: Iterable[np.ndarray], sample_rate: int
                    ) -> Iterator[np.ndarray]:
-    """Run the chain over blocks of 16-bit PCM samples at `sample_rate` and
+    """Run the chain over int16 blocks of PCM samples at `sample_rate` and
     yield the packed PWM1 payload, block by block.
 
     The blocks may have any sizes; the chain sees them re-cut into at most
@@ -323,12 +287,11 @@ def convert_stream(blocks: Iterable[np.ndarray], sample_rate: int
     fir = [FirState() for _ in range(INTERP_STAGES)]
     line, mold = LineState(), MoldState()
     for block, last in _bounded(blocks):
-        stream = s0_condition(PcmStream(block, sample_rate))
+        x = s0_condition(PcmStream(block, sample_rate).samples)
         for i, state in enumerate(fir):
-            stream = upsample2(stream, kernel, behavior=f"S{i + 1}",
-                               state=state)
-        q = noise_shape(linearize(stream, line, last), mold)
-        yield generate_pwm(q).payload
+            x = upsample2(x, kernel, behavior=f"S{i + 1}", state=state)
+        codes = noise_shape(linearize(x, line, last), mold)
+        yield generate_pwm(codes, sample_rate << INTERP_STAGES).payload
 
 
 def _bounded(blocks: Iterable[np.ndarray]) -> Iterator[tuple]:
@@ -356,4 +319,4 @@ def convert(pcm: PcmStream) -> PwmBitstream:
         pos += len(block)
     return PwmBitstream(payload=payload, n_bits=n_bits,
                         clock_hz=pcm.sample_rate * PWM_BITS_PER_SAMPLE,
-                        frame_bits=2 ** QUANTIZER_BITS)
+                        frame_bits=FRAME_BITS)

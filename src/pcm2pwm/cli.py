@@ -17,9 +17,10 @@ to 4.3 s and noise uses --seed.  Exit codes:
          directory, not UTF-8 or malformed (no section header, a
          duplicate section, a missing key or weight, a negative cycle
          total, all code sizes 0, over 20 behaviors to explore), an
-         output path that cannot be written, a convert input
-         over the PWM1 bit count (95.1 s at 44.1 kHz) or bit clock
-         (4,194,304 Hz sample rate or more), or a roundtrip input the
+         output path that cannot be written, a convert or roundtrip
+         input over the PWM1 bit count (95.1 s at 44.1 kHz) or bit
+         clock (4,194,304 Hz sample rate or more), both given to
+         profile (--input and --scenario), or a roundtrip input the
          demodulator cannot map onto its rate or that is too short to
          score (under 256 samples)
     3    no feasible mapping
@@ -136,21 +137,8 @@ def _add_input(p, required=True):
 
 def cmd_convert(args) -> int:
     with _open_input(args.input, args.seed) as source:
-        n = source.frame_count
-        if not n:
-            raise InputError("input has no samples")
-        n_bits = n * chain.PWM_BITS_PER_SAMPLE
-        if n_bits > audio_io.PWM_MAX_BITS:
-            raise InputError(f"input too long: {n} samples make {n_bits} "
-                             f"bits, PWM1 holds at most "
-                             f"{audio_io.PWM_MAX_BITS}")
-        rate = source.sample_rate
-        clock_hz = rate * chain.PWM_BITS_PER_SAMPLE
-        if clock_hz > audio_io.PWM_MAX_CLOCK_HZ:
-            raise InputError(f"sample rate too high: {rate} Hz makes a "
-                             f"{clock_hz} Hz bit clock, PWM1 holds at most "
-                             f"{audio_io.PWM_MAX_CLOCK_HZ}")
-        frame_bits = 2 ** chain.QUANTIZER_BITS
+        n_bits, clock_hz = _pwm_size(source)
+        rate, frame_bits = source.sample_rate, chain.FRAME_BITS
         audio_io.write_pwm_blocks(
             chain.convert_stream(source.blocks(), rate), args.output,
             n_bits=n_bits, clock_hz=clock_hz, frame_bits=frame_bits)
@@ -163,7 +151,28 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _pwm_size(source) -> tuple:
+    """(n_bits, clock_hz) of the PWM stream the chain makes of an opened
+    input, from its header alone; InputError for an empty input or one
+    past what the PWM1 header fields hold."""
+    n, rate = source.frame_count, source.sample_rate
+    n_bits = n * chain.PWM_BITS_PER_SAMPLE
+    clock_hz = rate * chain.PWM_BITS_PER_SAMPLE
+    if not n:
+        raise InputError("input has no samples")
+    if n_bits > audio_io.PWM_MAX_BITS:
+        raise InputError(f"input too long: {n} samples make {n_bits} bits, "
+                         f"PWM1 holds at most {audio_io.PWM_MAX_BITS}")
+    if clock_hz > audio_io.PWM_MAX_CLOCK_HZ:
+        raise InputError(f"sample rate too high: {rate} Hz makes a "
+                         f"{clock_hz} Hz bit clock, PWM1 holds at most "
+                         f"{audio_io.PWM_MAX_CLOCK_HZ}")
+    return n_bits, clock_hz
+
+
 def cmd_profile(args) -> int:
+    if args.scenario and args.input:
+        raise InputError("profile takes --input or --scenario, not both")
     playback_s = _finite("--deadline-ms", args.deadline_ms,
                          positive=True) / 1000.0
     pes = _load(profiler.load_pe_library,
@@ -260,16 +269,15 @@ def _print_tradeoff(shortlist, selected, cm):
 
 def cmd_roundtrip(args) -> int:
     floor_db = _finite("--snr-floor-db", args.snr_floor_db)
-    pcm = _load_input(args.input, args.seed)
-    if not len(pcm):
-        raise InputError("input has no samples")
+    with _open_input(args.input, args.seed) as source:
+        n_bits, clock_hz = _pwm_size(source)
+        pcm = audio_io.collect(source)
     rate = pcm.sample_rate
     blocks = verification.demodulate_stream(
-        chain.convert_stream([pcm.samples], rate),
-        n_bits=len(pcm) * chain.PWM_BITS_PER_SAMPLE,
-        clock_hz=rate * chain.PWM_BITS_PER_SAMPLE, target_rate=rate)
-    audio = chain.SampleStream(np.concatenate([np.zeros(0), *blocks]), rate)
-    report = verification.measure(chain.s0_condition(pcm), audio)
+        chain.convert_stream([pcm.samples], rate), n_bits=n_bits,
+        clock_hz=clock_hz, target_rate=rate)
+    audio = np.concatenate([np.zeros(0), *blocks])
+    report = verification.measure(chain.s0_condition(pcm.samples), audio, rate)
     if args.format == "csv":
         print(report.csv(), end="")
     else:
@@ -279,12 +287,6 @@ def cmd_roundtrip(args) -> int:
               f"{floor_db:.2f} dB floor", file=sys.stderr)
         return EXIT_QUALITY
     return EXIT_OK
-
-
-def _load_input(spec: str, seed: int) -> audio_io.PcmStream:
-    """The whole input in memory."""
-    with _open_input(spec, seed) as source:
-        return audio_io.collect(source)
 
 
 @contextlib.contextmanager

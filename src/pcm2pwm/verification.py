@@ -17,6 +17,8 @@ state, so `pcm2pwm roundtrip` feeds it chain.convert_stream's blocks and
 never holds a whole PWM stream; every cut gives the same samples bit for
 bit.  demodulate is its one-block case, collected.  measure works on
 whole clips: it holds the reference, the demodulated audio and their FFTs.
+Audio is plain float64 arrays: demodulate returns one at target_rate, and
+measure takes the one rate its reference and test share.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .audio_io import PwmBitstream
-from .chain import SampleStream, _convolve, windowed_sinc_lowpass
+from .chain import _convolve, windowed_sinc_lowpass
 
 SNR_CAP_DB = 140.0
 AUDIO_BAND_HZ = 20000.0
@@ -72,13 +74,13 @@ class SpectrumReport:
         return buf.getvalue()
 
 
-def demodulate(pwm: PwmBitstream, target_rate: int = 44100) -> SampleStream:
-    """Recover audio from a whole PWM bitstream: demodulate_stream over its
-    payload as one block, collected."""
+def demodulate(pwm: PwmBitstream, target_rate: int = 44100) -> np.ndarray:
+    """Recover audio from a whole PWM bitstream as float64 samples at
+    target_rate: demodulate_stream over its payload as one block,
+    collected."""
     blocks = demodulate_stream([pwm.payload], n_bits=len(pwm),
                                clock_hz=pwm.clock_hz, target_rate=target_rate)
-    return SampleStream(samples=np.concatenate([np.zeros(0), *blocks]),
-                        sample_rate=target_rate)
+    return np.concatenate([np.zeros(0), *blocks])
 
 
 def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
@@ -336,8 +338,9 @@ def blackman_harris(n: int) -> np.ndarray:
             - a[3] * np.cos(6.0 * np.pi * k / (n - 1)))
 
 
-def measure(ref: SampleStream, test: SampleStream) -> SpectrumReport:
-    """Score test against ref after gain and delay alignment.
+def measure(ref: np.ndarray, test: np.ndarray, rate: int) -> SpectrumReport:
+    """Score test against ref, both float64 samples at `rate` Hz, after gain
+    and delay alignment.
 
     Both streams are mean-removed (the comparison is AC-coupled), the
     test stream is shifted by the cross-correlation peak refined to a
@@ -345,15 +348,12 @@ def measure(ref: SampleStream, test: SampleStream) -> SpectrumReport:
     residual defines the SNR.  THD and the in-band noise floor come from a
     Blackman-Harris windowed FFT at the detected fundamental.
     """
-    if ref.sample_rate != test.sample_rate:
-        raise LengthMismatch(f"sample rates differ: {ref.sample_rate} vs "
-                             f"{test.sample_rate}")
     n = min(len(ref), len(test))
     if n < 256:
         raise LengthMismatch(f"only {n} overlapping samples")
 
-    r = ref.samples[:n] - ref.samples[:n].mean()
-    t = test.samples[:n] - test.samples[:n].mean()
+    r = ref[:n] - ref[:n].mean()
+    t = test[:n] - test[:n].mean()
 
     p_ref = float(np.dot(r, r))
     if p_ref == 0.0:
@@ -381,8 +381,8 @@ def measure(ref: SampleStream, test: SampleStream) -> SpectrumReport:
     else:
         snr_db = min(10.0 * math.log10(p_sig / p_err), SNR_CAP_DB)
 
-    fund_hz = _fundamental_hz(r_aligned, ref.sample_rate)
-    thd_db, noise_rel = _harmonic_analysis(t_aligned, test.sample_rate, fund_hz)
+    fund_hz = _fundamental_hz(r_aligned, rate)
+    thd_db, noise_rel = _harmonic_analysis(t_aligned, rate, fund_hz)
     return SpectrumReport(fundamental_hz=fund_hz, snr_db=snr_db,
                           thd_db=thd_db, inband_noise_power=noise_rel)
 

@@ -58,10 +58,10 @@ def tone_run_minus6():
 def _convert_without_line(pcm):
     """The chain with LINE bypassed, built from the public stage functions."""
     kernel = chain.design_interp_kernel()
-    stream = chain.s0_condition(pcm)
+    x = chain.s0_condition(pcm.samples)
     for i in range(chain.INTERP_STAGES):
-        stream = chain.upsample2(stream, kernel, behavior=f"S{i + 1}")
-    return chain.generate_pwm(chain.noise_shape(stream))
+        x = chain.upsample2(x, kernel, behavior=f"S{i + 1}")
+    return chain.generate_pwm(chain.noise_shape(x), 8 * pcm.sample_rate)
 
 
 @pytest.fixture(scope="module")
@@ -149,9 +149,9 @@ def test_criterion_5a_dc_duty_law():
         with _quality_clock("dc_duty"):
             lsb = 2.0 / 127
             for code in range(128):
-                q = chain.QuantizedStream(np.full(2048, code), 7, 352800)
-                out = verification.demodulate(chain.generate_pwm(q), RATE)
-                level = out.samples[64:-64].mean()
+                pwm = chain.generate_pwm(np.full(2048, code), 352800)
+                out = verification.demodulate(pwm, RATE)
+                level = out[64:-64].mean()
                 assert abs(level - (2 * code / 127 - 1)) <= lsb, code
 
 
@@ -160,13 +160,13 @@ def test_criterion_5b_image_rejection():
         with _quality_clock("images"):
             pcm = audio_io.PcmStream(sine_int16(1000, 32767 / 32768, 4.3),
                                      RATE)
-            stream = chain.s0_condition(pcm)
+            x = chain.s0_condition(pcm.samples)
             kernel = chain.design_interp_kernel()
             for _ in range(3):
-                stream = chain.upsample2(stream, kernel)
+                x = chain.upsample2(x, kernel)
             nfft = 2 ** 17
-            assert len(stream) >= 2 ** 15
-            power = oracles.power_spectrum(stream.samples[8192:], nfft)
+            assert len(x) >= 2 ** 15
+            power = oracles.power_spectrum(x[8192:], nfft)
             p_fund = oracles.tone_power(power, 352800, 1000, nfft)
             worst = oracles.peak_above(power, 352800, nfft, 22050)
             rejection_db = 10 * np.log10(p_fund / worst)
@@ -179,10 +179,10 @@ def test_criterion_5c_noise_shaping_gain():
             rate = 352800
             n = int(4.3 * rate)
             x = 0.5 * np.sin(2 * np.pi * 1000 * np.arange(n) / rate)
-            shaped = chain.noise_shape(chain.SampleStream(x, rate))
+            shaped = chain.noise_shape(x)
             plain = oracles.round_half_up_quantize(x, 7)
             nfft = 2 ** 18
-            err_shaped = oracles.dequantize(shaped.codes, 7) - x
+            err_shaped = oracles.dequantize(shaped, 7) - x
             err_plain = oracles.dequantize(plain, 7) - x
             n_shaped = oracles.band_noise_power(
                 oracles.power_spectrum(err_shaped[4096:], nfft), rate, nfft,
@@ -198,11 +198,12 @@ def test_criterion_5d_roundtrip_snr(tone_run_minus6):
     with criterion(5, "d: end-to-end roundtrip SNR >= 60 dB"):
         with _quality_clock("snr"):
             pcm, _, audio = tone_run_minus6
-            report = verification.measure(chain.s0_condition(pcm), audio)
+            report = verification.measure(chain.s0_condition(pcm.samples),
+                                          audio, RATE)
             assert report.snr_db >= 60.0, report.snr_db
             # independent check: residual against a least-squares sine fit
             oracle_snr = oracles.sine_fit_snr_db(
-                audio.samples[8192:-8192], RATE, 1000.0)
+                audio[8192:-8192], RATE, 1000.0)
             assert oracle_snr >= 60.0, oracle_snr
 
 
@@ -210,9 +211,9 @@ def test_criterion_5e_linearization_reduces_thd(tone_runs_full_amp):
     with criterion(5, "e: linearized THD strictly better than bypass"):
         with _quality_clock("thd"):
             _, lin, byp = tone_runs_full_amp
-            thd_lin = oracles.thd_db(lin.samples[8192:], RATE, 1000.0,
+            thd_lin = oracles.thd_db(lin[8192:], RATE, 1000.0,
                                      nfft=2 ** 17)
-            thd_byp = oracles.thd_db(byp.samples[8192:], RATE, 1000.0,
+            thd_byp = oracles.thd_db(byp[8192:], RATE, 1000.0,
                                      nfft=2 ** 17)
             assert thd_lin < thd_byp, (thd_lin, thd_byp)
 

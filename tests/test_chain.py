@@ -5,19 +5,17 @@ from hypothesis import strategies as st
 
 from pcm2pwm import chain
 from pcm2pwm.audio_io import PcmStream
-from pcm2pwm.chain import (BEHAVIORS, FIR_TAPS, INTERP_STAGES, QUANTIZER_BITS,
-                           FirState, LineState, MoldState, QuantizedStream,
-                           SampleStream, convert, convert_stream,
-                           design_interp_kernel, generate_pwm, linearize,
-                           noise_shape, s0_condition, upsample2)
+from pcm2pwm.chain import (BEHAVIORS, FIR_TAPS, FRAME_BITS, INTERP_STAGES,
+                           QUANTIZER_BITS, FirState, LineState, MoldState,
+                           convert, convert_stream, design_interp_kernel,
+                           generate_pwm, linearize, noise_shape, s0_condition,
+                           upsample2)
 
 import oracles
 
 
-def sine_stream(freq, amp, n, rate=352800):
-    t = np.arange(n) / rate
-    return SampleStream(samples=amp * np.sin(2 * np.pi * freq * t),
-                        sample_rate=rate)
+def sine(freq, amp, n, rate=352800):
+    return amp * np.sin(2 * np.pi * freq * np.arange(n) / rate)
 
 
 # --- design constants -----------------------------------------------------------
@@ -25,7 +23,7 @@ def sine_stream(freq, amp, n, rate=352800):
 def test_rate_arithmetic_exact():
     assert (INTERP_STAGES, FIR_TAPS, QUANTIZER_BITS) == (3, 63, 7)
     pwm = convert(PcmStream(np.zeros(16, dtype=np.int16), 44100))
-    assert pwm.frame_bits == 2 ** QUANTIZER_BITS == 128
+    assert pwm.frame_bits == FRAME_BITS == 2 ** QUANTIZER_BITS == 128
     assert pwm.clock_hz == 44100 * 2 ** INTERP_STAGES * pwm.frame_bits
     assert pwm.clock_hz == 45158400
     # every rate follows from the input stream
@@ -40,22 +38,21 @@ def test_behavior_names_fixed():
 # --- S0 -------------------------------------------------------------------
 
 def test_s0_exact_scaling():
-    pcm = PcmStream(np.array([0, 16384, -32768], dtype=np.int16), 44100)
-    out = s0_condition(pcm)
-    assert out.samples.tolist() == [0.0, 0.5, -1.0]
-    assert out.sample_rate == 44100
+    out = s0_condition(np.array([0, 16384, -32768], dtype=np.int16))
+    assert out.dtype == np.float64
+    assert out.tolist() == [0.0, 0.5, -1.0]
 
 
 def test_s0_empty():
-    out = s0_condition(PcmStream(np.zeros(0, dtype=np.int16), 44100))
+    out = s0_condition(np.zeros(0, dtype=np.int16))
     assert len(out) == 0
 
 
 def test_s0_preserves_length():
     n = 189630
-    out = s0_condition(PcmStream(np.zeros(n, dtype=np.int16), 44100))
+    out = s0_condition(np.zeros(n, dtype=np.int16))
     assert len(out) == n
-    assert np.all(np.abs(out.samples) <= 1.0)
+    assert np.all(np.abs(out) <= 1.0)
 
 
 # --- interpolation ----------------------------------------------------------
@@ -69,29 +66,26 @@ def test_kernel_shape():
 
 
 def test_upsample2_zeros():
-    out = upsample2(SampleStream(np.zeros(100), 44100),
-                    design_interp_kernel(63))
+    out = upsample2(np.zeros(100), design_interp_kernel())
     assert len(out) == 200
-    assert out.sample_rate == 88200
-    assert np.all(out.samples == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_upsample2_dc_gain():
-    out = upsample2(SampleStream(np.full(256, 0.5), 44100),
-                    design_interp_kernel(63))
-    steady = out.samples[100:-100]
+    out = upsample2(np.full(256, 0.5), design_interp_kernel())
+    steady = out[100:-100]
     assert np.all(np.abs(steady - 0.5) <= 1e-3)
 
 
 def test_upsample2_rejects_empty():
     with pytest.raises(ValueError):
-        upsample2(SampleStream(np.zeros(0), 44100), design_interp_kernel(63))
+        upsample2(np.zeros(0), design_interp_kernel())
 
 
 def test_upsample2_length_law():
     for n in (1, 7, 100, 1001):
-        out = upsample2(SampleStream(np.random.default_rng(n).uniform(
-            -0.5, 0.5, n), 44100), design_interp_kernel(63))
+        out = upsample2(np.random.default_rng(n).uniform(-0.5, 0.5, n),
+                        design_interp_kernel())
         assert len(out) == 2 * n
 
 
@@ -99,17 +93,14 @@ def test_cascade_image_rejection():
     """1 kHz sine through the three stages: images above 22.05 kHz stay
     at least 60 dB under the fundamental."""
     n = 8192
-    t = np.arange(n) / 44100
-    stream = SampleStream(np.sin(2 * np.pi * 1000 * t) * (32767 / 32768),
-                          44100)
+    x = sine(1000, 32767 / 32768, n, rate=44100)
     kernel = design_interp_kernel()
     for _ in range(3):
-        stream = upsample2(stream, kernel)
-    assert stream.sample_rate == 352800
-    assert len(stream) == 8 * n >= 2 ** 15
+        x = upsample2(x, kernel)
+    assert len(x) == 8 * n >= 2 ** 15  # at 352.8 kHz
 
     nfft = 2 ** 15
-    power = oracles.power_spectrum(stream.samples[4096:], nfft=nfft)
+    power = oracles.power_spectrum(x[4096:], nfft=nfft)
     p_fund = oracles.tone_power(power, 352800, 1000, nfft)
     worst = oracles.peak_above(power, 352800, nfft, 22050)
     assert 10 * np.log10(worst / p_fund) <= -60.0
@@ -118,50 +109,46 @@ def test_cascade_image_rejection():
 # --- linearization -----------------------------------------------------------
 
 def test_linearize_constant_passthrough():
-    out = linearize(SampleStream(np.full(32, 0.25), 352800))
-    assert np.allclose(out.samples, 0.25, atol=1e-12)
+    out = linearize(np.full(32, 0.25))
+    assert np.allclose(out, 0.25, atol=1e-12)
 
 
 def test_linearize_zeros():
-    out = linearize(SampleStream(np.zeros(32), 352800))
-    assert np.all(out.samples == 0.0)
+    out = linearize(np.zeros(32))
+    assert np.all(out == 0.0)
 
 
 def test_linearize_endpoints_uncorrected():
     x = np.linspace(-0.5, 0.5, 16)
-    out = linearize(SampleStream(x, 352800))
-    assert out.samples[0] == x[0]
-    assert out.samples[-1] == x[-1]
+    out = linearize(x)
+    assert out[0] == x[0]
+    assert out[-1] == x[-1]
 
 
 def test_linearize_bounded():
     x = 0.99 * np.sin(2 * np.pi * 15000 * np.arange(2048) / 352800)
-    out = linearize(SampleStream(x, 352800))
-    assert np.all(out.samples >= -1.0)
-    assert np.all(out.samples <= 1.0)
+    out = linearize(x)
+    assert np.all(out >= -1.0)
+    assert np.all(out <= 1.0)
 
 
 # --- noise shaping ----------------------------------------------------------
 
 def test_noise_shape_zero_input_dithers_midscale():
-    q = noise_shape(SampleStream(np.zeros(512), 352800))
-    assert set(q.codes.tolist()) == {63, 64}
-    assert abs(q.codes.mean() - 63.5) <= 0.5
+    codes = noise_shape(np.zeros(512))
+    assert set(codes.tolist()) == {63, 64}
+    assert abs(codes.mean() - 63.5) <= 0.5
 
 
 def test_noise_shape_rails():
-    up = noise_shape(SampleStream(np.ones(64), 352800))
-    assert np.all(up.codes == 127)
-    down = noise_shape(SampleStream(-np.ones(64), 352800))
-    assert np.all(down.codes == 0)
+    assert np.all(noise_shape(np.ones(64)) == 127)
+    assert np.all(noise_shape(-np.ones(64)) == 0)
 
 
 def test_noise_shape_codes_in_range():
-    x = sine_stream(1000, 0.95, 8192)
-    q = noise_shape(x)
-    assert q.codes.min() >= 0
-    assert q.codes.max() <= 127
-    assert q.bits == 7
+    codes = noise_shape(sine(1000, 0.95, 8192))
+    assert codes.dtype == np.uint8
+    assert codes.max() <= 127
 
 
 @settings(max_examples=12, deadline=None)
@@ -171,13 +158,13 @@ def test_noise_shaping_law(freq):
     n = 16384
     rate = 352800
     x = 0.5 * np.sin(2 * np.pi * freq * np.arange(n) / rate)
-    shaped = noise_shape(SampleStream(x, rate))
+    shaped = noise_shape(x)
     plain = oracles.round_half_up_quantize(x, 7)
 
     nfft = n
     exclude = [freq]
     p_shaped = oracles.power_spectrum(
-        oracles.dequantize(shaped.codes, 7) - x, nfft)
+        oracles.dequantize(shaped, 7) - x, nfft)
     p_plain = oracles.power_spectrum(oracles.dequantize(plain, 7) - x, nfft)
     n_shaped = oracles.band_noise_power(p_shaped, rate, nfft, 100, 20000,
                                         exclude)
@@ -189,43 +176,34 @@ def test_noise_shaping_law(freq):
 # --- waveform generation ------------------------------------------------------
 
 def test_generate_pwm_midscale():
-    pwm = generate_pwm(QuantizedStream(np.array([64]), 7, 352800))
+    pwm = generate_pwm(np.array([64]), 352800)
     assert pwm.bits.tolist() == [1] * 64 + [0] * 64
 
 
 def test_generate_pwm_rails():
-    pwm = generate_pwm(QuantizedStream(np.array([0, 127]), 7, 352800))
+    pwm = generate_pwm(np.array([0, 127]), 352800)
     assert pwm.bits[:128].tolist() == [0] * 128
     assert pwm.bits[128:].tolist() == [1] * 127 + [0]
 
 
 def test_generate_pwm_clock():
-    pwm = generate_pwm(QuantizedStream(np.array([1, 2, 3]), 7, 352800))
+    pwm = generate_pwm(np.array([1, 2, 3], dtype=np.uint8), 352800)
     assert pwm.clock_hz == 45158400
     assert pwm.frame_bits == 128
 
 
 def test_generate_pwm_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        generate_pwm(QuantizedStream(np.array([128]), 7, 352800))
-
-
-@pytest.mark.parametrize("bits", [1, 2])
-def test_generate_pwm_rejects_frames_under_a_byte(bits):
-    with pytest.raises(ValueError, match="whole bytes"):
-        generate_pwm(QuantizedStream(np.array([1]), bits, 352800))
+    with pytest.raises(IndexError):
+        generate_pwm(np.array([128]), 352800)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(3, 8).flatmap(lambda bits: st.tuples(
-    st.just(bits), st.lists(st.integers(0, 2 ** bits - 1), max_size=300))))
-@example((QUANTIZER_BITS, list(range(2 ** QUANTIZER_BITS))))
-def test_generate_pwm_packed_equals_unpacked(bits_codes):
-    bits, codes = bits_codes
-    pwm = generate_pwm(QuantizedStream(np.array(codes, dtype=np.int64), bits,
-                                       352800))
-    expected = oracles.leading_edge_bits(codes, bits)
-    assert len(pwm) == len(expected) == 2 ** bits * len(codes)
+@given(st.lists(st.integers(0, 2 ** QUANTIZER_BITS - 1), max_size=300))
+@example(list(range(2 ** QUANTIZER_BITS)))
+def test_generate_pwm_packed_equals_unpacked(codes):
+    pwm = generate_pwm(np.array(codes, dtype=np.uint8), 352800)
+    expected = oracles.leading_edge_bits(codes, QUANTIZER_BITS)
+    assert len(pwm) == len(expected) == FRAME_BITS * len(codes)
     assert np.array_equal(pwm.payload, np.packbits(expected, bitorder="little"))
 
 
@@ -266,13 +244,13 @@ def test_dc_duty_law(level):
 
 # --- streaming ----------------------------------------------------------------
 
-def _one_shot_codes(pcm):
+def _one_shot_codes(samples):
     """MOLD codes of one whole-array call of each stage, no state carried."""
     kernel = design_interp_kernel()
-    stream = s0_condition(pcm)
+    x = s0_condition(samples)
     for i in range(INTERP_STAGES):
-        stream = upsample2(stream, kernel, behavior=f"S{i + 1}")
-    return noise_shape(linearize(stream))
+        x = upsample2(x, kernel, behavior=f"S{i + 1}")
+    return noise_shape(linearize(x))
 
 
 def _split(x, cuts):
@@ -288,19 +266,18 @@ def test_stream_cuts_match_one_shot(samples, cuts, ones):
     x = np.array(samples, dtype=np.int16)
     blocks = [x[i:i + 1] for i in range(len(x))] if ones else _split(x, cuts)
     payload = np.concatenate(list(convert_stream(blocks, 44100)))
-    q = _one_shot_codes(PcmStream(x, 44100))
-    assert np.array_equal(payload, generate_pwm(q).payload)
-    codes = np.unpackbits(payload).reshape(-1, 2 ** QUANTIZER_BITS).sum(axis=1)
-    assert np.array_equal(codes, q.codes)
+    codes = _one_shot_codes(x)
+    assert np.array_equal(payload, generate_pwm(codes, 352800).payload)
+    assert np.array_equal(
+        np.unpackbits(payload).reshape(-1, FRAME_BITS).sum(axis=1), codes)
 
 
 def test_convert_is_one_shot_across_blocks():
     """convert cuts a long stream into blocks; the bits stay those of one
     whole-array pass, also when the caller's blocks are cut elsewhere."""
     x = np.random.default_rng(3).integers(-30000, 30000, 9000).astype(np.int16)
-    pcm = PcmStream(x, 44100)
-    expected = generate_pwm(_one_shot_codes(pcm))
-    assert convert(pcm) == expected
+    expected = generate_pwm(_one_shot_codes(x), 352800)
+    assert convert(PcmStream(x, 44100)) == expected
     payload = np.concatenate(list(convert_stream(_split(x, [5, 4200, 4201]),
                                                  44100)))
     assert np.array_equal(payload, expected.payload)
@@ -317,19 +294,15 @@ def test_stage_states_carry_across_blocks(samples, cuts):
     kernel = design_interp_kernel()
     blocks = _split(x, cuts)
     line, mold = LineState(), MoldState()
-    lined = [linearize(SampleStream(b, 352800), line, last=i == len(blocks) - 1)
-             for i, b in enumerate(blocks)]
-    lined = np.concatenate([s.samples for s in lined])
-    assert np.array_equal(lined, linearize(SampleStream(x, 352800)).samples)
-    codes = np.concatenate([noise_shape(SampleStream(b, 352800), mold).codes
-                            for b in blocks])
-    assert np.array_equal(codes, noise_shape(SampleStream(x, 352800)).codes)
+    lined = np.concatenate([linearize(b, line, last=i == len(blocks) - 1)
+                            for i, b in enumerate(blocks)])
+    assert np.array_equal(lined, linearize(x))
+    codes = np.concatenate([noise_shape(b, mold) for b in blocks])
+    assert np.array_equal(codes, noise_shape(x))
 
     fir = FirState()
-    up = [upsample2(SampleStream(b, 44100), kernel, state=fir).samples
-          for b in blocks if len(b)]
-    assert np.array_equal(np.concatenate(up),
-                          upsample2(SampleStream(x, 44100), kernel).samples)
+    up = [upsample2(b, kernel, state=fir) for b in blocks if len(b)]
+    assert np.array_equal(np.concatenate(up), upsample2(x, kernel))
 
 
 @settings(max_examples=50, deadline=None)

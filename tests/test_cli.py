@@ -48,54 +48,75 @@ def test_convert_synthetic_input(tmp_path, capsys):
     assert read_pwm(out).frame_count == 8 * 2205
 
 
+def _argv(command, source, tmp_path):
+    """Arguments running `command` on `source`; convert writes out.pwm."""
+    argv = [command, "--input", source]
+    if command == "convert":
+        argv += ["--output", str(tmp_path / "out.pwm")]
+    return argv
+
+
 @pytest.mark.parametrize("command", ["convert", "roundtrip"])
 @pytest.mark.parametrize("source", ["silence:0", "empty.wav"])
 def test_empty_input_is_input_error(command, source, wav_file, tmp_path,
                                     capsys):
     if source == "empty.wav":  # a WAV whose data chunk is empty
         source = str(wav_file(np.zeros(0, dtype=np.int16), name=source))
-    argv = [command, "--input", source]
-    if command == "convert":
-        argv += ["--output", str(tmp_path / "out.pwm")]
-    assert main(argv) == 2
+    assert main(_argv(command, source, tmp_path)) == 2
     assert capsys.readouterr().err == "error: input has no samples\n"
 
 
-def test_convert_too_long_is_input_error(tmp_path, capsys, monkeypatch):
-    """96 s would overflow the PWM1 u32 bit count; refused before the chain."""
-    def chain_must_not_run(*args, **kwargs):
-        raise AssertionError("the chain ran")
-    monkeypatch.setattr(chain, "convert_stream", chain_must_not_run)
-    out = tmp_path / "long.pwm"
-    assert main(["convert", "--input", "silence:96", "--output", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: input too long: 4233600 samples make 4335206400 bits, "
-        "PWM1 holds at most 4294967295\n")
-    assert not out.exists()
+def _nothing_read(monkeypatch):
+    """Make reading a sample or starting the chain fail the test."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a sample was read or the chain ran")
+    monkeypatch.setattr(chain, "convert_stream", must_not_run)
+    monkeypatch.setattr(audio_io.WavReader, "blocks", must_not_run)
+    monkeypatch.setattr(cli._Synthetic, "blocks", must_not_run)
 
 
-@pytest.mark.parametrize("rate,code", [(4194303, 0), (4194304, 2)])
-def test_convert_bit_clock_limit(rate, code, wav_file, tmp_path, capsys,
+@pytest.mark.parametrize("command", ["convert", "roundtrip"])
+@pytest.mark.parametrize("source,n", [("silence:96", 4233600),
+                                      ("sine:1000:-6:1e9", 44100000000000)])
+def test_too_long_is_input_error(command, source, n, tmp_path, capsys,
                                  monkeypatch):
+    """96 s would overflow the PWM1 u32 bit count; refused before a sample
+    is read, so a clip far past it costs no memory either."""
+    _nothing_read(monkeypatch)
+    assert main(_argv(command, source, tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: input too long: {n} samples make {n * 1024} bits, "
+        "PWM1 holds at most 4294967295\n")
+    assert not (tmp_path / "out.pwm").exists()
+
+
+@pytest.mark.parametrize("command", ["convert", "roundtrip"])
+@pytest.mark.parametrize("rate,code", [(4194303, 0), (4194304, 2)])
+def test_bit_clock_limit(command, rate, code, wav_file, tmp_path, capsys,
+                         monkeypatch):
     """1024 bits per input sample: 4,194,304 Hz makes a 2^32 Hz bit clock,
-    one more than the PWM1 clock field holds; refused before the chain."""
+    one more than the PWM1 clock field holds; refused before a sample is
+    read."""
     path = str(wav_file(sine_int16(1000, 0.5, 300 / rate, rate=rate),
                         rate=rate))
     if code:
-        def chain_must_not_run(*args, **kwargs):
-            raise AssertionError("the chain ran")
-        monkeypatch.setattr(chain, "convert_stream", chain_must_not_run)
-    out = tmp_path / "fast.pwm"
-    assert main(["convert", "--input", path, "--output", str(out)]) == code
+        _nothing_read(monkeypatch)
+    argv = _argv(command, path, tmp_path)
+    if command == "roundtrip":
+        argv += ["--snr-floor-db", "0"]  # 300 samples score about 33 dB
+    assert main(argv) == code
     captured = capsys.readouterr()
     if code:
         assert captured.err == (
             "error: sample rate too high: 4194304 Hz makes a 4294967296 Hz "
             "bit clock, PWM1 holds at most 4294967295\n")
-        assert not out.exists()
+        assert not (tmp_path / "out.pwm").exists()
+    elif command == "convert":
+        out = read_pwm(tmp_path / "out.pwm")
+        assert out.clock_hz == 4294966272
+        assert out.frame_count == 8 * 300
     else:
-        assert read_pwm(out).clock_hz == 4294966272
-        assert read_pwm(out).frame_count == 8 * 300
+        assert captured.out.startswith("fundamental: ")
 
 
 @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
@@ -263,6 +284,17 @@ def test_profile_empty_input(capsys):
 
 def test_profile_needs_source(capsys):
     assert main(["profile"]) == 2
+
+
+def test_profile_takes_one_source(capsys):
+    """--input and --scenario are two ways to get cycle totals; given both,
+    profile refuses rather than report one and drop the other."""
+    assert main(["profile", "--input", "sine:1000:-6", "--scenario",
+                 cli._bundled("baseline.scenario")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: profile takes --input or --scenario, not both\n")
 
 
 @pytest.mark.parametrize("source,n", [("noise:-6:200", 8_820_000),

@@ -72,10 +72,10 @@ MOLD_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_mold_codes_digest(name):
     kernel = design_interp_kernel()
-    stream = s0_condition(INPUTS[name]())
+    x = s0_condition(INPUTS[name]().samples)
     for i in range(INTERP_STAGES):
-        stream = upsample2(stream, kernel, behavior=f"S{i + 1}")
-    codes = noise_shape(linearize(stream)).codes.astype("<i8")
+        x = upsample2(x, kernel, behavior=f"S{i + 1}")
+    codes = noise_shape(linearize(x)).astype("<i8")
     assert hashlib.sha256(codes.tobytes()).hexdigest() == MOLD_DIGESTS[name]
 
 

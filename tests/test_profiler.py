@@ -47,14 +47,14 @@ def test_op_counts_follow_the_chain(n, seed):
     pcm = PcmStream(np.random.default_rng(seed).integers(
         -32768, 32768, n).astype(np.int16), 44100)
     kernel = design_interp_kernel()
-    stream = s0_condition(pcm)
-    emitted = {"S0": len(stream)}
+    x = s0_condition(pcm.samples)
+    emitted = {"S0": len(x)}
     for i in range(INTERP_STAGES):
-        stream = upsample2(stream, kernel, behavior=f"S{i + 1}")
-        emitted[f"S{i + 1}"] = len(stream)
-    stream = linearize(stream)
-    emitted["LINE"] = len(stream) - 2
-    emitted["MOLD"] = len(noise_shape(stream))
+        x = upsample2(x, kernel, behavior=f"S{i + 1}")
+        emitted[f"S{i + 1}"] = len(x)
+    x = linearize(x)
+    emitted["LINE"] = len(x) - 2
+    emitted["MOLD"] = len(noise_shape(x))
     counts = op_counts(n)
     for b in BEHAVIORS:
         assert counts[b] == {k: ROWS[b].get(k, 0) * emitted[b]

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from pcm2pwm import verification
 from pcm2pwm.audio_io import PcmStream, PwmBitstream
-from pcm2pwm.chain import QuantizedStream, SampleStream, convert, \
-    convert_stream, generate_pwm, noise_shape
+from pcm2pwm.chain import convert, convert_stream, generate_pwm, noise_shape
 from pcm2pwm.verification import (SNR_CAP_DB, LengthMismatch, MalformedStream,
                                   demodulate, demodulate_stream, measure)
 
@@ -20,8 +19,7 @@ CHAIN_RATE = 352800
 
 
 def constant_code_pwm(code, frames=4096):
-    q = QuantizedStream(np.full(frames, code), 7, CHAIN_RATE)
-    return generate_pwm(q)
+    return generate_pwm(np.full(frames, code), CHAIN_RATE)
 
 
 def collect(blocks):
@@ -41,15 +39,15 @@ def sine(freq, amp, n, rate=RATE):
 
 def test_demodulate_midscale():
     out = demodulate(constant_code_pwm(64), RATE)
-    assert out.sample_rate == RATE
-    assert np.all(np.abs(settled(out.samples)) <= 1e-2)
+    assert out.dtype == np.float64
+    assert np.all(np.abs(settled(out)) <= 1e-2)
 
 
 def test_demodulate_all_ones():
     bits = np.ones(128 * 2048, dtype=np.uint8)
     pwm = PwmBitstream.from_bits(bits, clock_hz=45158400, frame_bits=128)
     out = demodulate(pwm, RATE)
-    assert np.all(settled(out.samples) >= 0.99)
+    assert np.all(settled(out) >= 0.99)
 
 
 def test_demodulate_length():
@@ -63,7 +61,7 @@ def test_demodulate_constant_code_dc_sample():
     lsb = 2.0 / 127
     for code in (0, 17, 64, 113, 127):
         out = demodulate(constant_code_pwm(code), RATE)
-        level = settled(out.samples).mean()
+        level = settled(out).mean()
         assert abs(level - (2 * code / 127 - 1)) <= lsb
 
 
@@ -77,7 +75,7 @@ def test_demodulate_identity_ratio():
     pwm = PwmBitstream.from_bits(np.array([1, 0, 1, 1], dtype=np.uint8),
                                  clock_hz=4, frame_bits=2)
     out = demodulate(pwm, 4)
-    assert out.samples.tolist() == [1.0, -1.0, 1.0, 1.0]
+    assert out.tolist() == [1.0, -1.0, 1.0, 1.0]
 
 
 # --- edge-domain first stage --------------------------------------------------
@@ -193,7 +191,7 @@ def test_demodulate_stream_any_cut_matches_one_shot(ratio, n_bits, seed, dense,
     streamed = collect(demodulate_stream(pieces, n_bits=n_bits,
                                          clock_hz=pwm.clock_hz,
                                          target_rate=RATE))
-    one_shot = demodulate(pwm, RATE).samples
+    one_shot = demodulate(pwm, RATE)
     assert len(one_shot) == n_bits // ratio
     assert streamed.tobytes() == one_shot.tobytes()
 
@@ -210,7 +208,7 @@ def test_demodulate_stream_fed_by_convert_stream(n, step, seed):
     streamed = collect(demodulate_stream(blocks, n_bits=n * 1024,
                                          clock_hz=1024 * RATE,
                                          target_rate=RATE))
-    one_shot = demodulate(convert(PcmStream(samples, RATE)), RATE).samples
+    one_shot = demodulate(convert(PcmStream(samples, RATE)), RATE)
     assert streamed.tobytes() == one_shot.tobytes()
 
 
@@ -247,8 +245,8 @@ def test_demodulate_stream_rejects_wrong_payload_size(size):
 # --- measurement ------------------------------------------------------------
 
 def test_measure_identical_hits_cap():
-    x = SampleStream(sine(1000, 0.5, 65536), RATE)
-    report = measure(x, x)
+    x = sine(1000, 0.5, 65536)
+    report = measure(x, x, RATE)
     assert report.snr_db == SNR_CAP_DB
     assert report.fundamental_hz == pytest.approx(1000.0, abs=1.0)
 
@@ -258,27 +256,18 @@ def test_measure_white_noise_floor():
     ref = sine(1000, 0.5, 65536)
     noise = rng.standard_normal(len(ref))
     noise *= np.sqrt((ref ** 2).mean() / (noise ** 2).mean()) * 10 ** (-40 / 20)
-    report = measure(SampleStream(ref, RATE), SampleStream(ref + noise, RATE))
+    report = measure(ref, ref + noise, RATE)
     assert report.snr_db == pytest.approx(40.0, abs=0.5)
 
 
-def test_measure_rate_mismatch():
-    x = SampleStream(sine(1000, 0.5, 4096), RATE)
-    y = SampleStream(sine(1000, 0.5, 4096), 48000)
-    with pytest.raises(LengthMismatch):
-        measure(x, y)
-
-
 def test_measure_too_short():
-    x = SampleStream(np.zeros(16), RATE)
+    x = np.zeros(16)
     with pytest.raises(LengthMismatch):
-        measure(x, x)
+        measure(x, x, RATE)
 
 
 def test_measure_silence_reference_caps():
-    x = SampleStream(np.zeros(65536), RATE)
-    y = SampleStream(sine(1000, 0.01, 65536), RATE)
-    report = measure(x, y)
+    report = measure(np.zeros(65536), sine(1000, 0.01, 65536), RATE)
     assert report.snr_db == SNR_CAP_DB
 
 
@@ -287,41 +276,36 @@ def test_measure_fractional_delay_alignment():
     t = np.arange(n)
     ref = 0.5 * np.sin(2 * np.pi * 1000 * t / RATE)
     test = 0.5 * np.sin(2 * np.pi * 1000 * (t - 27.125) / RATE)
-    report = measure(SampleStream(ref, RATE), SampleStream(test, RATE))
+    report = measure(ref, test, RATE)
     assert report.snr_db > 70.0
 
 
 def test_measure_gain_invariance():
     ref = sine(1000, 0.5, 65536)
-    report = measure(SampleStream(ref, RATE), SampleStream(0.25 * ref, RATE))
+    report = measure(ref, 0.25 * ref, RATE)
     assert report.snr_db == SNR_CAP_DB
 
 
 def test_measure_detects_harmonics():
     fund = sine(1000, 0.5, 65536)
     test = fund + 0.005 * sine(3000, 1.0, 65536)
-    report = measure(SampleStream(fund, RATE), SampleStream(test, RATE))
+    report = measure(fund, test, RATE)
     # third harmonic at -40 dB relative to the fundamental
     assert report.thd_db == pytest.approx(-40.0, abs=0.8)
 
 
 def test_shaped_noise_beats_plain_rounding_via_measure():
     x = sine(1000, 0.5, 32768, rate=CHAIN_RATE)
-    ref = SampleStream(x, CHAIN_RATE)
-    shaped = noise_shape(ref)
-    shaped_stream = SampleStream(oracles.dequantize(shaped.codes, 7),
-                                 CHAIN_RATE)
-    plain_stream = SampleStream(
-        oracles.dequantize(oracles.round_half_up_quantize(x, 7), 7),
-        CHAIN_RATE)
-    r_shaped = measure(ref, shaped_stream)
-    r_plain = measure(ref, plain_stream)
+    shaped = oracles.dequantize(noise_shape(x), 7)
+    plain = oracles.dequantize(oracles.round_half_up_quantize(x, 7), 7)
+    r_shaped = measure(x, shaped, CHAIN_RATE)
+    r_plain = measure(x, plain, CHAIN_RATE)
     assert r_shaped.inband_noise_power < r_plain.inband_noise_power
 
 
 def test_report_serialization():
-    x = SampleStream(sine(1000, 0.5, 65536), RATE)
-    report = measure(x, x)
+    x = sine(1000, 0.5, 65536)
+    report = measure(x, x, RATE)
     text = report.text()
     assert "snr" in text and "fundamental" in text
     lines = report.csv().splitlines()
