@@ -262,9 +262,13 @@ def generate_pwm(codes: np.ndarray, sample_rate: int) -> PwmBitstream:
     A frame for code c is c ones followed by (FRAME_BITS - c) zeros: the
     hardware equivalent compares a free-running counter against a code
     register.  The bit clock is sample_rate * FRAME_BITS.  Each code is
-    one lookup into the table of the 128 frames; a code of 128 or more
-    raises IndexError.
+    one lookup into the table of the 128 frames; a code below 0 or of 128
+    or more raises IndexError.
     """
+    low = np.min(codes, initial=0)
+    if low < 0:  # take would wrap it to a frame from the other end
+        raise IndexError(f"code {low} is out of bounds for the "
+                         f"{FRAME_BITS} frames")
     return PwmBitstream(payload=_FRAMES.take(codes, axis=0).reshape(-1),
                         n_bits=len(codes) * FRAME_BITS,
                         clock_hz=sample_rate * FRAME_BITS,

@@ -12,6 +12,7 @@ Inputs are WAV paths or synthetic specs ("sine:FREQ_HZ:AMP_DBFS[:SECONDS]",
 to 4.3 s and noise uses --seed.  Exit codes:
 
     0    success
+    1    the roundtrip demodulator worker ended without a reply
     2    input error: a missing, malformed or empty input, a bad option
          value, a scenario or element library that is missing, a
          directory, not UTF-8 or malformed (no section header, a
@@ -32,6 +33,13 @@ roundtrip feeds its PWM payload blocks straight into the demodulator
 (verification.demodulate_stream), so neither holds a whole PWM stream.
 roundtrip still holds the input clip, the clip demodulated back to the
 input rate and the FFTs measure takes of them.
+
+roundtrip runs on two processes and needs POSIX fork: the chain runs in
+this one, the demodulator in one worker forked from it, fed the payload
+blocks through a pipe.  The two overlap, as SpecC behaviors mapped to two
+processing elements do.  The worker runs with SIGINT blocked, so a
+Ctrl-C is reported once, by this process, and the worker leaves when the
+pipe closes.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ import numpy as np
 from . import audio_io, chain, dse, profiler, verification
 
 EXIT_OK = 0
+EXIT_WORKER = 1
 EXIT_INPUT = 2
 EXIT_NO_FEASIBLE = 3
 EXIT_QUALITY = 4
@@ -56,10 +65,19 @@ EXIT_CLOSED_STDOUT = 141
 
 DEFAULT_SIGNAL_SECONDS = 4.3
 _SYNTH_BLOCK = 4096  # samples a synthetic input makes at a time
+# roundtrip's pipe depth: the chain may run this many payload bytes (eight
+# 512 kB chain blocks) ahead of the demodulator worker before a send waits.
+# A pipe that holds less than a block makes every block a hand-off that
+# waits for the worker to be scheduled.  Linux caps it at net.core.wmem_max.
+_PIPE_BYTES = 4 << 20
 
 
 class InputError(Exception):
     pass
+
+
+class WorkerDied(Exception):
+    """The roundtrip demodulator worker ended without a reply."""
 
 
 def main(argv=None) -> int:
@@ -83,6 +101,9 @@ def main(argv=None) -> int:
     except dse.NoFeasibleOption as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_FEASIBLE
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -273,10 +294,9 @@ def cmd_roundtrip(args) -> int:
         n_bits, clock_hz = _pwm_size(source)
         pcm = audio_io.collect(source)
     rate = pcm.sample_rate
-    blocks = verification.demodulate_stream(
+    audio = _demodulate_in_worker(
         chain.convert_stream([pcm.samples], rate), n_bits=n_bits,
         clock_hz=clock_hz, target_rate=rate)
-    audio = np.concatenate([np.zeros(0), *blocks])
     report = verification.measure(chain.s0_condition(pcm.samples), audio, rate)
     if args.format == "csv":
         print(report.csv(), end="")
@@ -287,6 +307,77 @@ def cmd_roundtrip(args) -> int:
               f"{floor_db:.2f} dB floor", file=sys.stderr)
         return EXIT_QUALITY
     return EXIT_OK
+
+
+def _demodulate_in_worker(payload, **stream) -> np.ndarray:
+    """verification.demodulate_stream(payload, **stream), collected into one
+    array, run in a forked worker while this process makes the payload.
+
+    Each block goes to the worker through a pipe, then an empty end
+    marker; a full pipe (_PIPE_BYTES) makes this process wait, so memory
+    stays bounded.  The worker sends one reply, the audio or the
+    exception that stopped it, which is raised here; WorkerDied if it
+    ended without a reply.  Data flows one way until the end marker, so
+    the two cannot deadlock.  The worker is joined before this returns or
+    raises.
+    """
+    import multiprocessing  # here, so the other commands never load it
+    import signal
+    import socket
+    ctx = multiprocessing.get_context("fork")
+    conn, worker_end = ctx.Pipe()
+    with socket.fromfd(conn.fileno(), socket.AF_UNIX,
+                       socket.SOCK_STREAM) as sock:  # a duplicate fd
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _PIPE_BYTES)
+    worker = ctx.Process(target=_demodulate_worker,
+                         args=(worker_end, conn, stream), daemon=True)
+    # the worker is forked with SIGINT blocked and never unblocks it, so a
+    # Ctrl-C is this process's alone to report
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        worker.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    worker_end.close()
+    reply = None
+    try:
+        # a worker that stops reading says why in its reply
+        with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+            for block in payload:
+                conn.send_bytes(block)
+            conn.send_bytes(b"")
+        with contextlib.suppress(EOFError):
+            reply = conn.recv()
+    finally:
+        conn.close()  # a worker still reading leaves on EOF
+        worker.join()
+    if reply is None:
+        raise WorkerDied(f"the demodulator worker ended without a reply "
+                         f"(exit code {worker.exitcode})")
+    if isinstance(reply, Exception):
+        raise reply
+    return reply
+
+
+def _demodulate_worker(conn, parent_end, stream) -> None:
+    """The worker's body: demodulate the payload blocks that arrive on conn
+    until the empty end marker, then send back the audio or the exception
+    that stopped it.  It leaves quietly if the parent closes the pipe
+    first."""
+    parent_end.close()  # else the parent closing its end is no EOF here
+
+    def blocks():
+        while block := conn.recv_bytes():
+            yield np.frombuffer(block, dtype=np.uint8)
+    try:
+        reply = np.concatenate(
+            [np.zeros(0), *verification.demodulate_stream(blocks(), **stream)])
+    except EOFError:  # the parent left before the end marker
+        return
+    except Exception as exc:
+        reply = exc
+    with contextlib.suppress(OSError):  # the parent left before the reply
+        conn.send(reply)
 
 
 @contextlib.contextmanager

@@ -197,6 +197,14 @@ def test_generate_pwm_rejects_out_of_range():
         generate_pwm(np.array([128]), 352800)
 
 
+@pytest.mark.parametrize("codes", [[-1], [5, -128, 7], [-129]])
+def test_generate_pwm_rejects_negative_codes(codes):
+    """take wraps a negative index to the other end of the frame table;
+    a negative code is as far out of range as 128."""
+    with pytest.raises(IndexError, match="out of bounds"):
+        generate_pwm(np.array(codes), 352800)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 2 ** QUANTIZER_BITS - 1), max_size=300))
 @example(list(range(2 ** QUANTIZER_BITS)))

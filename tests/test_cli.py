@@ -1,5 +1,7 @@
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import pytest
 
 from pcm2pwm import audio_io, chain, cli, verification
 from pcm2pwm.audio_io import read_pwm
-from pcm2pwm.cli import EXIT_CLOSED_STDOUT, main
+from pcm2pwm.cli import EXIT_CLOSED_STDOUT, EXIT_WORKER, main
 
 from conftest import sine_int16, write_wav
 
@@ -144,15 +146,20 @@ def test_failed_convert_keeps_previous_output(failure, wav_file, tmp_path,
 
 
 def child_peak_kb(script, *args):
-    """Run script in a fresh interpreter and return its peak RSS in kB.
+    """Run script in a fresh interpreter and return its peak RSS in kB: the
+    larger of its own and that of the largest process it forked and waited
+    for, so a worker process cannot hide memory from a test.
 
     The child reports its own VmHWM: its ru_maxrss would start at this
     process's high-water mark, which exec carries over."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs /proc/self/status for the peak RSS")
-    script += ("with open('/proc/self/status') as fh:\n"
-               "    print([l.split()[1] for l in fh"
-               " if l.startswith('VmHWM')][0])\n")
+    script += ("import resource\n"
+               "with open('/proc/self/status') as fh:\n"
+               "    own = int([l.split()[1] for l in fh"
+               " if l.startswith('VmHWM')][0])\n"
+               "print(max(own, resource.getrusage("
+               "resource.RUSAGE_CHILDREN).ru_maxrss))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     child = subprocess.run([sys.executable, "-c", script, *args],
                            capture_output=True, text=True, env=env,
@@ -440,6 +447,158 @@ def test_roundtrip_too_short_is_input_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: only 44 overlapping samples\n"
+
+
+def test_roundtrip_worker_audio_is_the_in_process_audio(monkeypatch, capsys):
+    """The audio the worker sends back is, byte for byte, what
+    demodulate_stream(convert_stream(...)) makes in this process."""
+    scored = []
+    real = verification.measure
+
+    def keep_test(ref, test, rate):
+        scored.append(test)
+        return real(ref, test, rate)
+    monkeypatch.setattr(verification, "measure", keep_test)
+    assert main(["roundtrip", "--input", "sine:1000:-6:0.5"]) == 0
+    capsys.readouterr()
+    source = cli._Synthetic("sine", "1000:-6:0.5", 0)
+    n = source.frame_count
+    here = np.concatenate(list(verification.demodulate_stream(
+        chain.convert_stream(source.blocks(), 44100), n_bits=n * 1024,
+        clock_hz=44100 * 1024, target_rate=44100)))
+    assert scored[0].dtype == here.dtype
+    assert scored[0].tobytes() == here.tobytes()
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("sine:1000:-6:0.5", 0),    # success
+    ("sine:1000:-6:0.001", 2),  # measure's LengthMismatch, after the worker
+    ("noise:-6:0.5", 4),        # below the floor
+])
+def test_roundtrip_leaves_no_worker(spec, code, capsys):
+    assert main(["roundtrip", "--input", spec]) == code
+    capsys.readouterr()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+def test_converter_failure_leaves_no_worker(failure, monkeypatch):
+    """A chain stage that raises mid-stream ends the roundtrip with its
+    exception, and the worker, which sees the pipe close, is gone."""
+    calls = []
+    real = chain.noise_shape
+
+    def fails_on_third_block(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise failure("stage failed mid-stream")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(chain, "noise_shape", fails_on_third_block)
+    with pytest.raises(failure):
+        main(["roundtrip", "--input", "sine:1000:-6:0.5"])
+    assert len(calls) == 3
+    assert multiprocessing.active_children() == []
+
+
+def run_patched_roundtrip(patch, *argv, **popen):
+    """`pcm2pwm roundtrip` in a fresh interpreter, with
+    verification.demodulate_stream replaced by the `demodulate_stream`
+    that the source `patch` defines (`real` is the original).  The worker
+    is forked from that interpreter, so it runs the patch.  Returns the
+    completed process, or with `popen` the started one."""
+    script = ("import os, signal, sys\n"
+              "import numpy as np\n"
+              "from pcm2pwm import cli, verification\n"
+              "real = verification.demodulate_stream\n"
+              + patch +
+              "verification.demodulate_stream = demodulate_stream\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    cmd = [sys.executable, "-c", script, "roundtrip", *argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    if popen:
+        return subprocess.Popen(cmd, env=env, **popen)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+# a 2 s clip makes 11.3 MB of payload, more than the pipe holds
+# (cli._PIPE_BYTES), so the parent is still sending when the worker stops
+# reading
+TWO_SECONDS = ("--input", "sine:1000:-6:2")
+AFTER_TWO_BLOCKS = ("def demodulate_stream(blocks, **stream):\n"
+                    "    for i, _ in enumerate(blocks):\n"
+                    "        if i == 2:\n"
+                    "            {}\n"
+                    "        yield np.zeros(1)\n")
+
+
+@pytest.mark.parametrize("patch", [
+    "def demodulate_stream(blocks, **stream):\n"
+    "    raise verification.MalformedStream('no stage fits')\n",
+    AFTER_TWO_BLOCKS.format(
+        "raise verification.MalformedStream('no stage fits')"),
+], ids=["at-once", "after-two-blocks"])
+def test_worker_exception_is_raised_in_the_parent(patch):
+    """An exception in the worker comes back and takes the parent's path:
+    MalformedStream exits 2 with its one error line, and no traceback."""
+    child = run_patched_roundtrip(patch, *TWO_SECONDS)
+    assert (child.returncode, child.stdout, child.stderr) == (
+        2, "", "error: no stage fits\n")
+
+
+@pytest.mark.parametrize("patch, status", [
+    ("def demodulate_stream(blocks, **stream):\n"
+     "    os._exit(3)\n", 3),
+    (AFTER_TWO_BLOCKS.format("os._exit(3)"), 3),
+    (AFTER_TWO_BLOCKS.format("os.kill(os.getpid(), signal.SIGKILL)"),
+     -signal.SIGKILL),
+], ids=["exit-at-once", "exit-after-two-blocks", "killed-after-two-blocks"])
+def test_dead_worker_exits_1(patch, status):
+    """A worker that dies without a reply is one error line and exit 1:
+    never a traceback, and never the closed-stdout 141 of the parent's
+    broken pipe to it."""
+    child = run_patched_roundtrip(patch, *TWO_SECONDS)
+    assert EXIT_WORKER == 1
+    assert (child.returncode, child.stdout, child.stderr) == (
+        EXIT_WORKER, "", "error: the demodulator worker ended without a "
+                         f"reply (exit code {status})\n")
+
+
+def test_worker_ignores_sigint():
+    """A SIGINT that reaches the worker changes nothing: the roundtrip
+    finishes with its report."""
+    child = run_patched_roundtrip(
+        "def demodulate_stream(blocks, **stream):\n"
+        "    os.kill(os.getpid(), signal.SIGINT)\n"
+        "    return real(blocks, **stream)\n",
+        "--input", "sine:1000:-6:0.5")
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.startswith("fundamental: 1000.0 Hz\nsnr: 68.16 dB\n")
+
+
+def test_ctrl_c_prints_one_traceback():
+    """Ctrl-C reaches the whole process group, parent and worker, while the
+    chain runs: the parent prints the one traceback, and the worker, which
+    ignores SIGINT, leaves on EOF before the parent ends."""
+    child = run_patched_roundtrip(
+        "def demodulate_stream(blocks, **stream):\n"
+        "    print('worker started', flush=True)\n"
+        "    return real(blocks, **stream)\n",
+        "--input", "sine:1000:-6:20", stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        assert child.stdout.readline() == "worker started\n"
+        os.killpg(child.pid, signal.SIGINT)
+        _, err = child.communicate(timeout=120)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert child.returncode == -signal.SIGINT
+    assert err.count("Traceback") == 1
+    assert err.endswith("KeyboardInterrupt\n")
+    with pytest.raises(ProcessLookupError):  # no process left in the group
+        os.killpg(child.pid, 0)
 
 
 # --- bad numbers ------------------------------------------------------------
