@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from pcm2pwm import audio_io
 from pcm2pwm.audio_io import (PWM_MAX_BITS, PWM_MAX_CLOCK_HZ, ClockTooHigh,
-                              IoFailure, MalformedHeader, PwmBitstream,
-                              StreamTooLong, UnsupportedFormat, WavReader,
-                              read_pwm, read_wav, write_pwm, write_pwm_blocks)
+                              IoFailure, MalformedHeader, PcmStream,
+                              PwmBitstream, StreamTooLong, UnsupportedFormat,
+                              WavReader, read_pwm, read_wav, write_pwm,
+                              write_pwm_blocks)
 
 from conftest import write_wav
 
@@ -159,6 +160,15 @@ def test_wav_roundtrip_identity(samples, rate):
         pcm = read_wav(path)
     assert pcm.sample_rate == rate
     assert np.array_equal(pcm.samples, arr)
+
+
+@pytest.mark.parametrize("rate,valid", [(1, True), (0, False)])
+def test_pcm_sample_rate_must_be_positive(rate, valid):
+    if valid:
+        assert PcmStream(np.zeros(4, np.int16), rate).sample_rate == rate
+    else:
+        with pytest.raises(ValueError, match="sample_rate"):
+            PcmStream(np.zeros(4, np.int16), rate)
 
 
 # --- PWM1 container ---------------------------------------------------------

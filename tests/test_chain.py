@@ -9,7 +9,7 @@ from pcm2pwm.chain import (BEHAVIORS, FIR_TAPS, FRAME_BITS, INTERP_STAGES,
                            QUANTIZER_BITS, FirState, LineState, MoldState,
                            convert, convert_stream, design_interp_kernel,
                            generate_pwm, linearize, noise_shape, s0_condition,
-                           upsample2)
+                           upsample2, windowed_sinc_lowpass)
 
 import oracles
 
@@ -63,6 +63,12 @@ def test_kernel_shape():
     assert not k.flags.writeable
     assert np.allclose(k, k[::-1])  # linear phase
     assert k.sum() == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 0.5])
+def test_sinc_cutoff_is_open_interval(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        windowed_sinc_lowpass(31, cutoff)
 
 
 def test_upsample2_zeros():

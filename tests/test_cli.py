@@ -619,6 +619,15 @@ def test_bad_synthetic_spec_is_input_error(command, spec, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("spec,code", [("sine:0:-6", 0), ("sine:-1:-6", 2)])
+def test_sine_frequency_may_be_zero(spec, code, capsys):
+    """FREQ 0 is a valid (silent) sine; any negative FREQ is refused."""
+    assert main(["profile", "--input", spec]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else
+                   f"error: bad synthetic signal spec {spec}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["explore", "--deadline-ms", "inf"],
     ["explore", "--deadline-ms", "nan"],

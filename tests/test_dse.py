@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcm2pwm.cli import main
 from pcm2pwm.dse import (SHORTLIST_MAPPINGS, AllZeroSizes, BehaviorEstimate,
                          CostModel, NoFeasibleOption, TooManyBehaviors,
                          UnknownBehavior, compare, enumerate_partitions,
-                         evaluate, hw_cost_share, load_scenario, select)
+                         evaluate, hw_cost_share, load_scenario,
+                         options_table_text, select)
 
 SCENARIO = str(resources.files("pcm2pwm").joinpath("data", "baseline.scenario"))
 
@@ -128,6 +130,12 @@ def test_cost_monotone(estimates, cm):
         assert larger.cost_cents >= smaller.cost_cents
 
 
+@pytest.mark.parametrize("t_hw_us,t_sw_us", [(0, 2000), (1000, 0)])
+def test_estimate_rejects_zero_time(t_hw_us, t_sw_us):
+    with pytest.raises(ValueError, match="times must be positive"):
+        BehaviorEstimate("B", t_hw_us, t_sw_us, 1)
+
+
 # --- enumeration and selection ---------------------------------------------------
 
 def test_enumerate_counts(estimates, cm):
@@ -149,6 +157,17 @@ def test_enumerate_sorted(estimates, cm):
     options = enumerate_partitions(estimates, cm)
     keys = [(not o.feasible, o.cost_cents, o.t_total_us) for o in options]
     assert keys == sorted(keys)
+
+
+def test_options_table_counts_the_rows_it_cuts(cm):
+    """The text table prints 200 rows, then how many it left out."""
+    estimates = {f"B{i}": BehaviorEstimate(f"B{i}", 1000, 2000, 1)
+                 for i in range(8)}
+    options = enumerate_partitions(estimates, cm)
+    for n, last in ((199, "yes"), (201, "... 1 more"), (256, "... 56 more")):
+        lines = options_table_text(options[:n]).splitlines()
+        assert len(lines) == 3 + min(n, 200) + (n > 200)
+        assert lines[-1].endswith(last)
 
 
 def test_enumerate_too_many(cm):
@@ -265,6 +284,20 @@ def test_scenario_rejects_total_mismatch(tmp_path):
         "[expected_totals]\nhw_total_ms = 12.0\n")
     with pytest.raises(ValueError):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("quoted_ms,code", [("10.500", 0), ("10.501", 2)])
+def test_scenario_totals_tolerance_edge(quoted_ms, code, tmp_path, capsys):
+    """A quoted total may differ from the table's sum by 500 us, not more."""
+    path = tmp_path / "edge.scenario"
+    path.write_text(
+        "[behavior A]\nt_hw_ms = 10\nt_sw_ms = 20\ncode_size = 1\n"
+        "[cost_model]\nsw_fixed_cost = 1.00\nhw_total_cost = 2.00\n"
+        f"deadline_ms = 100\n[expected_totals]\nhw_total_ms = {quoted_ms}\n")
+    if code == 0:
+        assert load_scenario(path).hw_total_delta_us == 500
+    assert main(["explore", "--scenario", str(path)]) == code
+    assert capsys.readouterr().err.count("error:") == (code != 0)
 
 
 def test_scenario_rejects_subcent_money(tmp_path):
