@@ -20,8 +20,8 @@ Two on-disk formats are handled here, both bit-exactly:
   The payload length must be a multiple of the frame size and the file must
   contain exactly ceil(bits / 8) payload bytes.  Pad bits of the last byte
   are written as zero and cleared on read.  The u32 fields cap a stream at
-  PWM_MAX_BITS bits and its clock at PWM_MAX_CLOCK_HZ; the writer raises
-  StreamTooLong or ClockTooHigh above them.
+  PWM_MAX_BITS bits and its clock at PWM_MAX_CLOCK_HZ; check_pwm_header
+  raises StreamTooLong or ClockTooHigh above them.
 
 In memory a PwmBitstream holds this payload as it is on disk, so writing
 and reading it is the header plus one buffer copy.  write_pwm_blocks
@@ -88,12 +88,24 @@ class PcmStream:
 
 
 def _check_frame(n_bits: int, frame_bits: int) -> None:
-    """The frame rules of a PWM1 header, for the writer and the in-memory
-    stream alike."""
+    """The frame rules of a PWM1 header, for check_pwm_header and the
+    in-memory stream alike."""
     if not 0 < frame_bits < 2 ** 32:  # a PWM1 u32 field
         raise ValueError("frame_bits must be in 1 .. 2^32 - 1")
     if n_bits % frame_bits != 0:
         raise ValueError("bit count must be a multiple of frame_bits")
+
+
+def check_pwm_header(n_bits: int, clock_hz: int, frame_bits: int) -> None:
+    """Check a PWM1 header's fields: the frame rules (ValueError), the u32
+    bit count (StreamTooLong), then the u32 bit clock (ClockTooHigh)."""
+    _check_frame(n_bits, frame_bits)
+    if n_bits > PWM_MAX_BITS:
+        raise StreamTooLong(f"stream too long: {n_bits} bits, the PWM1 bit "
+                            f"count field holds at most {PWM_MAX_BITS}")
+    if clock_hz > PWM_MAX_CLOCK_HZ:
+        raise ClockTooHigh(f"bit clock too high: {clock_hz} Hz, the PWM1 "
+                           f"clock field holds at most {PWM_MAX_CLOCK_HZ} Hz")
 
 
 @dataclass
@@ -285,21 +297,14 @@ def write_pwm_blocks(blocks: Iterable[np.ndarray], path, *, n_bits: int,
     """Write a PWM1 file: the header from the given fields, then the payload
     blocks (uint8, packed LSB-first) in order.
 
-    Raises StreamTooLong if n_bits exceeds PWM_MAX_BITS and ClockTooHigh if
-    clock_hz exceeds PWM_MAX_CLOCK_HZ, both before touching the file or
-    reading a block.  The file is written beside `path` and renamed over it
-    only once the blocks held the ceil(n_bits / 8) bytes the header
-    declares (ValueError if not), so a failure or an interrupt part way
-    leaves `path` as it was.  A `path` that exists and is no regular file,
-    such as a device, is written in place.
+    Raises as check_pwm_header does, before touching the file or reading
+    a block.  The file is written beside `path` and renamed over it only
+    once the blocks held the ceil(n_bits / 8) bytes the header declares
+    (ValueError if not), so a failure or an interrupt part way leaves
+    `path` as it was.  A `path` that exists and is no regular file, such
+    as a device, is written in place.
     """
-    _check_frame(n_bits, frame_bits)
-    if n_bits > PWM_MAX_BITS:
-        raise StreamTooLong(f"{n_bits} bits, PWM1 holds at most "
-                            f"{PWM_MAX_BITS}")
-    if clock_hz > PWM_MAX_CLOCK_HZ:
-        raise ClockTooHigh(f"{clock_hz} Hz bit clock, PWM1 holds at "
-                           f"most {PWM_MAX_CLOCK_HZ}")
+    check_pwm_header(n_bits, clock_hz, frame_bits)
     header = _HEADER.pack(PWM_MAGIC, clock_hz, frame_bits, n_bits)
     target = os.path.realpath(path)
     tmp = None
@@ -330,7 +335,8 @@ def read_pwm(path) -> PwmBitstream:
     """Read a PWM1 container file; inverse of write_pwm, bit-exact.
 
     Pad bits set in the last payload byte are cleared, so the stream equals
-    the one with zero padding and writes back with zero pad bits.
+    the one with zero padding and writes back with zero pad bits.  Fields
+    that PwmBitstream refuses raise MalformedHeader.
     """
     try:
         with open(path, "rb") as fh:
@@ -343,19 +349,13 @@ def read_pwm(path) -> PwmBitstream:
     magic, clock_hz, frame_bits, bit_count = _HEADER.unpack_from(data, 0)
     if magic != PWM_MAGIC:
         raise MalformedHeader(f"bad magic {magic!r}")
-    expected_bytes = (bit_count + 7) // 8
     payload = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
-    if len(payload) != expected_bytes:
-        raise MalformedHeader(
-            f"payload holds {len(payload)} bytes, header declares "
-            f"{bit_count} bits ({expected_bytes} bytes)")
-    if frame_bits == 0 or bit_count % frame_bits != 0:
-        raise MalformedHeader(
-            f"bit count {bit_count} not a multiple of frame size {frame_bits}")
-
     pad = -bit_count % 8
-    if pad and payload[-1] >> (8 - pad):
+    if pad and (payload[-1:] >> (8 - pad)).any():
         payload = payload.copy()
         payload[-1] &= 0xFF >> pad
-    return PwmBitstream(payload=payload, n_bits=bit_count, clock_hz=clock_hz,
-                        frame_bits=frame_bits)
+    try:
+        return PwmBitstream(payload=payload, n_bits=bit_count,
+                            clock_hz=clock_hz, frame_bits=frame_bits)
+    except ValueError as exc:
+        raise MalformedHeader(str(exc)) from exc

@@ -11,10 +11,11 @@ The chain runs strictly sequentially:
 
 followed by the waveform generator, which expands each 7-bit code into a
 128-bit leading-edge pulse frame.  The design is fixed: INTERP_STAGES x2
-stages share one FIR_TAPS-tap kernel and MOLD quantizes to QUANTIZER_BITS.
-Every rate follows from the input stream; for 44.1 kHz input the bit clock
-is 352800 * 128 = 45,158,400 Hz, where doing the same job without the chain
-would take 2^16 * 44100 = 2,890,137,600 Hz of pulse resolution.
+stages share one kernel, design_interp_kernel's FIR_TAPS taps, and MOLD
+quantizes to QUANTIZER_BITS.  Every rate follows from the input stream;
+for 44.1 kHz input the bit clock is 352800 * 128 = 45,158,400 Hz, where
+doing the same job without the chain would take 2^16 * 44100 =
+2,890,137,600 Hz of pulse resolution.
 
 The stages pass plain numpy arrays: S0 takes int16 samples and returns
 float64 in [-1, +1), S1-S3 and LINE map float64 to float64, MOLD returns
@@ -112,6 +113,8 @@ PWM_BITS_PER_SAMPLE = FRAME_BITS << INTERP_STAGES
 _FRAMES = np.packbits(np.arange(FRAME_BITS) < np.arange(FRAME_BITS)[:, None],
                       axis=1, bitorder="little")
 
+_KERNEL = design_interp_kernel()  # S1-S3's, designed once
+
 
 @dataclass
 class FirState:
@@ -142,14 +145,15 @@ def s0_condition(samples: np.ndarray) -> np.ndarray:
     return samples.astype(np.float64) / PCM_FULL_SCALE
 
 
-def upsample2(x: np.ndarray, kernel: np.ndarray, *, behavior: str = "S1",
+def upsample2(x: np.ndarray, *, behavior: str = "S1",
               state: FirState | None = None) -> np.ndarray:
     """One x2 interpolation stage: zero-stuff, filter, saturate.
 
-    Output is the causal head of the full convolution, so the stage delays
-    the signal by (taps - 1) / 2 output samples.  `behavior` (S1, S2 or S3)
-    does not change the result; its only use is to let the benchmark
-    tracer, perfbench/tracing.py, tell the three calls apart.
+    The filter is design_interp_kernel's, the one kernel S1-S3 share, and
+    the output the causal head of the full convolution, so the stage
+    delays the signal by (FIR_TAPS - 1) / 2 output samples.  `behavior`
+    (S1, S2 or S3) does not change the result; its only use is to let the
+    benchmark tracer, perfbench/tracing.py, tell the three calls apart.
 
     With `state`, `x` is the next block of a longer stream: it is filtered
     after the history the state holds, which it then updates, and each
@@ -161,8 +165,8 @@ def upsample2(x: np.ndarray, kernel: np.ndarray, *, behavior: str = "S1",
     stuffed = np.zeros(len(state.history) + 2 * len(x))
     stuffed[:len(state.history)] = state.history
     stuffed[len(state.history)::2] = x
-    out = _convolve(stuffed, kernel)[len(state.history):len(stuffed)]
-    state.history = stuffed[-(len(kernel) - 1):].copy()
+    out = _convolve(stuffed, _KERNEL)[len(state.history):len(stuffed)]
+    state.history = stuffed[-(FIR_TAPS - 1):].copy()
     return np.clip(out, -1.0, 1.0, out=out)
 
 
@@ -287,13 +291,12 @@ def convert_stream(blocks: Iterable[np.ndarray], sample_rate: int
     PWM_BITS_PER_SAMPLE Hz bit clock.  Raises ValueError, on the first
     step, for a stream with no samples.
     """
-    kernel = design_interp_kernel()
     fir = [FirState() for _ in range(INTERP_STAGES)]
     line, mold = LineState(), MoldState()
     for block, last in _bounded(blocks):
         x = s0_condition(PcmStream(block, sample_rate).samples)
         for i, state in enumerate(fir):
-            x = upsample2(x, kernel, behavior=f"S{i + 1}", state=state)
+            x = upsample2(x, behavior=f"S{i + 1}", state=state)
         codes = noise_shape(linearize(x, line, last), mold)
         yield generate_pwm(codes, sample_rate << INTERP_STAGES).payload
 

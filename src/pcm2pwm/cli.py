@@ -65,11 +65,11 @@ EXIT_CLOSED_STDOUT = 141
 
 DEFAULT_SIGNAL_SECONDS = 4.3
 _SYNTH_BLOCK = 4096  # samples a synthetic input makes at a time
-# roundtrip's pipe depth: the chain may run this many payload bytes (eight
-# 512 kB chain blocks) ahead of the demodulator worker before a send waits.
-# A pipe that holds less than a block makes every block a hand-off that
-# waits for the worker to be scheduled.  Linux caps it at net.core.wmem_max.
-_PIPE_BYTES = 4 << 20
+# roundtrip's pipe depth: the chain may run eight of its payload blocks
+# ahead of the demodulator worker before a send waits.  A pipe that holds
+# less than a block makes every block a hand-off that waits for the worker
+# to be scheduled.  Linux caps it at net.core.wmem_max.
+_PIPE_BYTES = 8 * (chain._BLOCK * chain.PWM_BITS_PER_SAMPLE // 8)
 
 
 class InputError(Exception):
@@ -93,6 +93,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
     except (InputError, audio_io.IoFailure, audio_io.MalformedHeader,
+            audio_io.StreamTooLong, audio_io.ClockTooHigh,
             dse.AllZeroSizes, dse.TooManyBehaviors, dse.UnknownBehavior,
             profiler.MissingWeight, verification.LengthMismatch,
             verification.MalformedStream) as exc:
@@ -174,20 +175,14 @@ def cmd_convert(args) -> int:
 
 def _pwm_size(source) -> tuple:
     """(n_bits, clock_hz) of the PWM stream the chain makes of an opened
-    input, from its header alone; InputError for an empty input or one
-    past what the PWM1 header fields hold."""
-    n, rate = source.frame_count, source.sample_rate
-    n_bits = n * chain.PWM_BITS_PER_SAMPLE
-    clock_hz = rate * chain.PWM_BITS_PER_SAMPLE
-    if not n:
+    input, from its header alone; InputError for an empty input, and
+    audio_io.check_pwm_header's errors for one the PWM1 header cannot
+    declare."""
+    if not source.frame_count:
         raise InputError("input has no samples")
-    if n_bits > audio_io.PWM_MAX_BITS:
-        raise InputError(f"input too long: {n} samples make {n_bits} bits, "
-                         f"PWM1 holds at most {audio_io.PWM_MAX_BITS}")
-    if clock_hz > audio_io.PWM_MAX_CLOCK_HZ:
-        raise InputError(f"sample rate too high: {rate} Hz makes a "
-                         f"{clock_hz} Hz bit clock, PWM1 holds at most "
-                         f"{audio_io.PWM_MAX_CLOCK_HZ}")
+    n_bits = source.frame_count * chain.PWM_BITS_PER_SAMPLE
+    clock_hz = source.sample_rate * chain.PWM_BITS_PER_SAMPLE
+    audio_io.check_pwm_header(n_bits, clock_hz, chain.FRAME_BITS)
     return n_bits, clock_hz
 
 

@@ -482,7 +482,7 @@ def _harmonic_analysis(x: np.ndarray, rate: int, fund_hz: float):
 
 
 def _fft_size(n: int) -> int:
-    """Largest power of two that fits, preferring >= 2^15 when available."""
+    """Largest power of two <= n, capped at 2^20 (LengthMismatch below 16)."""
     if n < 16:
         raise LengthMismatch("stream too short for spectral analysis")
     return 1 << min(int(math.log2(n)), 20)

@@ -57,10 +57,9 @@ def tone_run_minus6():
 
 def _convert_without_line(pcm):
     """The chain with LINE bypassed, built from the public stage functions."""
-    kernel = chain.design_interp_kernel()
     x = chain.s0_condition(pcm.samples)
     for i in range(chain.INTERP_STAGES):
-        x = chain.upsample2(x, kernel, behavior=f"S{i + 1}")
+        x = chain.upsample2(x, behavior=f"S{i + 1}")
     return chain.generate_pwm(chain.noise_shape(x), 8 * pcm.sample_rate)
 
 
@@ -161,9 +160,8 @@ def test_criterion_5b_image_rejection():
             pcm = audio_io.PcmStream(sine_int16(1000, 32767 / 32768, 4.3),
                                      RATE)
             x = chain.s0_condition(pcm.samples)
-            kernel = chain.design_interp_kernel()
             for _ in range(3):
-                x = chain.upsample2(x, kernel)
+                x = chain.upsample2(x)
             nfft = 2 ** 17
             assert len(x) >= 2 ** 15
             power = oracles.power_spectrum(x[8192:], nfft)

@@ -195,12 +195,14 @@ def test_pwm_empty_stream(tmp_path):
 
 
 def test_pwm_truncated_payload_rejected(tmp_path):
-    # header claims 256 bits but only 100 bits (13 bytes) present
     path = tmp_path / "trunc.pwm"
-    header = struct.pack("<4sIII", b"PWM1", 45158400, 128, 256)
-    path.write_bytes(header + bytes(13))
-    with pytest.raises(MalformedHeader):
-        read_pwm(path)
+    for frame_bits, n_bits, n_bytes in (
+            (128, 256, 13),  # 256 bits declared, 100 bits (13 bytes) present
+            (1, 3, 0)):  # pad bits declared, no payload byte holds them
+        header = struct.pack("<4sIII", b"PWM1", 45158400, frame_bits, n_bits)
+        path.write_bytes(header + bytes(n_bytes))
+        with pytest.raises(MalformedHeader, match="payload bytes"):
+            read_pwm(path)
 
 
 def test_pwm_bad_magic_rejected(tmp_path):

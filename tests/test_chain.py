@@ -63,6 +63,8 @@ def test_kernel_shape():
     assert not k.flags.writeable
     assert np.allclose(k, k[::-1])  # linear phase
     assert k.sum() == pytest.approx(2.0, abs=1e-12)
+    impulse = upsample2(np.r_[0.5, np.zeros(FIR_TAPS // 2)])  # S1-S3 use it
+    assert np.array_equal(impulse[:FIR_TAPS], 0.5 * k)
 
 
 @pytest.mark.parametrize("cutoff", [0.0, 0.5])
@@ -72,26 +74,25 @@ def test_sinc_cutoff_is_open_interval(cutoff):
 
 
 def test_upsample2_zeros():
-    out = upsample2(np.zeros(100), design_interp_kernel())
+    out = upsample2(np.zeros(100))
     assert len(out) == 200
     assert np.all(out == 0.0)
 
 
 def test_upsample2_dc_gain():
-    out = upsample2(np.full(256, 0.5), design_interp_kernel())
+    out = upsample2(np.full(256, 0.5))
     steady = out[100:-100]
     assert np.all(np.abs(steady - 0.5) <= 1e-3)
 
 
 def test_upsample2_rejects_empty():
     with pytest.raises(ValueError):
-        upsample2(np.zeros(0), design_interp_kernel())
+        upsample2(np.zeros(0))
 
 
 def test_upsample2_length_law():
     for n in (1, 7, 100, 1001):
-        out = upsample2(np.random.default_rng(n).uniform(-0.5, 0.5, n),
-                        design_interp_kernel())
+        out = upsample2(np.random.default_rng(n).uniform(-0.5, 0.5, n))
         assert len(out) == 2 * n
 
 
@@ -100,9 +101,8 @@ def test_cascade_image_rejection():
     at least 60 dB under the fundamental."""
     n = 8192
     x = sine(1000, 32767 / 32768, n, rate=44100)
-    kernel = design_interp_kernel()
     for _ in range(3):
-        x = upsample2(x, kernel)
+        x = upsample2(x)
     assert len(x) == 8 * n >= 2 ** 15  # at 352.8 kHz
 
     nfft = 2 ** 15
@@ -260,10 +260,9 @@ def test_dc_duty_law(level):
 
 def _one_shot_codes(samples):
     """MOLD codes of one whole-array call of each stage, no state carried."""
-    kernel = design_interp_kernel()
     x = s0_condition(samples)
     for i in range(INTERP_STAGES):
-        x = upsample2(x, kernel, behavior=f"S{i + 1}")
+        x = upsample2(x, behavior=f"S{i + 1}")
     return noise_shape(linearize(x))
 
 
@@ -305,7 +304,6 @@ def test_stage_states_carry_across_blocks(samples, cuts):
     """Each stateful stage, block by block with its state, equals its one
     whole-array call, over any cut down to a 1-sample first block."""
     x = np.array(samples)
-    kernel = design_interp_kernel()
     blocks = _split(x, cuts)
     line, mold = LineState(), MoldState()
     lined = np.concatenate([linearize(b, line, last=i == len(blocks) - 1)
@@ -315,8 +313,8 @@ def test_stage_states_carry_across_blocks(samples, cuts):
     assert np.array_equal(codes, noise_shape(x))
 
     fir = FirState()
-    up = [upsample2(b, kernel, state=fir) for b in blocks if len(b)]
-    assert np.array_equal(np.concatenate(up), upsample2(x, kernel))
+    up = [upsample2(b, state=fir) for b in blocks if len(b)]
+    assert np.array_equal(np.concatenate(up), upsample2(x))
 
 
 @settings(max_examples=50, deadline=None)

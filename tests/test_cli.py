@@ -87,8 +87,8 @@ def test_too_long_is_input_error(command, source, n, tmp_path, capsys,
     _nothing_read(monkeypatch)
     assert main(_argv(command, source, tmp_path)) == 2
     assert capsys.readouterr().err == (
-        f"error: input too long: {n} samples make {n * 1024} bits, "
-        "PWM1 holds at most 4294967295\n")
+        f"error: stream too long: {n * 1024} bits, the PWM1 bit count field "
+        "holds at most 4294967295\n")
     assert not (tmp_path / "out.pwm").exists()
 
 
@@ -110,8 +110,8 @@ def test_bit_clock_limit(command, rate, code, wav_file, tmp_path, capsys,
     captured = capsys.readouterr()
     if code:
         assert captured.err == (
-            "error: sample rate too high: 4194304 Hz makes a 4294967296 Hz "
-            "bit clock, PWM1 holds at most 4294967295\n")
+            "error: bit clock too high: 4294967296 Hz, the PWM1 clock field "
+            "holds at most 4294967295 Hz\n")
         assert not (tmp_path / "out.pwm").exists()
     elif command == "convert":
         out = read_pwm(tmp_path / "out.pwm")

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcm2pwm.audio_io import PcmStream
-from pcm2pwm.chain import (BEHAVIORS, INTERP_STAGES, design_interp_kernel,
-                           linearize, noise_shape, s0_condition, upsample2)
+from pcm2pwm.chain import (BEHAVIORS, INTERP_STAGES, linearize, noise_shape,
+                           s0_condition, upsample2)
 from pcm2pwm.profiler import (OP_KINDS, MissingWeight, ProcessingElement,
                               cycles, exec_time, load_pe_library,
                               meets_realtime, op_counts)
@@ -46,11 +46,10 @@ def test_op_counts_follow_the_chain(n, seed):
     really emits; LINE's two end samples pass through uncounted."""
     pcm = PcmStream(np.random.default_rng(seed).integers(
         -32768, 32768, n).astype(np.int16), 44100)
-    kernel = design_interp_kernel()
     x = s0_condition(pcm.samples)
     emitted = {"S0": len(x)}
     for i in range(INTERP_STAGES):
-        x = upsample2(x, kernel, behavior=f"S{i + 1}")
+        x = upsample2(x, behavior=f"S{i + 1}")
         emitted[f"S{i + 1}"] = len(x)
     x = linearize(x)
     emitted["LINE"] = len(x) - 2
