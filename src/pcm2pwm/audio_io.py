@@ -122,9 +122,11 @@ class PwmBitstream:
         self.payload = np.asarray(self.payload, dtype=np.uint8)
         _check_frame(self.n_bits, self.frame_bits)
         if self.payload.shape != ((self.n_bits + 7) // 8,):
+            got = (len(self.payload) if self.payload.ndim == 1
+                   else f"shape {self.payload.shape}")
             raise ValueError(f"{self.n_bits} bits need "
                              f"{(self.n_bits + 7) // 8} payload bytes, "
-                             f"got shape {self.payload.shape}")
+                             f"got {got}")
         if self.n_bits % 8 and self.payload[-1] >> (self.n_bits % 8):
             raise ValueError("pad bits of the last payload byte must be zero")
 

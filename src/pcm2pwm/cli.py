@@ -291,7 +291,7 @@ def cmd_roundtrip(args) -> int:
     rate = pcm.sample_rate
     audio = _demodulate_in_worker(
         chain.convert_stream([pcm.samples], rate), n_bits=n_bits,
-        clock_hz=clock_hz, target_rate=rate)
+        clock_hz=clock_hz)
     report = verification.measure(chain.s0_condition(pcm.samples), audio, rate)
     if args.format == "csv":
         print(report.csv(), end="")

@@ -388,14 +388,14 @@ def options_table_text(options: list, selected: PartitionOption | None = None,
              f"{'':<2}{'mapped to HW':<22}{'t_dsp (ms)':>12}{'t_hw (ms)':>11}"
              f"{'t_total (ms)':>14}{'cost ($)':>10}  feasible",
              "-" * 76]
-    for i, o in enumerate(options, start=1):
+    shown = options[:200]
+    for o in shown:
         mark = "*" if selected is not None and o == selected else " "
         lines.append(f"{mark:<2}{o.describe_hw_set():<22}{o.t_dsp_ms:>12.1f}"
                      f"{o.t_hw_ms:>11.1f}{o.t_total_ms:>14.1f}"
                      f"{o.cost_usd:>10.2f}  {'yes' if o.feasible else 'no'}")
-        if i >= 200:
-            lines.append(f"... {len(options) - i} more")
-            break
+    if len(options) > len(shown):
+        lines.append(f"... {len(options) - len(shown)} more")
     return "\n".join(lines) + "\n"
 
 

@@ -1,15 +1,18 @@
 """Objective quality checks: demodulate PWM back to audio and score it.
 
-The demodulator maps bits onto +-1, lowpasses at 20 kHz with windowed-sinc
-decimation stages (stopband rejection about 74 dB) and resamples to the
-target rate.  The first stage runs in the edge domain: a +-1 stream is a
-sum of steps, so each output is a sum of cumulative-tap values over the
-bit transitions in its window, and its cost follows the transitions
-rather than the bits, exactly and for any bitstream.  Later stages filter
-samples polyphase, one branch per phase.  Scoring aligns the result
-against a reference in gain and (fractional) delay, then reports SNR, THD
-at the detected fundamental and the 0-20 kHz noise floor.  SNR is capped
-at +140 dB so identical streams yield a finite sentinel.
+The demodulator inverts chain's one geometry, so the bit clock gives the
+rate: the audio comes out at the chain's input rate, clock_hz / 1024
+(PWM_BITS_PER_SAMPLE).  It maps bits onto +-1 and lowpasses at 20 kHz in
+two windowed-sinc decimation stages (stopband rejection about 74 dB), by a
+PWM frame and then by the interpolators' 2^INTERP_STAGES.  The first stage
+runs in the edge domain: a +-1 stream is a sum of steps, so each output is
+a sum of cumulative-tap values over the bit transitions in its window, and
+its cost follows the transitions rather than the bits, exactly and for any
+bitstream.  The second filters samples polyphase, one branch per phase.
+Scoring aligns the result against a reference in gain and (fractional)
+delay, then reports SNR, THD at the detected fundamental and the 0-20 kHz
+noise floor.  SNR is capped at +140 dB so identical streams yield a finite
+sentinel.
 
 demodulate_stream takes the PWM1 payload a block at a time and yields the
 audio a block at a time, each stage carrying a few hundred samples of
@@ -17,8 +20,8 @@ state, so `pcm2pwm roundtrip` feeds it chain.convert_stream's blocks and
 never holds a whole PWM stream; every cut gives the same samples bit for
 bit.  demodulate is its one-block case, collected.  measure works on
 whole clips: it holds the reference, the demodulated audio and their FFTs.
-Audio is plain float64 arrays: demodulate returns one at target_rate, and
-measure takes the one rate its reference and test share.
+Audio is plain float64 arrays: demodulate returns one at the chain's
+input rate, and measure takes the one rate its reference and test share.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .audio_io import PwmBitstream
-from .chain import _convolve, windowed_sinc_lowpass
+from .chain import (FRAME_BITS, INTERP_STAGES, PWM_BITS_PER_SAMPLE,
+                    _convolve, windowed_sinc_lowpass)
 
 SNR_CAP_DB = 140.0
 AUDIO_BAND_HZ = 20000.0
@@ -43,7 +47,7 @@ _EDGE_BLOCK = 4096  # outputs per block of _edge_decimate; bounds its per-block 
 
 
 class MalformedStream(Exception):
-    """PWM stream geometry does not fit the requested demodulation."""
+    """PWM stream geometry does not fit the chain's."""
 
 
 class LengthMismatch(Exception):
@@ -74,65 +78,49 @@ class SpectrumReport:
         return buf.getvalue()
 
 
-def demodulate(pwm: PwmBitstream, target_rate: int = 44100) -> np.ndarray:
-    """Recover audio from a whole PWM bitstream as float64 samples at
-    target_rate: demodulate_stream over its payload as one block,
+def demodulate(pwm: PwmBitstream) -> np.ndarray:
+    """Recover audio from a whole PWM bitstream as float64 samples at the
+    chain's input rate: demodulate_stream over its payload as one block,
     collected."""
     blocks = demodulate_stream([pwm.payload], n_bits=len(pwm),
-                               clock_hz=pwm.clock_hz, target_rate=target_rate)
+                               clock_hz=pwm.clock_hz)
     return np.concatenate([np.zeros(0), *blocks])
 
 
 def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
-                      clock_hz: int, target_rate: int) -> Iterator[np.ndarray]:
+                      clock_hz: int) -> Iterator[np.ndarray]:
     """Recover audio from a PWM bitstream that arrives a payload block at a
     time, and yield it a block at a time.
 
     blocks are the PWM1 payload of n_bits bits at clock_hz, packed
     LSB-first into uint8 arrays (as PwmBitstream.payload, or as
-    chain.convert_stream yields it) and cut at any byte.  The bit clock
-    must be an integer multiple of target_rate.  Large ratios are
-    decimated in two stages; each stage's filter keeps the band that can
-    fold onto 0-20 kHz at least 60 dB down.  Stages compensate their own
-    group delay, so the output sits on the stream's own time grid:
-    n_bits // ratio samples in all, which every cut gives bit for bit.
+    chain.convert_stream yields it) and cut at any byte.  The audio comes
+    out at the chain's input rate, clock_hz / PWM_BITS_PER_SAMPLE.  Stage
+    1 decimates by a PWM frame (FRAME_BITS), stage 2 by 2^INTERP_STAGES;
+    each stage's filter keeps the band that can fold onto 0-20 kHz at
+    least 60 dB down.  Stages compensate their own group delay, so the
+    output sits on the stream's own time grid: n_bits //
+    PWM_BITS_PER_SAMPLE samples in all, which every cut gives bit for bit.
     The first stage reads only the bit transitions (_edge_decimate): a
     leading-edge PWM frame has at most two, against the 795 taps a
     direct-form filter would spend per output at 45.1584 MHz.  Each stage
     carries a few hundred samples of state from block to block, so memory
     does not grow with the stream.  Raises MalformedStream, on the first
-    step, for a rate the stages cannot reach, and at the end for a payload
-    that is not the ceil(n_bits / 8) bytes n_bits need.
+    step, for a clock that is not a positive multiple of
+    PWM_BITS_PER_SAMPLE, and at the end for a payload that is not the
+    ceil(n_bits / 8) bytes n_bits need.
     """
-    if target_rate <= 0:
-        raise MalformedStream("target rate must be positive")
-    if clock_hz % target_rate != 0:
-        raise MalformedStream(
-            f"bit clock {clock_hz} is not a multiple of {target_rate}")
-    ratio = clock_hz // target_rate
-    blocks = _payload(blocks, n_bits)
-
-    if ratio == 1:
-        done = 0
-        for block in blocks:
-            bits = np.unpackbits(block, bitorder="little")
-            bits = bits[:max(n_bits - done, 0)]  # not the pad bits
-            done += len(bits)
-            yield bits.astype(np.float64) * 2.0 - 1.0
-        return
-
-    stages = [ratio // 8, 8] if ratio % 8 == 0 and ratio > 8 else [ratio]
-    rate, n_in = clock_hz, n_bits
-    for i, m in enumerate(stages):
-        out_rate = rate // m
-        h = _stage_filter(rate, out_rate, target_rate,
-                          final=(out_rate == target_rate))
-        if i == 0:
-            blocks = _edge_decimate(blocks, n_in, h, m)
-        else:
-            blocks = _polyphase_decimate(blocks, n_in, h, m)
-        rate, n_in = out_rate, n_in // m
-    for y in blocks:
+    if clock_hz <= 0 or clock_hz % PWM_BITS_PER_SAMPLE:
+        raise MalformedStream(f"bit clock {clock_hz} is not a positive "
+                              f"multiple of {PWM_BITS_PER_SAMPLE}")
+    rate = clock_hz // PWM_BITS_PER_SAMPLE
+    frame_rate = clock_hz // FRAME_BITS
+    frames = _edge_decimate(_payload(blocks, n_bits), n_bits,
+                            _stage_filter(clock_hz, frame_rate, rate),
+                            FRAME_BITS)
+    for y in _polyphase_decimate(frames, n_bits // FRAME_BITS,
+                                 _stage_filter(frame_rate, rate, rate),
+                                 1 << INTERP_STAGES):
         np.clip(y, -1.0, 1.0, out=y)
         yield y
 
@@ -150,26 +138,21 @@ def _payload(blocks: Iterable[np.ndarray], n_bits: int
                               f"payload bytes, got {size}")
 
 
-def _stage_filter(fs_in: int, fs_out: int, target_rate: int,
-                  final: bool = False) -> np.ndarray:
-    """Anti-alias lowpass for one decimation stage.
+def _stage_filter(fs_in: int, fs_out: int, rate: int) -> np.ndarray:
+    """Anti-alias lowpass for one decimation stage towards the audio rate.
 
-    Passband reaches the audio band (or what fits below the final Nyquist);
+    Passband reaches the audio band (or what fits below the audio Nyquist);
     the stopband starts where energy would fold back onto it.  The last
-    stage also suppresses everything above its own Nyquist so the output
-    carries as little out-of-band quantization noise as possible.
+    stage (fs_out == rate) also suppresses everything above its own
+    Nyquist so the output carries as little out-of-band quantization noise
+    as possible.
     """
-    protect = min(AUDIO_BAND_HZ, 0.46 * target_rate)
+    protect = min(AUDIO_BAND_HZ, 0.46 * rate)
     stop_edge = fs_out - protect
-    if final:
+    if fs_out == rate:
         stop_edge = min(stop_edge, 0.5 * fs_out)
-    if stop_edge <= protect:
-        raise MalformedStream(f"cannot protect {protect:.0f} Hz when "
-                              f"decimating to {fs_out} Hz")
     transition = stop_edge - protect
     num_taps = int(math.ceil(5.5 * fs_in / transition))  # Blackman main lobe
-    m = fs_in // fs_out
-    num_taps = max(num_taps, 2 * m + 1)
     if num_taps % 2 == 0:
         num_taps += 1
     cutoff = 0.5 * (protect + stop_edge) / fs_in

@@ -51,7 +51,7 @@ def tone_run_minus6():
     with _quality_clock("convert_minus6"):
         pcm = audio_io.PcmStream(sine_int16(1000, 0.5, 4.3), RATE)
         pwm = chain.convert(pcm)
-        audio = verification.demodulate(pwm, RATE)
+        audio = verification.demodulate(pwm)
     return pcm, pwm, audio
 
 
@@ -68,8 +68,8 @@ def tone_runs_full_amp():
     """Linearized and bypass runs of the 4.3 s, 1 kHz, 0.9 amplitude sine."""
     with _quality_clock("convert_amp09"):
         pcm = audio_io.PcmStream(sine_int16(1000, 0.9, 4.3), RATE)
-        lin = verification.demodulate(chain.convert(pcm), RATE)
-        byp = verification.demodulate(_convert_without_line(pcm), RATE)
+        lin = verification.demodulate(chain.convert(pcm))
+        byp = verification.demodulate(_convert_without_line(pcm))
     return pcm, lin, byp
 
 
@@ -149,7 +149,7 @@ def test_criterion_5a_dc_duty_law():
             lsb = 2.0 / 127
             for code in range(128):
                 pwm = chain.generate_pwm(np.full(2048, code), 352800)
-                out = verification.demodulate(pwm, RATE)
+                out = verification.demodulate(pwm)
                 level = out[64:-64].mean()
                 assert abs(level - (2 * code / 127 - 1)) <= lsb, code
 

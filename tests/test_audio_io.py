@@ -201,8 +201,10 @@ def test_pwm_truncated_payload_rejected(tmp_path):
             (1, 3, 0)):  # pad bits declared, no payload byte holds them
         header = struct.pack("<4sIII", b"PWM1", 45158400, frame_bits, n_bits)
         path.write_bytes(header + bytes(n_bytes))
-        with pytest.raises(MalformedHeader, match="payload bytes"):
+        with pytest.raises(MalformedHeader,
+                           match=f"payload bytes, got {n_bytes}$") as err:
             read_pwm(path)
+        assert "shape" not in str(err.value)
 
 
 def test_pwm_bad_magic_rejected(tmp_path):

@@ -199,8 +199,7 @@ def test_demodulate_stream_memory_flat_in_clip_length():
               ").astype(np.int16)\n"
               "blocks = demodulate_stream(convert_stream(pcm(), 44100),\n"
               "                           n_bits=n * 1024,\n"
-              "                           clock_hz=44100 * 1024,\n"
-              "                           target_rate=44100)\n"
+              "                           clock_hz=44100 * 1024)\n"
               "assert sum(len(y) for y in blocks) == n\n")
     peak_kb = {seconds: child_peak_kb(script, str(seconds))
                for seconds in (5, 40)}
@@ -465,7 +464,7 @@ def test_roundtrip_worker_audio_is_the_in_process_audio(monkeypatch, capsys):
     n = source.frame_count
     here = np.concatenate(list(verification.demodulate_stream(
         chain.convert_stream(source.blocks(), 44100), n_bits=n * 1024,
-        clock_hz=44100 * 1024, target_rate=44100)))
+        clock_hz=44100 * 1024)))
     assert scored[0].dtype == here.dtype
     assert scored[0].tobytes() == here.tobytes()
 

@@ -164,7 +164,8 @@ def test_options_table_counts_the_rows_it_cuts(cm):
     estimates = {f"B{i}": BehaviorEstimate(f"B{i}", 1000, 2000, 1)
                  for i in range(8)}
     options = enumerate_partitions(estimates, cm)
-    for n, last in ((199, "yes"), (201, "... 1 more"), (256, "... 56 more")):
+    for n, last in ((199, "yes"), (200, "yes"), (201, "... 1 more"),
+                    (256, "... 56 more")):
         lines = options_table_text(options[:n]).splitlines()
         assert len(lines) == 3 + min(n, 200) + (n > 200)
         assert lines[-1].endswith(last)

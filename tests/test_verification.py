@@ -38,7 +38,7 @@ def sine(freq, amp, n, rate=RATE):
 # --- demodulation ----------------------------------------------------------
 
 def test_demodulate_midscale():
-    out = demodulate(constant_code_pwm(64), RATE)
+    out = demodulate(constant_code_pwm(64))
     assert out.dtype == np.float64
     assert np.all(np.abs(settled(out)) <= 1e-2)
 
@@ -46,12 +46,12 @@ def test_demodulate_midscale():
 def test_demodulate_all_ones():
     bits = np.ones(128 * 2048, dtype=np.uint8)
     pwm = PwmBitstream.from_bits(bits, clock_hz=45158400, frame_bits=128)
-    out = demodulate(pwm, RATE)
+    out = demodulate(pwm)
     assert np.all(settled(out) >= 0.99)
 
 
 def test_demodulate_length():
-    out = demodulate(constant_code_pwm(64, frames=8000), RATE)
+    out = demodulate(constant_code_pwm(64, frames=8000))
     assert len(out) == 8000 // 8  # one output sample per 1024 bits
 
 
@@ -60,22 +60,28 @@ def test_demodulate_constant_code_dc_sample():
     the acceptance suite)."""
     lsb = 2.0 / 127
     for code in (0, 17, 64, 113, 127):
-        out = demodulate(constant_code_pwm(code), RATE)
+        out = demodulate(constant_code_pwm(code))
         level = settled(out).mean()
         assert abs(level - (2 * code / 127 - 1)) <= lsb
 
 
-def test_demodulate_rejects_bad_ratio():
-    pwm = constant_code_pwm(64)
-    with pytest.raises(MalformedStream):
-        demodulate(pwm, 48000)
+@pytest.mark.parametrize("rate", [48000, 8000])
+def test_demodulate_finds_the_rate_in_the_clock(rate):
+    """Chain output at any input rate comes back at that rate, one sample
+    per input sample, without being told the rate."""
+    samples = sine_int16(1000, 0.5, 0.1, rate)
+    assert len(demodulate(convert(PcmStream(samples, rate)))) == len(samples)
 
 
-def test_demodulate_identity_ratio():
-    pwm = PwmBitstream.from_bits(np.array([1, 0, 1, 1], dtype=np.uint8),
-                                 clock_hz=4, frame_bits=2)
-    out = demodulate(pwm, 4)
-    assert out.tolist() == [1.0, -1.0, 1.0, 1.0]
+@pytest.mark.parametrize("clock_hz", [0, 1024 * RATE + 1])
+def test_demodulate_stream_rejects_bad_clock(clock_hz):
+    """A clock that is not a positive multiple of 1024 is no chain's: the
+    first step raises, before a payload byte is read."""
+    def unread():
+        raise AssertionError("the payload was read")
+        yield
+    with pytest.raises(MalformedStream, match="not a positive multiple"):
+        next(demodulate_stream(unread(), n_bits=0, clock_hz=clock_hz))
 
 
 # --- edge-domain first stage --------------------------------------------------
@@ -159,40 +165,31 @@ def pwm_bits(n_bits, seed, dense):
     return (i % 128 < codes[i // 128]).astype(np.uint8)
 
 
-# 1024, the chain's ratio, and 16 decimate in two stages; 12 is no multiple
-# of 8 and takes one; 1 only maps bits onto +-1
 @settings(max_examples=80, deadline=None)
-@given(ratio=st.sampled_from([1024, 16, 12, 1]),
-       n_bits=st.integers(0, 1 << 21), seed=st.integers(0, 2 ** 32 - 1),
+@given(n_bits=st.integers(0, 1 << 21), seed=st.integers(0, 2 ** 32 - 1),
        dense=st.booleans(), step=st.integers(1, 1 << 18),
        cuts=st.lists(st.integers(0, 1 << 18), max_size=8))
 # shorter than the stage-2 branch filter, and than one _EDGE_BLOCK, both
 # a byte at a time
-@example(ratio=1024, n_bits=100_000, seed=0, dense=False, step=1, cuts=[])
-@example(ratio=1024, n_bits=400_003, seed=1, dense=False, step=1, cuts=[])
-@example(ratio=1024, n_bits=1 << 21, seed=2, dense=False, step=1 << 18,
+@example(n_bits=100_000, seed=0, dense=False, step=1, cuts=[])
+@example(n_bits=400_003, seed=1, dense=False, step=1, cuts=[])
+@example(n_bits=1 << 21, seed=2, dense=False, step=1 << 18,
          cuts=[5, 9000, 65536])
-@example(ratio=16, n_bits=80, seed=3, dense=True, step=1, cuts=[])
-@example(ratio=12, n_bits=0, seed=4, dense=True, step=1, cuts=[0])
-@example(ratio=1, n_bits=208, seed=5, dense=True, step=1, cuts=[])
-def test_demodulate_stream_any_cut_matches_one_shot(ratio, n_bits, seed, dense,
-                                                    step, cuts):
+def test_demodulate_stream_any_cut_matches_one_shot(n_bits, seed, dense, step,
+                                                    cuts):
     """Any cut of the payload, from one byte to all of it and off frame
     boundaries, gives demodulate's samples bit for bit."""
-    if ratio != 1024:
-        n_bits //= 16  # enough for several _EDGE_BLOCKs at these ratios
     pwm = PwmBitstream.from_bits(pwm_bits(n_bits, seed, dense),
-                                 clock_hz=ratio * RATE, frame_bits=1)
+                                 clock_hz=1024 * RATE, frame_bits=1)
     payload = pwm.payload
     step = max(step, len(payload) >> 14)  # at most 2^14 even pieces
     edges = sorted({c % (len(payload) + 1) for c in cuts}
                    | set(range(0, len(payload), step)))
     pieces = np.split(payload, edges)
     streamed = collect(demodulate_stream(pieces, n_bits=n_bits,
-                                         clock_hz=pwm.clock_hz,
-                                         target_rate=RATE))
-    one_shot = demodulate(pwm, RATE)
-    assert len(one_shot) == n_bits // ratio
+                                         clock_hz=pwm.clock_hz))
+    one_shot = demodulate(pwm)
+    assert len(one_shot) == n_bits // 1024
     assert streamed.tobytes() == one_shot.tobytes()
 
 
@@ -206,9 +203,8 @@ def test_demodulate_stream_fed_by_convert_stream(n, step, seed):
     blocks = convert_stream((samples[i:i + step] for i in range(0, n, step)),
                             RATE)
     streamed = collect(demodulate_stream(blocks, n_bits=n * 1024,
-                                         clock_hz=1024 * RATE,
-                                         target_rate=RATE))
-    one_shot = demodulate(convert(PcmStream(samples, RATE)), RATE)
+                                         clock_hz=1024 * RATE))
+    one_shot = demodulate(convert(PcmStream(samples, RATE)))
     assert streamed.tobytes() == one_shot.tobytes()
 
 
@@ -238,8 +234,7 @@ def test_demodulate_stream_rejects_wrong_payload_size(size):
     malformed, not silently short or long."""
     with pytest.raises(MalformedStream, match="1024 bits need 128 payload"):
         collect(demodulate_stream([np.zeros(size, dtype=np.uint8)],
-                                  n_bits=1024, clock_hz=1024 * RATE,
-                                  target_rate=RATE))
+                                  n_bits=1024, clock_hz=1024 * RATE))
 
 
 # --- measurement ------------------------------------------------------------
