@@ -94,10 +94,11 @@ def windowed_sinc_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-# MOLD converts this many samples to Python floats at a time.  One tolist()
-# of a whole 4.3 s stream makes 1.5 M float objects; the allocator arenas
-# they free stay resident once any long-lived object lands in one, so a
-# process that keeps a little state per conversion grew about 1 MB a call.
+# MOLD converts this many samples to Python floats at a time, so no more
+# float objects than this are alive at once.  convert_stream hands it up to
+# 8 x _BLOCK samples: one tolist() of those raised a 4.3 s convert's VmHWM
+# by about 0.8 MB, and in one whole-stream noise_shape call on 4.3 s of S3
+# output (1.5 M samples) it raised a fresh process's VmHWM from 46 to 105 MB.
 _MOLD_BLOCK = 8192
 
 # convert_stream feeds the chain at most this many input samples at a time;

@@ -17,8 +17,9 @@ to 4.3 s and noise uses --seed.  Exit codes:
          value, a scenario or element library that is missing, a
          directory, not UTF-8 or malformed (no section header, a
          duplicate section, a missing key or weight, a negative cycle
-         total, all code sizes 0, over 20 behaviors to explore), an
-         output path that cannot be written, a convert or roundtrip
+         total, all code sizes 0, over 20 behaviors to explore), one
+         behavior pinned to both hw and sw (--pin S0=hw --pin S0=sw),
+         an output path that cannot be written, a convert or roundtrip
          input over the PWM1 bit count (95.1 s at 44.1 kHz) or bit
          clock (4,194,304 Hz sample rate or more), both given to
          profile (--input and --scenario), or a roundtrip input the
@@ -365,8 +366,7 @@ def _demodulate_worker(conn, parent_end, stream) -> None:
         while block := conn.recv_bytes():
             yield np.frombuffer(block, dtype=np.uint8)
     try:
-        reply = np.concatenate(
-            [np.zeros(0), *verification.demodulate_stream(blocks(), **stream)])
+        reply = verification._collect(blocks(), **stream)
     except EOFError:  # the parent left before the end marker
         return
     except Exception as exc:
@@ -455,12 +455,17 @@ def _load(loader, path):
 
 
 def _parse_pins(pin_args):
+    """NAME -> side for each --pin NAME=hw|sw; InputError for a malformed
+    pin or two that pin one behavior to both sides."""
     pins = {}
     for item in pin_args:
         name, sep, side = item.partition("=")
         if not sep or side not in ("hw", "sw"):
             raise InputError(f"bad --pin {item!r}, expected NAME=hw|sw")
-        pins[name.strip()] = side
+        name = name.strip()
+        if pins.setdefault(name, side) != side:
+            raise InputError(f"--pin {name}={pins[name]} conflicts with "
+                             f"--pin {name}={side}")
     return pins
 
 

@@ -14,14 +14,14 @@ delay, then reports SNR, THD at the detected fundamental and the 0-20 kHz
 noise floor.  SNR is capped at +140 dB so identical streams yield a finite
 sentinel.
 
-demodulate_stream takes the PWM1 payload a block at a time and yields the
-audio a block at a time, each stage carrying a few hundred samples of
-state, so `pcm2pwm roundtrip` feeds it chain.convert_stream's blocks and
-never holds a whole PWM stream; every cut gives the same samples bit for
-bit.  demodulate is its one-block case, collected.  measure works on
-whole clips: it holds the reference, the demodulated audio and their FFTs.
-Audio is plain float64 arrays: demodulate returns one at the chain's
-input rate, and measure takes the one rate its reference and test share.
+demodulate_stream takes the PWM1 payload at most 64 KiB at a time, however
+it is cut, and yields the audio a block at a time, each stage carrying a
+few hundred samples of state, so `pcm2pwm roundtrip` feeds it
+chain.convert_stream's blocks and never holds a whole PWM stream; every cut
+gives the same samples bit for bit.  demodulate is its one-block case,
+collected.  measure holds whole clips: the reference, the demodulated audio
+and their FFTs.  Audio is plain float64 arrays: demodulate returns one at
+the chain's input rate, and measure takes the rate ref and test share.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ AUDIO_BAND_HZ = 20000.0
 THD_FLOOR_DB = -140.0
 
 _HARMONIC_HALF_WIDTH = 8  # FFT bins kept around a tone, covers the window lobe
-_EDGE_BLOCK = 4096  # outputs per block of _edge_decimate; bounds its per-block arrays
+_PAYLOAD_BLOCK = 1 << 16  # payload bytes demodulated at a time: 4096 frames
 
 
 class MalformedStream(Exception):
@@ -80,11 +80,18 @@ class SpectrumReport:
 
 def demodulate(pwm: PwmBitstream) -> np.ndarray:
     """Recover audio from a whole PWM bitstream as float64 samples at the
-    chain's input rate: demodulate_stream over its payload as one block,
-    collected."""
-    blocks = demodulate_stream([pwm.payload], n_bits=len(pwm),
-                               clock_hz=pwm.clock_hz)
-    return np.concatenate([np.zeros(0), *blocks])
+    chain's input rate: demodulate_stream over its payload, collected."""
+    return _collect([pwm.payload], n_bits=len(pwm), clock_hz=pwm.clock_hz)
+
+
+def _collect(blocks: Iterable, *, n_bits: int, clock_hz: int) -> np.ndarray:
+    """demodulate_stream's audio, copied into one preallocated array."""
+    audio = np.empty(n_bits // PWM_BITS_PER_SAMPLE)
+    pos = 0
+    for y in demodulate_stream(blocks, n_bits=n_bits, clock_hz=clock_hz):
+        audio[pos:pos + len(y)] = y
+        pos += len(y)
+    return audio
 
 
 def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
@@ -103,12 +110,13 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
     PWM_BITS_PER_SAMPLE samples in all, which every cut gives bit for bit.
     The first stage reads only the bit transitions (_edge_decimate): a
     leading-edge PWM frame has at most two, against the 795 taps a
-    direct-form filter would spend per output at 45.1584 MHz.  Each stage
-    carries a few hundred samples of state from block to block, so memory
-    does not grow with the stream.  Raises MalformedStream, on the first
-    step, for a clock that is not a positive multiple of
-    PWM_BITS_PER_SAMPLE, and at the end for a payload that is not the
-    ceil(n_bits / 8) bytes n_bits need.
+    direct-form filter would spend per output at 45.1584 MHz.  The
+    payload is taken at most 64 KiB (_PAYLOAD_BLOCK) at a time, whatever
+    the cut, and each stage carries a few hundred samples of state, so
+    memory grows with neither the stream nor the block.  Raises
+    MalformedStream, on the first step, for a clock that is not a positive
+    multiple of PWM_BITS_PER_SAMPLE, and at the end for a payload that is
+    not the ceil(n_bits / 8) bytes n_bits need.
     """
     if clock_hz <= 0 or clock_hz % PWM_BITS_PER_SAMPLE:
         raise MalformedStream(f"bit clock {clock_hz} is not a positive "
@@ -127,12 +135,13 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
 
 def _payload(blocks: Iterable[np.ndarray], n_bits: int
              ) -> Iterator[np.ndarray]:
-    """The payload blocks, then MalformedStream if they did not hold the
-    bytes n_bits need."""
+    """The payload blocks cut into slices of at most _PAYLOAD_BLOCK bytes,
+    then MalformedStream if they did not hold the bytes n_bits need."""
     size = 0
     for block in blocks:
         size += len(block)
-        yield block
+        for start in range(0, len(block), _PAYLOAD_BLOCK):
+            yield block[start:start + _PAYLOAD_BLOCK]
     if size != (n_bits + 7) // 8:
         raise MalformedStream(f"{n_bits} bits need {(n_bits + 7) // 8} "
                               f"payload bytes, got {size}")
@@ -181,9 +190,9 @@ def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
     at a time; the settled bits s(n m + D - L + 1) are read from the
     payload by byte index and shift.
 
-    Each output is computed once the payload reaches D bits past it, in
-    blocks of at most _EDGE_BLOCK outputs; the bytes no later window reads
-    (about L bits before the next output) are dropped.
+    Each arriving block is one pass over the outputs the payload now covers
+    (demodulate_stream hands it at most 64 KiB); the bytes no later window
+    reads (about L bits before the next output) are then dropped.
     """
     n_out = n_bits // m
     taps = len(h)
@@ -200,44 +209,35 @@ def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
     first = -((taps - 1 - delay) // -m)  # first n with a non-negative index
 
     buf = np.zeros(0, dtype=np.uint8)  # payload bytes base, base + 1, ...
-    pending = []  # blocks that arrived after buf
     base = received = done = 0
-    lead = 0.0  # the step into the stream: s(0)
     for block in blocks:
-        if not received and len(block):
-            lead = 2.0 * _bit(block, 0) - 1.0
-        pending.append(block)
+        buf = np.concatenate((buf, block)) if len(buf) else block
         received += len(block)
         # the outputs whose windows the payload covers
         reach = (8 * received - 1 - delay) // m + 1
         ready = n_out if 8 * received >= n_bits else min(reach, n_out)
         if ready <= done:
             continue
-        parts = [buf, *pending] if len(buf) else pending
-        buf = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        pending = []
         y = np.zeros(ready - done)
-        for start in range(done, ready, _EDGE_BLOCK):
-            stop = min(start + _EDGE_BLOCK, ready)
-            # the steps into the stream at 0 and out of it at n_bits
-            for p in (0, n_bits):
-                n = np.arange(max(-((delay - p) // m), start),
-                              min((p - delay + taps - 2) // m + 1, stop))
-                if len(n):
-                    delta = lead if p == 0 else (
-                        1.0 - 2.0 * _bit(buf, n_bits - 1 - 8 * base))
-                    y[n - done] += delta * cum[n * m + delay - p + 1]
+        # the steps into the stream at 0 and out of it at n_bits; the one at
+        # 0 reaches n <= (L - 2 - D) // m, where done <= n and phases m > L - 2
+        # give (done - phases) m + D < 0: the trim kept byte 0 (base is 0)
+        for p in (0, n_bits):
+            n = np.arange(max(-((delay - p) // m), done),
+                          min((p - delay + taps - 2) // m + 1, ready))
+            if len(n):
+                delta = (2.0 * _bit(buf, 0) - 1.0 if p == 0 else
+                         1.0 - 2.0 * _bit(buf, n_bits - 1 - 8 * base))
+                y[n - done] += delta * cum[n * m + delay - p + 1]
 
-            # steps at or before n m + D - L + 1 have passed all taps: H s(...)
-            head = max(start, first)
-            i = np.arange(head, stop) * m + delay - taps + 1 - 8 * base
-            y[head - done:stop - done] += (_bit(buf, i) * (2.0 * cum[-1])
-                                           - cum[-1])
+        # steps at or before n m + D - L + 1 have passed all taps: H s(...)
+        head = max(done, first)
+        i = np.arange(head, ready) * m + delay - taps + 1 - 8 * base
+        y[head - done:] += _bit(buf, i) * (2.0 * cum[-1]) - cum[-1]
 
-            lo = max((start - phases) * m + delay + 1, 1)
-            hi = min((stop - 1) * m + delay, n_bits - 1)
-            if lo > hi:
-                continue
+        lo = max((done - phases) * m + delay + 1, 1)
+        hi = min((ready - 1) * m + delay, n_bits - 1)
+        if lo <= hi:
             skip = (lo - 1) & 7  # bits lo - 1 .. hi, unpacked from whole bytes
             lo_byte = ((lo - 1) >> 3) - base
             seg = np.unpackbits(buf[lo_byte:(hi >> 3) + 1 - base],
@@ -246,13 +246,12 @@ def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
             p = q + lo
             n0 = (p - delay + m - 1) // m
             col = n0 * m + delay - p + m * seg[q + 1].astype(np.intp)
-            idx = n0 - (start - phases)
-            size = stop - start + 2 * phases
-            acc = np.zeros(size)
+            idx = n0 - (done - phases)
+            acc = np.zeros(ready - done + 2 * phases)
             for j in range(phases):
                 acc += np.bincount(idx + j, weights=signed[j][col],
-                                   minlength=size)
-            y[start - done:stop - done] += acc[phases:phases + stop - start]
+                                   minlength=len(acc))
+            y += acc[phases:phases + ready - done]
         done = ready
         # the first byte the next output reads
         keep = max((done - phases) * m + delay, 0) >> 3

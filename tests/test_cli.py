@@ -364,6 +364,19 @@ def test_explore_bad_pin(capsys):
     assert main(["explore", "--pin", "S0=fpga"]) == 2
 
 
+def test_explore_conflicting_pins(capsys):
+    """Pinning one behavior to both sides is an input error naming both
+    pins, not the last pin silently winning."""
+    assert main(["explore", "--pin", "S0=hw", "--pin", "S0=sw"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --pin S0=hw conflicts with --pin S0=sw\n")
+
+
+def test_explore_repeated_pin_is_one_pin(capsys):
+    assert main(["explore", "--pin", "S0=sw", "--pin", "S0=sw"]) == 0
+    assert "all mappings (32)" in capsys.readouterr().out
+
+
 def test_explore_unknown_pin(capsys):
     assert main(["explore", "--pin", "FOO=hw"]) == 2
     captured = capsys.readouterr()

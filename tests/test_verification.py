@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -95,25 +96,22 @@ bitstreams = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(bits=bitstreams, m=st.integers(1, 16), extra_half=st.integers(0, 40),
-       taps_seed=st.integers(0, 2 ** 32 - 1), block=st.integers(1, 9),
-       cut=st.integers(1, 80))
-@example(bits=[1], m=1, extra_half=0, taps_seed=0, block=1, cut=1)
-@example(bits=[0], m=1, extra_half=3, taps_seed=1, block=4, cut=1)
-@example(bits=[1, 0, 1, 1, 0, 0, 1], m=3, extra_half=0, taps_seed=2, block=1,
-         cut=1)
+       taps_seed=st.integers(0, 2 ** 32 - 1), cut=st.integers(1, 80))
+@example(bits=[1], m=1, extra_half=0, taps_seed=0, cut=1)
+@example(bits=[0], m=1, extra_half=3, taps_seed=1, cut=1)
+@example(bits=[1, 0, 1, 1, 0, 0, 1], m=3, extra_half=0, taps_seed=2, cut=1)
 @example(bits=[1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1], m=2, extra_half=1, taps_seed=3,
-         block=3, cut=1)
+         cut=1)
 def test_edge_decimate_matches_direct_form(bits, m, extra_half, taps_seed,
-                                           block, cut):
+                                           cut):
     taps = 2 * (m - 1 + extra_half) + 1  # odd, at least 2 m - 1
     h = np.random.default_rng(taps_seed).standard_normal(taps)
     b = np.array(bits, dtype=np.uint8)
     payload = np.packbits(b, bitorder="little")
-    # small blocks put block edges, and window starts, inside bytes; the
-    # payload arrives `cut` bytes at a time
+    # the payload arrives `cut` bytes at a time, one pass each; m and the
+    # filter length put pass starts and window edges inside bytes
     pieces = [payload[i:i + cut] for i in range(0, len(payload), cut)]
-    with mock.patch.object(verification, "_EDGE_BLOCK", block):
-        y = collect(verification._edge_decimate(pieces, len(b), h, m))
+    y = collect(verification._edge_decimate(pieces, len(b), h, m))
     expected = oracles.decimate_direct(2.0 * b - 1.0, h, m)
     assert y.shape == expected.shape
     np.testing.assert_allclose(y, expected, rtol=0, atol=1e-9)
@@ -127,9 +125,15 @@ def stage1_minus6():
     return pwm, h
 
 
+def payload_cut(payload, n_bits):
+    """The payload as demodulate_stream hands it to stage 1."""
+    return verification._payload([payload], n_bits)
+
+
 def test_edge_decimate_matches_polyphase_on_clip(stage1_minus6):
     pwm, h = stage1_minus6
-    y = collect(verification._edge_decimate([pwm.payload], len(pwm), h, 128))
+    y = collect(verification._edge_decimate(
+        payload_cut(pwm.payload, len(pwm)), len(pwm), h, 128))
     # +-1 in int8 keeps the unpacked copy at 1 byte/bit
     signs = np.unpackbits(pwm.payload, count=len(pwm),
                           bitorder="little").view(np.int8)
@@ -148,8 +152,41 @@ def test_edge_decimate_matches_direct_form_on_clip_prefix(stage1_minus6):
     payload = pwm.payload[:2 ** 14]  # the first 2^17 bits
     prefix = np.unpackbits(payload, bitorder="little")
     np.testing.assert_allclose(
-        collect(verification._edge_decimate([payload], 2 ** 17, h, 128)),
+        collect(verification._edge_decimate(payload_cut(payload, 2 ** 17),
+                                            2 ** 17, h, 128)),
         oracles.decimate_direct(2.0 * prefix - 1.0, h, 128), rtol=0, atol=1e-9)
+
+
+def test_edge_decimate_takes_at_most_64_kib(stage1_minus6):
+    """Stage 1 never sees more than 64 KiB of payload at a time, even
+    when demodulate hands it the whole payload as one block."""
+    pwm, _ = stage1_minus6
+    sizes = []
+    real = verification._edge_decimate
+
+    def spy(blocks, *args):
+        def seen():
+            for block in blocks:
+                sizes.append(len(block))
+                yield block
+        return real(seen(), *args)
+    with mock.patch.object(verification, "_edge_decimate", spy):
+        demodulate(pwm)
+    assert sum(sizes) == len(pwm.payload) > 1 << 16
+    assert max(sizes) == 1 << 16
+
+
+def test_demodulate_peak_memory(stage1_minus6):
+    """demodulate on the 4.3 s clip holds no whole-stream intermediate:
+    its 24 MB payload is the caller's, its 1.5 MB of audio the result."""
+    pwm, _ = stage1_minus6
+    tracemalloc.start()
+    try:
+        demodulate(pwm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, peak
 
 
 # --- streaming ---------------------------------------------------------------
@@ -169,7 +206,7 @@ def pwm_bits(n_bits, seed, dense):
 @given(n_bits=st.integers(0, 1 << 21), seed=st.integers(0, 2 ** 32 - 1),
        dense=st.booleans(), step=st.integers(1, 1 << 18),
        cuts=st.lists(st.integers(0, 1 << 18), max_size=8))
-# shorter than the stage-2 branch filter, and than one _EDGE_BLOCK, both
+# shorter than the stage-2 branch filter, and than one 64 KiB pass, both
 # a byte at a time
 @example(n_bits=100_000, seed=0, dense=False, step=1, cuts=[])
 @example(n_bits=400_003, seed=1, dense=False, step=1, cuts=[])
