@@ -68,7 +68,10 @@ class ClockTooHigh(Exception):
 
 @dataclass
 class PcmStream:
-    """Signed 16-bit samples at a fixed rate, mono after downmix."""
+    """Signed 16-bit samples at a fixed rate, mono after downmix.
+
+    samples may have any integer dtype, within the int16 range; anything
+    else raises ValueError rather than being rounded or truncated."""
 
     samples: np.ndarray  # int16
     sample_rate: int
@@ -76,6 +79,8 @@ class PcmStream:
     def __post_init__(self):
         arr = np.asarray(self.samples)
         if arr.dtype != np.int16:
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"samples must be integers, got {arr.dtype}")
             if len(arr) and (arr.min() < -32768 or arr.max() > 32767):
                 raise ValueError("samples out of 16-bit range")
             arr = arr.astype(np.int16)

@@ -22,9 +22,9 @@ to 4.3 s and noise uses --seed.  Exit codes:
          an output path that cannot be written, a convert or roundtrip
          input over the PWM1 bit count (95.1 s at 44.1 kHz) or bit
          clock (4,194,304 Hz sample rate or more), both given to
-         profile (--input and --scenario), or a roundtrip input the
-         demodulator cannot map onto its rate or that is too short to
-         score (under 256 samples)
+         profile (--input and --scenario), profile --deadline-ms with
+         an --input that has samples (its goal is the clip's length),
+         or a roundtrip input too short to score (under 256 samples)
     3    no feasible mapping
     4    quality floor missed
     141  stdout closed early, e.g. by `| head` (128 + SIGPIPE)
@@ -125,8 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="scenario file with principal cycle "
                                       "totals (instead of modelled counts)")
     p.add_argument("--pe-lib", help="processing-element library (INI)")
-    p.add_argument("--deadline-ms", type=float, default=4300.0,
-                   help="real-time goal for fixture runs (default 4300)")
+    p.add_argument("--deadline-ms", type=float,
+                   help="real-time goal for --scenario or an empty --input "
+                        "(default 4300); a clip's goal is its own length")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--output", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_profile)
@@ -190,8 +191,8 @@ def _pwm_size(source) -> tuple:
 def cmd_profile(args) -> int:
     if args.scenario and args.input:
         raise InputError("profile takes --input or --scenario, not both")
-    playback_s = _finite("--deadline-ms", args.deadline_ms,
-                         positive=True) / 1000.0
+    deadline_ms = 4300.0 if args.deadline_ms is None else args.deadline_ms
+    playback_s = _finite("--deadline-ms", deadline_ms, positive=True) / 1000.0
     pes = _load(profiler.load_pe_library,
                 args.pe_lib or _bundled("pe_library.ini"))
     out_lines = []
@@ -209,9 +210,13 @@ def cmd_profile(args) -> int:
     elif args.input:
         with _open_input(args.input, args.seed) as source:  # header only
             n, rate = source.frame_count, source.sample_rate
-        counts = profiler.op_counts(n)
         if n:  # an empty input plays for the deadline
+            if args.deadline_ms is not None:
+                raise InputError("--deadline-ms applies to --scenario or an "
+                                 "empty --input; a clip's goal is its "
+                                 "own length")
             playback_s = n / rate
+        counts = profiler.op_counts(n)
         totals = {pe.name: sum(profiler.cycles(counts, pe).values())
                   for pe in pes}
         out_lines.append(profiler.profile_report_csv(counts, pes))

@@ -346,12 +346,12 @@ def measure(ref: np.ndarray, test: np.ndarray, rate: int) -> SpectrumReport:
     lag, frac = _estimate_delay(r, t)
     t_aligned, r_aligned = _apply_delay(t, r, lag, frac)
 
+    # n >= 256 and |lag| <= n // 2 leave at least 128 aligned samples, so
+    # trim >= 16 and at least 96 samples remain: the spectra below take at
+    # least 64 of them and have at least 33 bins
     trim = min(4096, len(r_aligned) // 8)
-    if trim:
-        r_aligned = r_aligned[trim:-trim]
-        t_aligned = t_aligned[trim:-trim]
-    if len(r_aligned) < 64:
-        raise LengthMismatch("too little overlap after alignment")
+    r_aligned = r_aligned[trim:-trim]
+    t_aligned = t_aligned[trim:-trim]
 
     denom = float(np.dot(t_aligned, t_aligned))
     gain = float(np.dot(r_aligned, t_aligned)) / denom if denom else 0.0
@@ -363,8 +363,10 @@ def measure(ref: np.ndarray, test: np.ndarray, rate: int) -> SpectrumReport:
     else:
         snr_db = min(10.0 * math.log10(p_sig / p_err), SNR_CAP_DB)
 
-    fund_hz = _fundamental_hz(r_aligned, rate)
-    thd_db, noise_rel = _harmonic_analysis(t_aligned, rate, fund_hz)
+    # the largest power of two <= the aligned length, capped at 2^20
+    window = blackman_harris(1 << min(int(math.log2(len(r_aligned))), 20))
+    fund_hz = _fundamental_hz(r_aligned, rate, window)
+    thd_db, noise_rel = _harmonic_analysis(t_aligned, rate, fund_hz, window)
     return SpectrumReport(fundamental_hz=fund_hz, snr_db=snr_db,
                           thd_db=thd_db, inband_noise_power=noise_rel)
 
@@ -376,19 +378,25 @@ def _estimate_delay(r: np.ndarray, t: np.ndarray):
     size = 1 << int(np.ceil(np.log2(2 * n)))
     corr = np.fft.irfft(np.fft.rfft(r, size) * np.conj(np.fft.rfft(t, size)),
                         size)
-    # corr[k] = sum_j r[j + k] t[j]; t lagging r by d peaks at k = -d
+    # corr[k] = sum_j r[j + k] t[j]; t lagging r by d peaks at k = -d, so
+    # lags -max_lag .. max_lag read corr[max_lag], ..., corr[0], corr[-1],
+    # ..., corr[-max_lag]
     max_lag = n // 2
-    ds = np.arange(-max_lag, max_lag + 1)
-    vals = corr[(-ds) % size]
+    vals = np.concatenate((corr[max_lag::-1], corr[:-max_lag - 1:-1]))
     peak = int(np.argmax(np.abs(vals)))
-    lag = int(ds[peak])
     frac = 0.0
     if 0 < peak < len(vals) - 1:
-        y0, y1, y2 = vals[peak - 1], vals[peak], vals[peak + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if abs(denom) > 1e-30:
-            frac = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
-    return lag, frac
+        frac = _vertex(*vals[peak - 1:peak + 2])
+    return peak - max_lag, frac
+
+
+def _vertex(y0, y1, y2) -> float:
+    """Offset from the middle point of the parabola's vertex through three
+    equally spaced points, clipped to +-0.5 (0.0 for a flat fit)."""
+    denom = y0 - 2.0 * y1 + y2
+    if abs(denom) > 1e-30:
+        return float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
+    return 0.0
 
 
 def _apply_delay(t: np.ndarray, r: np.ndarray, lag: int, frac: float):
@@ -405,35 +413,31 @@ def _apply_delay(t: np.ndarray, r: np.ndarray, lag: int, frac: float):
     return t, r
 
 
-def _fundamental_hz(x: np.ndarray, rate: int) -> float:
+def _magnitude(x: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Magnitude spectrum of the first len(window) samples of x, windowed."""
+    return np.abs(np.fft.rfft(x[:len(window)] * window))
+
+
+def _fundamental_hz(x: np.ndarray, rate: int, window: np.ndarray) -> float:
     """Strongest non-DC bin of the windowed spectrum, parabolically refined."""
-    size = _fft_size(len(x))
-    seg = x[:size] * blackman_harris(size)
-    mag = np.abs(np.fft.rfft(seg))
-    if len(mag) < 8:
-        return 0.0
+    mag = _magnitude(x, window)
     mag[:3] = 0.0
     peak = int(np.argmax(mag))
     if mag[peak] == 0.0:
         return 0.0
     delta = 0.0
-    if 0 < peak < len(mag) - 1:
-        with np.errstate(divide="ignore"):
-            y0, y1, y2 = np.log(np.maximum(mag[peak - 1:peak + 2], 1e-300))
-        denom = y0 - 2.0 * y1 + y2
-        if abs(denom) > 1e-30:
-            delta = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
-    return (peak + delta) * rate / size
+    if peak < len(mag) - 1:  # peak >= 3: the bins below it are zeroed
+        delta = _vertex(*np.log(np.maximum(mag[peak - 1:peak + 2], 1e-300)))
+    return (peak + delta) * rate / len(window)
 
 
-def _harmonic_analysis(x: np.ndarray, rate: int, fund_hz: float):
+def _harmonic_analysis(x: np.ndarray, rate: int, fund_hz: float,
+                       window: np.ndarray):
     """THD in dB and in-band noise power relative to the fundamental."""
-    size = _fft_size(len(x))
-    seg = x[:size] * blackman_harris(size)
-    power = np.abs(np.fft.rfft(seg)) ** 2
     if fund_hz <= 0.0:
         return THD_FLOOR_DB, 0.0
-    bin_hz = rate / size
+    power = _magnitude(x, window) ** 2
+    bin_hz = rate / len(window)
     fund_bin = int(round(fund_hz / bin_hz))
     w = _HARMONIC_HALF_WIDTH
     p_fund = float(power[max(fund_bin - w, 0):fund_bin + w + 1].sum())
@@ -441,7 +445,7 @@ def _harmonic_analysis(x: np.ndarray, rate: int, fund_hz: float):
         return THD_FLOOR_DB, 0.0
 
     band_limit = min(AUDIO_BAND_HZ, 0.5 * rate)
-    tone_bins = {0}
+    tone_bins = {0}  # DC leakage: bins 0 .. w
     p_harm = 0.0
     h = 2
     while h * fund_hz <= band_limit:
@@ -455,16 +459,8 @@ def _harmonic_analysis(x: np.ndarray, rate: int, fund_hz: float):
 
     inband = np.arange(len(power))[:int(band_limit / bin_hz) + 1]
     mask = np.ones(len(inband), dtype=bool)
-    mask[:3] = False  # DC leakage
     for b in tone_bins | {fund_bin}:
         lo = max(b - w, 0)
         mask[lo:min(b + w + 1, len(inband))] = False
     noise = float(power[inband[mask]].sum())
     return thd_db, noise / p_fund
-
-
-def _fft_size(n: int) -> int:
-    """Largest power of two <= n, capped at 2^20 (LengthMismatch below 16)."""
-    if n < 16:
-        raise LengthMismatch("stream too short for spectral analysis")
-    return 1 << min(int(math.log2(n)), 20)

@@ -121,6 +121,34 @@ def test_rejects_non_pcm_format(tmp_path):
         read_wav(bad)
 
 
+def _bad_form_type(data):
+    data[8:12] = b"WAVX"
+
+
+def _no_fmt_chunk(data):
+    at = data.find(b"fmt ")
+    data[at:at + 4] = b"junk"  # an unknown chunk, skipped
+
+
+def _zero_sample_rate(data):
+    struct.pack_into("<I", data, data.find(b"fmt ") + 12, 0)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (_bad_form_type, "bad WAVE form type"),
+    (_no_fmt_chunk, "missing fmt chunk"),
+    (_zero_sample_rate, "non-positive sample rate"),
+])
+def test_read_rejects_malformed_header(edit, match, tmp_path):
+    good = write_wav(tmp_path / "good.wav", np.zeros(4, dtype=np.int16))
+    data = bytearray(good.read_bytes())
+    edit(data)
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(data)
+    with pytest.raises(MalformedHeader, match=match):
+        read_wav(bad)
+
+
 def _write_8bit(path):
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
@@ -169,6 +197,27 @@ def test_pcm_sample_rate_must_be_positive(rate, valid):
     else:
         with pytest.raises(ValueError, match="sample_rate"):
             PcmStream(np.zeros(4, np.int16), rate)
+
+
+@pytest.mark.parametrize("samples,error", [
+    (np.array([0.7, -0.9, 1.5, 32766.9]), "integers"),
+    (np.array([0.0, np.nan]), "integers"),
+    (np.array([True, False]), "integers"),
+    (np.array([-32768, 0, 32767], dtype=np.int64), None),
+    (np.array([0, 32767], dtype=np.uint16), None),
+    (np.array([0, 32768], dtype=np.int64), "out of 16-bit range"),
+    (np.array([-32769, 0], dtype=np.int32), "out of 16-bit range"),
+])
+def test_pcm_samples_must_be_16_bit_integers(samples, error):
+    """Samples of any integer dtype within the int16 range convert; others
+    raise rather than being truncated, wrapped or cast."""
+    if error is None:
+        pcm = PcmStream(samples, 44100)
+        assert pcm.samples.dtype == np.int16
+        assert pcm.samples.tolist() == samples.tolist()
+    else:
+        with pytest.raises(ValueError, match=error):
+            PcmStream(samples, 44100)
 
 
 # --- PWM1 container ---------------------------------------------------------

@@ -155,14 +155,14 @@ def child_peak_kb(script, *args):
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs /proc/self/status for the peak RSS")
     script += ("import resource\n"
-               "with open('/proc/self/status') as fh:\n"
+               "with open('/proc/self/status', encoding='utf-8') as fh:\n"
                "    own = int([l.split()[1] for l in fh"
                " if l.startswith('VmHWM')][0])\n"
                "print(max(own, resource.getrusage("
                "resource.RUSAGE_CHILDREN).ru_maxrss))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     child = subprocess.run([sys.executable, "-c", script, *args],
-                           capture_output=True, text=True, env=env,
+                           capture_output=True, encoding="utf-8", env=env,
                            timeout=600)
     assert child.returncode == 0, child.stderr
     return int(child.stdout.splitlines()[-1])
@@ -301,6 +301,40 @@ def test_profile_takes_one_source(capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: profile takes --input or --scenario, not both\n")
+
+
+def test_profile_deadline_is_for_scenarios_and_empty_inputs(capsys):
+    """A clip's real-time goal is its own length, so --deadline-ms with an
+    --input that has samples exits 2 rather than being dropped; --scenario
+    and an empty --input take it."""
+    assert main(["profile", "--input", "sine:1000:-6:1",
+                 "--deadline-ms", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --deadline-ms applies to --scenario or "
+                            "an empty --input; a clip's goal is its own "
+                            "length\n")
+    for source in (["--input", "silence:0"],
+                   ["--scenario", cli._bundled("baseline.scenario")]):
+        assert main(["profile", *source, "--deadline-ms", "100"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "goal: execution faster than 0.10 s of audio\n")
+    assert main(["profile", "--input", "sine:1000:-6:1"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "goal: execution faster than 1.00 s of audio\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", cli._bundled("baseline.scenario")],
+    ["--input", "sine:1000:-6:0.1", "--format", "csv"],
+])
+def test_profile_output_file_is_what_stdout_prints(argv, tmp_path, capsys):
+    assert main(["profile", *argv]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.txt"
+    assert main(["profile", *argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
 
 
 @pytest.mark.parametrize("source,n", [("noise:-6:200", 8_820_000),
@@ -529,8 +563,8 @@ def run_patched_roundtrip(patch, *argv, **popen):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     if popen:
         return subprocess.Popen(cmd, env=env, **popen)
-    return subprocess.run(cmd, capture_output=True, text=True, env=env,
-                          timeout=120)
+    return subprocess.run(cmd, capture_output=True, encoding="utf-8",
+                          env=env, timeout=120)
 
 
 # a 2 s clip makes 11.3 MB of payload, more than the pipe holds
@@ -597,7 +631,7 @@ def test_ctrl_c_prints_one_traceback():
         "    print('worker started', flush=True)\n"
         "    return real(blocks, **stream)\n",
         "--input", "sine:1000:-6:20", stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, start_new_session=True)
+        stderr=subprocess.PIPE, encoding="utf-8", start_new_session=True)
     try:
         assert child.stdout.readline() == "worker started\n"
         os.killpg(child.pid, signal.SIGINT)
@@ -708,6 +742,23 @@ _BAD_FILES = {
                                             "DSP\udcff 56600"), "profile"),
     "pe-lib-no-weight": ("--pe-lib", _edited("pe_library.ini", "mac:3, ", ""),
                          "profile"),
+    "pe-lib-unknown-op": ("--pe-lib", _edited("pe_library.ini", "mac:3",
+                                              "fma:3"), "profile"),
+    "pe-lib-no-sections": ("--pe-lib", "; no elements\n", "profile"),
+    "pe-lib-weight-without-colon": ("--pe-lib", _edited(
+        "pe_library.ini", "mac:3", "mac3"), "profile"),
+    "no-principal-cycles": ("--scenario", _edited(
+        "baseline.scenario", r"\[principal_cycles\]\n(.+\n)*", ""),
+        "profile"),
+    "unknown-element-cycles": ("--scenario", _edited(
+        "baseline.scenario", "HW = 250224089", "FPGA = 250224089"),
+        "profile"),
+    "no-behavior-sections": ("--scenario", _many_behaviors(0), "explore"),
+    "no-cost-model": ("--scenario",
+                      _many_behaviors(2).split("[cost_model]")[0], "explore"),
+    "time-finer-than-1-us": ("--scenario", _edited(
+        "baseline.scenario", r"t_hw_ms = 2\.2\n", "t_hw_ms = 2.2001\n"),
+        "explore"),
 }
 
 

@@ -282,7 +282,7 @@ def test_scenario_rejects_total_mismatch(tmp_path):
         "[behavior A]\nt_hw_ms = 10\nt_sw_ms = 20\ncode_size = 1\n"
         "[cost_model]\nsw_fixed_cost = 1.00\nhw_total_cost = 2.00\n"
         "deadline_ms = 100\n"
-        "[expected_totals]\nhw_total_ms = 12.0\n")
+        "[expected_totals]\nhw_total_ms = 12.0\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_scenario(path)
 
@@ -294,7 +294,8 @@ def test_scenario_totals_tolerance_edge(quoted_ms, code, tmp_path, capsys):
     path.write_text(
         "[behavior A]\nt_hw_ms = 10\nt_sw_ms = 20\ncode_size = 1\n"
         "[cost_model]\nsw_fixed_cost = 1.00\nhw_total_cost = 2.00\n"
-        f"deadline_ms = 100\n[expected_totals]\nhw_total_ms = {quoted_ms}\n")
+        f"deadline_ms = 100\n[expected_totals]\nhw_total_ms = {quoted_ms}\n",
+        encoding="utf-8")
     if code == 0:
         assert load_scenario(path).hw_total_delta_us == 500
     assert main(["explore", "--scenario", str(path)]) == code
@@ -306,6 +307,6 @@ def test_scenario_rejects_subcent_money(tmp_path):
     path.write_text(
         "[behavior A]\nt_hw_ms = 10\nt_sw_ms = 20\ncode_size = 1\n"
         "[cost_model]\nsw_fixed_cost = 1.001\nhw_total_cost = 2.00\n"
-        "deadline_ms = 100\n")
+        "deadline_ms = 100\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_scenario(path)

@@ -21,7 +21,8 @@ def _nine_behaviors(path):
                 f"t_sw_ms = {21.25 + 13 * i}\ncode_size = {1 + (5 * i) % 7}\n"
                 for i in range(9)]
     path.write_text("".join(sections) + "[cost_model]\nsw_fixed_cost = 4.00\n"
-                    "hw_total_cost = 12.34\ndeadline_ms = 500\n")
+                    "hw_total_cost = 12.34\ndeadline_ms = 500\n",
+                    encoding="utf-8")
     return str(path)
 
 

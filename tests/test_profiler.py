@@ -175,7 +175,7 @@ def test_load_pe_library():
 def test_load_pe_library_rejects_bad_weight(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[X]\ncategory = DSP\ncost = 1\nfreq_mhz = 10\n"
-                    "weights = add:0\n")
+                    "weights = add:0\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_pe_library(path)
 

@@ -312,6 +312,19 @@ def test_measure_fractional_delay_alignment():
     assert report.snr_db > 70.0
 
 
+def test_measure_stream_leading_its_reference():
+    """A test stream that leads its reference is moved the other way
+    (_apply_delay's lag < 0) and scores as the mirrored lag does."""
+    x = np.random.default_rng(5).standard_normal(65536 + 37)
+    ref, test = x[:65536], x[37:]
+    assert verification._estimate_delay(ref - ref.mean(),
+                                        test - test.mean())[0] == -37
+    lead = measure(ref, test, RATE)
+    assert lead.snr_db > 70.0
+    assert lead.snr_db == pytest.approx(measure(test, ref, RATE).snr_db,
+                                        abs=1e-6)
+
+
 def test_measure_gain_invariance():
     ref = sine(1000, 0.5, 65536)
     report = measure(ref, 0.25 * ref, RATE)
