@@ -8,9 +8,9 @@ from .chain import (BEHAVIORS, FirState, LineState, MoldState, convert,
                     convert_stream, design_interp_kernel, generate_pwm,
                     linearize, noise_shape, s0_condition, upsample2)
 from .dse import (AllZeroSizes, BehaviorEstimate, CostModel, NoFeasibleOption,
-                  OptionComparison, PartitionOption, Scenario, TooManyBehaviors,
-                  UnknownBehavior, compare, enumerate_partitions, evaluate,
-                  hw_cost_share, load_scenario, select)
+                  PartitionOption, Scenario, TooManyBehaviors, UnknownBehavior,
+                  enumerate_partitions, evaluate, hw_cost_share, load_scenario,
+                  select)
 from .profiler import (MissingWeight, ProcessingElement, cycles, exec_time,
                        load_pe_library, meets_realtime, op_counts)
 from .verification import (LengthMismatch, MalformedStream, SpectrumReport,

@@ -70,14 +70,18 @@ class ClockTooHigh(Exception):
 class PcmStream:
     """Signed 16-bit samples at a fixed rate, mono after downmix.
 
-    samples may have any integer dtype, within the int16 range; anything
-    else raises ValueError rather than being rounded or truncated."""
+    samples is one-dimensional and may have any integer dtype, within the
+    int16 range; anything else raises ValueError rather than being
+    rounded, truncated or read along its first axis."""
 
     samples: np.ndarray  # int16
     sample_rate: int
 
     def __post_init__(self):
         arr = np.asarray(self.samples)
+        if arr.ndim != 1:
+            raise ValueError(f"samples must be one-dimensional, got shape "
+                             f"{arr.shape}")
         if arr.dtype != np.int16:
             if arr.dtype.kind not in "iu":
                 raise ValueError(f"samples must be integers, got {arr.dtype}")
@@ -97,14 +101,19 @@ def _check_frame(n_bits: int, frame_bits: int) -> None:
     in-memory stream alike."""
     if not 0 < frame_bits < 2 ** 32:  # a PWM1 u32 field
         raise ValueError("frame_bits must be in 1 .. 2^32 - 1")
+    if n_bits < 0:
+        raise ValueError(f"bit count {n_bits} is negative")
     if n_bits % frame_bits != 0:
         raise ValueError("bit count must be a multiple of frame_bits")
 
 
 def check_pwm_header(n_bits: int, clock_hz: int, frame_bits: int) -> None:
-    """Check a PWM1 header's fields: the frame rules (ValueError), the u32
-    bit count (StreamTooLong), then the u32 bit clock (ClockTooHigh)."""
+    """Check a PWM1 header's fields: the frame rules and a negative bit
+    count or clock (ValueError), the u32 bit count (StreamTooLong), then
+    the u32 bit clock (ClockTooHigh)."""
     _check_frame(n_bits, frame_bits)
+    if clock_hz < 0:
+        raise ValueError(f"bit clock {clock_hz} Hz is negative")
     if n_bits > PWM_MAX_BITS:
         raise StreamTooLong(f"stream too long: {n_bits} bits, the PWM1 bit "
                             f"count field holds at most {PWM_MAX_BITS}")
@@ -272,15 +281,20 @@ class WavReader:
         self.close()
 
 
-def collect(reader) -> PcmStream:
-    """All samples of a reader (sample_rate, frame_count and blocks(), as
-    WavReader has them) in one preallocated PcmStream."""
-    samples = np.empty(reader.frame_count, dtype=np.int16)
+def collect(blocks: Iterable[np.ndarray], n: int, dtype) -> np.ndarray:
+    """The blocks' elements, in order, in one preallocated array of n
+    `dtype`s.  ValueError if they hold fewer or more than n elements, the
+    block that would run past n raising before it is written."""
+    out = np.empty(n, dtype=dtype)
     pos = 0
-    for block in reader.blocks():
-        samples[pos:pos + len(block)] = block
+    for block in blocks:
+        if pos + len(block) > n:
+            raise ValueError(f"blocks hold more than the {n} elements declared")
+        out[pos:pos + len(block)] = block
         pos += len(block)
-    return PcmStream(samples=samples, sample_rate=reader.sample_rate)
+    if pos != n:
+        raise ValueError(f"blocks hold {pos} elements, {n} declared")
+    return out
 
 
 def read_wav(path) -> PcmStream:
@@ -289,7 +303,8 @@ def read_wav(path) -> PcmStream:
     Raises as WavReader does.
     """
     with WavReader(path) as wav:
-        return collect(wav)
+        return PcmStream(collect(wav.blocks(), wav.frame_count, np.int16),
+                         wav.sample_rate)
 
 
 def write_pwm(stream: PwmBitstream, path) -> None:

@@ -33,8 +33,7 @@ error feedback e1, e2 (MoldState); S0 and the waveform generator carry
 nothing.  A stage called without state starts a fresh one, so it
 treats its input as the whole stream, and every cut, down to 1-sample
 blocks, gives the same bits as that one-block call.  convert is
-convert_stream over one PcmStream, collected into one preallocated
-payload.
+convert_stream over one PcmStream, collected (audio_io.collect).
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .audio_io import PcmStream, PwmBitstream
+from .audio_io import PcmStream, PwmBitstream, collect
 
 BEHAVIORS = ("S0", "S1", "S2", "S3", "LINE", "MOLD")
 
@@ -318,13 +317,10 @@ def _bounded(blocks: Iterable[np.ndarray]) -> Iterator[tuple]:
 
 def convert(pcm: PcmStream) -> PwmBitstream:
     """Full chain S0 -> S1 -> S2 -> S3 -> LINE -> MOLD -> PWM over a whole
-    stream: convert_stream's blocks copied into one preallocated payload."""
+    stream: convert_stream's blocks, collected into one payload."""
     n_bits = len(pcm) * PWM_BITS_PER_SAMPLE
-    payload = np.empty(n_bits // 8, dtype=np.uint8)
-    pos = 0
-    for block in convert_stream([pcm.samples], pcm.sample_rate):
-        payload[pos:pos + len(block)] = block
-        pos += len(block)
+    payload = collect(convert_stream([pcm.samples], pcm.sample_rate),
+                      n_bits // 8, np.uint8)
     return PwmBitstream(payload=payload, n_bits=n_bits,
                         clock_hz=pcm.sample_rate * PWM_BITS_PER_SAMPLE,
                         frame_bits=FRAME_BITS)

@@ -269,23 +269,26 @@ def cmd_explore(args) -> int:
     if shortlist:
         print(dse.options_table_text(shortlist, selected,
                                      title="shortlisted mappings"))
-        _print_tradeoff(shortlist, selected, cm)
+        _print_tradeoff(shortlist, selected)
     print(f"selected: {selected.describe_hw_set()} "
           f"({selected.t_total_ms:.1f} ms, ${selected.cost_usd:.2f})")
     return EXIT_OK
 
 
-def _print_tradeoff(shortlist, selected, cm):
-    """Compare the selected mapping against the next-cheapest feasible one."""
-    others = [o for o in shortlist
-              if o != selected and o.t_total_us < cm.deadline_us]
+def _print_tradeoff(shortlist, selected):
+    """Compare the selected mapping with the next-cheapest feasible one:
+    the time that one saves and the cost it adds, in % of its own."""
+    others = [o for o in shortlist if o != selected and o.feasible]
     if not others:
         return
     rival = min(others, key=lambda o: o.cost_cents)
-    delta = dse.compare(rival, selected)
+    # t > 0, as BehaviorEstimate times are positive; c may be $0
+    t, c = rival.t_total_us, rival.cost_cents
+    time_pct = (selected.t_total_us - t) / t * 100.0
+    cost_pct = (c - selected.cost_cents) / c * 100.0 if c else 0.0
     print(f"trade-off: {rival.describe_hw_set()} beats "
-          f"{selected.describe_hw_set()} by {delta.time_delta_pct:.2f}% in "
-          f"time but costs {delta.cost_delta_pct:.2f}% more")
+          f"{selected.describe_hw_set()} by {time_pct:.2f}% in "
+          f"time but costs {cost_pct:.2f}% more")
     print()
 
 
@@ -293,7 +296,8 @@ def cmd_roundtrip(args) -> int:
     floor_db = _finite("--snr-floor-db", args.snr_floor_db)
     with _open_input(args.input, args.seed) as source:
         n_bits, clock_hz = _pwm_size(source)
-        pcm = audio_io.collect(source)
+        pcm = audio_io.PcmStream(audio_io.collect(
+            source.blocks(), source.frame_count, np.int16), source.sample_rate)
     rate = pcm.sample_rate
     audio = _demodulate_in_worker(
         chain.convert_stream([pcm.samples], rate), n_bits=n_bits,
@@ -371,7 +375,9 @@ def _demodulate_worker(conn, parent_end, stream) -> None:
         while block := conn.recv_bytes():
             yield np.frombuffer(block, dtype=np.uint8)
     try:
-        reply = verification._collect(blocks(), **stream)
+        reply = audio_io.collect(
+            verification.demodulate_stream(blocks(), **stream),
+            stream["n_bits"] // chain.PWM_BITS_PER_SAMPLE, np.float64)
     except EOFError:  # the parent left before the end marker
         return
     except Exception as exc:

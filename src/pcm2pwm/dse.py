@@ -224,22 +224,6 @@ def select(options: list, cm: CostModel) -> PartitionOption:
     return min(feasible, key=_option_sort_key)
 
 
-@dataclass(frozen=True)
-class OptionComparison:
-    time_delta_pct: float
-    cost_delta_pct: float
-
-
-def compare(a: PartitionOption, b: PartitionOption) -> OptionComparison:
-    """How much time the costlier/faster option a buys over b, and at what
-    cost increase; both as percentages of a's figures."""
-    time_delta = ((b.t_total_us - a.t_total_us) / a.t_total_us * 100.0
-                  if a.t_total_us else 0.0)
-    cost_delta = ((a.cost_cents - b.cost_cents) / a.cost_cents * 100.0
-                  if a.cost_cents else 0.0)
-    return OptionComparison(time_delta_pct=time_delta, cost_delta_pct=cost_delta)
-
-
 def _option_sort_key(o: PartitionOption):
     """Cheapest first; ties go to the faster, then the smaller hardware set,
     then by name."""

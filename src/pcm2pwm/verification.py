@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .audio_io import PwmBitstream
+from .audio_io import PwmBitstream, collect
 from .chain import (FRAME_BITS, INTERP_STAGES, PWM_BITS_PER_SAMPLE,
                     _convolve, windowed_sinc_lowpass)
 
@@ -80,18 +80,14 @@ class SpectrumReport:
 
 def demodulate(pwm: PwmBitstream) -> np.ndarray:
     """Recover audio from a whole PWM bitstream as float64 samples at the
-    chain's input rate: demodulate_stream over its payload, collected."""
-    return _collect([pwm.payload], n_bits=len(pwm), clock_hz=pwm.clock_hz)
-
-
-def _collect(blocks: Iterable, *, n_bits: int, clock_hz: int) -> np.ndarray:
-    """demodulate_stream's audio, copied into one preallocated array."""
-    audio = np.empty(n_bits // PWM_BITS_PER_SAMPLE)
-    pos = 0
-    for y in demodulate_stream(blocks, n_bits=n_bits, clock_hz=clock_hz):
-        audio[pos:pos + len(y)] = y
-        pos += len(y)
-    return audio
+    chain's input rate: demodulate_stream over its payload, collected.
+    Raises MalformedStream, too, for frames of other than FRAME_BITS."""
+    if pwm.frame_bits != FRAME_BITS:
+        raise MalformedStream(f"{pwm.frame_bits}-bit PWM frames, the "
+                              f"chain's are {FRAME_BITS}")
+    return collect(demodulate_stream([pwm.payload], n_bits=len(pwm),
+                                     clock_hz=pwm.clock_hz),
+                   len(pwm) // PWM_BITS_PER_SAMPLE, np.float64)
 
 
 def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
@@ -328,11 +324,16 @@ def measure(ref: np.ndarray, test: np.ndarray, rate: int) -> SpectrumReport:
     test stream is shifted by the cross-correlation peak refined to a
     fraction of a sample, scaled by the least-squares gain, and the
     residual defines the SNR.  THD and the in-band noise floor come from a
-    Blackman-Harris windowed FFT at the detected fundamental.
+    Blackman-Harris windowed FFT at the detected fundamental.  Raises
+    ValueError for a rate <= 0 or a sample that is not finite.
     """
+    if rate <= 0:
+        raise ValueError(f"rate must be positive, got {rate}")
     n = min(len(ref), len(test))
     if n < 256:
         raise LengthMismatch(f"only {n} overlapping samples")
+    if not (np.isfinite(ref).all() and np.isfinite(test).all()):
+        raise ValueError("samples must be finite")
 
     r = ref[:n] - ref[:n].mean()
     t = test[:n] - test[:n].mean()

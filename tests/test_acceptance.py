@@ -114,7 +114,7 @@ def test_criterion_2_partition_grid():
 
 # --- criterion 3: selection -----------------------------------------------------
 
-def test_criterion_3_selection_and_tradeoff():
+def test_criterion_3_selection_and_tradeoff(capsys):
     with criterion(3, "exhaustive selection and trade-off"):
         scenario = dse.load_scenario(str(DATA / "baseline.scenario"))
         cm = scenario.cost_model
@@ -124,9 +124,9 @@ def test_criterion_3_selection_and_tradeoff():
         assert best.hw_set == frozenset({"MOLD"})
         assert best.cost_cents == 1060
 
-        faster = dse.evaluate({"LINE", "MOLD"}, scenario.estimates, cm)
-        delta = dse.compare(faster, best)
-        assert abs(delta.time_delta_pct - 3.05) <= 0.01, delta
+        assert cli.main(["explore"]) == 0
+        assert ("trade-off: LINE,MOLD beats MOLD by 3.06% in time but costs "
+                "25.35% more") in capsys.readouterr().out.splitlines()
 
 
 # --- criterion 4: rate arithmetic ------------------------------------------------

@@ -207,10 +207,13 @@ def test_pcm_sample_rate_must_be_positive(rate, valid):
     (np.array([0, 32767], dtype=np.uint16), None),
     (np.array([0, 32768], dtype=np.int64), "out of 16-bit range"),
     (np.array([-32769, 0], dtype=np.int32), "out of 16-bit range"),
+    (np.zeros((2, 300), dtype=np.int16), "one-dimensional"),
+    (np.int16(5), "one-dimensional"),
 ])
 def test_pcm_samples_must_be_16_bit_integers(samples, error):
-    """Samples of any integer dtype within the int16 range convert; others
-    raise rather than being truncated, wrapped or cast."""
+    """One-dimensional samples of any integer dtype within the int16 range
+    convert; others raise rather than being truncated, wrapped, cast or
+    read along their first axis."""
     if error is None:
         pcm = PcmStream(samples, 44100)
         assert pcm.samples.dtype == np.int16
@@ -218,6 +221,38 @@ def test_pcm_samples_must_be_16_bit_integers(samples, error):
     else:
         with pytest.raises(ValueError, match=error):
             PcmStream(samples, 44100)
+
+
+class _Reader:
+    """A reader that declares frame_count samples and whose blocks hold
+    `held`, three at a time."""
+
+    sample_rate = 44100
+
+    def __init__(self, frame_count, held):
+        self.frame_count, self._held = frame_count, held
+
+    def blocks(self):
+        for start in range(0, self._held, 3):
+            yield np.arange(start, min(start + 3, self._held), dtype=np.int16)
+
+
+@pytest.mark.parametrize("held,error", [
+    (10, None), (9, "hold 9 elements, 10 declared"),
+    (11, "more than the 10 elements declared")])
+def test_collect_counts_blocks_against_the_declared_length(held, error):
+    """collect fills exactly the declared length: a reader whose blocks
+    fall short of its frame_count or run past it raises, rather than
+    leaving uninitialized samples or failing in a numpy broadcast."""
+    reader = _Reader(10, held)
+    if error is None:
+        samples = audio_io.collect(reader.blocks(), reader.frame_count,
+                                   np.int16)
+        assert samples.dtype == np.int16
+        assert samples.tolist() == list(range(10))
+    else:
+        with pytest.raises(ValueError, match=error):
+            audio_io.collect(reader.blocks(), reader.frame_count, np.int16)
 
 
 # --- PWM1 container ---------------------------------------------------------
@@ -329,6 +364,25 @@ def test_pwm_frame_field_limit(frame_bits, fits, tmp_path):
     else:
         with pytest.raises(ValueError, match="frame_bits"):
             PwmBitstream(**fields)
+
+
+@pytest.mark.parametrize("n_bits,clock_hz,match", [
+    (-128, 1, "bit count -128 is negative"),
+    (0, -1, "bit clock -1 Hz is negative")])
+def test_pwm_header_rejects_negative_fields(n_bits, clock_hz, match,
+                                            tmp_path):
+    """A negative bit count or clock is a ValueError before a block is read
+    or the file touched, not a struct.error from packing the header."""
+    def unread():
+        raise AssertionError("a block was read")
+        yield
+    path = tmp_path / "out.pwm"
+    path.write_bytes(b"previous")
+    with pytest.raises(ValueError, match=match):
+        write_pwm_blocks(unread(), path, n_bits=n_bits, clock_hz=clock_hz,
+                         frame_bits=128)
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.pwm"]
 
 
 def test_pwm_blocks_written_in_order(tmp_path):

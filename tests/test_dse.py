@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from pcm2pwm.cli import main
 from pcm2pwm.dse import (SHORTLIST_MAPPINGS, AllZeroSizes, BehaviorEstimate,
                          CostModel, NoFeasibleOption, TooManyBehaviors,
-                         UnknownBehavior, compare, enumerate_partitions,
-                         evaluate, hw_cost_share, load_scenario,
-                         options_table_text, select)
+                         UnknownBehavior, enumerate_partitions, evaluate,
+                         hw_cost_share, load_scenario, options_table_text,
+                         select)
 
 SCENARIO = str(resources.files("pcm2pwm").joinpath("data", "baseline.scenario"))
 
@@ -232,23 +232,6 @@ def test_select_scale_invariance(scale):
     scaled = select(enumerate_partitions(scaled_estimates, scaled_cm),
                     scaled_cm)
     assert scaled.hw_set == baseline.hw_set
-
-
-# --- comparison -----------------------------------------------------------------
-
-def test_compare_reference_pair(estimates, cm):
-    faster = evaluate({"LINE", "MOLD"}, estimates, cm)
-    cheaper = evaluate({"MOLD"}, estimates, cm)
-    delta = compare(faster, cheaper)
-    assert delta.time_delta_pct == pytest.approx(3.0575, abs=1e-3)
-    assert delta.cost_delta_pct == pytest.approx(25.3521, abs=1e-3)
-
-
-def test_compare_identical(estimates, cm):
-    o = evaluate({"MOLD"}, estimates, cm)
-    delta = compare(o, o)
-    assert delta.time_delta_pct == 0.0
-    assert delta.cost_delta_pct == 0.0
 
 
 # --- scenario loading -------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcm2pwm import verification
+from pcm2pwm import audio_io, verification
 from pcm2pwm.audio_io import PcmStream, PwmBitstream
 from pcm2pwm.chain import convert, convert_stream, generate_pwm, noise_shape
 from pcm2pwm.verification import (SNR_CAP_DB, LengthMismatch, MalformedStream,
@@ -83,6 +83,15 @@ def test_demodulate_stream_rejects_bad_clock(clock_hz):
         yield
     with pytest.raises(MalformedStream, match="not a positive multiple"):
         next(demodulate_stream(unread(), n_bits=0, clock_hz=clock_hz))
+
+
+def test_demodulate_rejects_other_frame_sizes():
+    """300 samples' worth of bits in 64-bit frames is no chain's stream:
+    demodulate raises rather than reading it as 128-bit frames."""
+    pwm = PwmBitstream.from_bits(np.zeros(300 * 1024, dtype=np.uint8),
+                                 clock_hz=1024 * RATE, frame_bits=64)
+    with pytest.raises(MalformedStream, match="64-bit PWM frames"):
+        demodulate(pwm)
 
 
 # --- edge-domain first stage --------------------------------------------------
@@ -215,7 +224,7 @@ def pwm_bits(n_bits, seed, dense):
 def test_demodulate_stream_any_cut_matches_one_shot(n_bits, seed, dense, step,
                                                     cuts):
     """Any cut of the payload, from one byte to all of it and off frame
-    boundaries, gives demodulate's samples bit for bit."""
+    boundaries, gives the one-block samples bit for bit."""
     pwm = PwmBitstream.from_bits(pwm_bits(n_bits, seed, dense),
                                  clock_hz=1024 * RATE, frame_bits=1)
     payload = pwm.payload
@@ -225,8 +234,11 @@ def test_demodulate_stream_any_cut_matches_one_shot(n_bits, seed, dense, step,
     pieces = np.split(payload, edges)
     streamed = collect(demodulate_stream(pieces, n_bits=n_bits,
                                          clock_hz=pwm.clock_hz))
-    one_shot = demodulate(pwm)
-    assert len(one_shot) == n_bits // 1024
+    # demodulate's body: it refuses frames other than the chain's 128
+    # bits, and these bits need not fill whole 128-bit frames
+    one_shot = audio_io.collect(
+        demodulate_stream([payload], n_bits=n_bits, clock_hz=pwm.clock_hz),
+        n_bits // 1024, np.float64)
     assert streamed.tobytes() == one_shot.tobytes()
 
 
@@ -296,6 +308,24 @@ def test_measure_too_short():
     x = np.zeros(16)
     with pytest.raises(LengthMismatch):
         measure(x, x, RATE)
+
+
+@pytest.mark.parametrize("which,value", [(0, np.nan), (1, np.nan),
+                                         (1, np.inf), (0, -np.inf)])
+def test_measure_rejects_non_finite_samples(which, value):
+    """A NaN or inf gives no meaningful report: ValueError, not a NaN SNR
+    or a RuntimeWarning."""
+    streams = [sine(1000, 0.5, 4096), sine(1000, 0.5, 4096)]
+    streams[which][100] = value
+    with pytest.raises(ValueError, match="finite"):
+        measure(*streams, RATE)
+
+
+@pytest.mark.parametrize("rate", [0, -RATE])
+def test_measure_rejects_non_positive_rate(rate):
+    x = sine(1000, 0.5, 4096)
+    with pytest.raises(ValueError, match="rate must be positive"):
+        measure(x, x, rate)
 
 
 def test_measure_silence_reference_caps():
