@@ -96,24 +96,24 @@ class PcmStream:
         return len(self.samples)
 
 
-def _check_frame(n_bits: int, frame_bits: int) -> None:
-    """The frame rules of a PWM1 header, for check_pwm_header and the
-    in-memory stream alike."""
+def _check_fields(n_bits: int, clock_hz: int, frame_bits: int) -> None:
+    """The frame rules and the signs of a PWM1 header's fields, for
+    check_pwm_header and the in-memory stream alike."""
     if not 0 < frame_bits < 2 ** 32:  # a PWM1 u32 field
         raise ValueError("frame_bits must be in 1 .. 2^32 - 1")
     if n_bits < 0:
         raise ValueError(f"bit count {n_bits} is negative")
     if n_bits % frame_bits != 0:
         raise ValueError("bit count must be a multiple of frame_bits")
+    if clock_hz < 0:
+        raise ValueError(f"bit clock {clock_hz} Hz is negative")
 
 
 def check_pwm_header(n_bits: int, clock_hz: int, frame_bits: int) -> None:
     """Check a PWM1 header's fields: the frame rules and a negative bit
     count or clock (ValueError), the u32 bit count (StreamTooLong), then
     the u32 bit clock (ClockTooHigh)."""
-    _check_frame(n_bits, frame_bits)
-    if clock_hz < 0:
-        raise ValueError(f"bit clock {clock_hz} Hz is negative")
+    _check_fields(n_bits, clock_hz, frame_bits)
     if n_bits > PWM_MAX_BITS:
         raise StreamTooLong(f"stream too long: {n_bits} bits, the PWM1 bit "
                             f"count field holds at most {PWM_MAX_BITS}")
@@ -125,7 +125,9 @@ def check_pwm_header(n_bits: int, clock_hz: int, frame_bits: int) -> None:
 @dataclass
 class PwmBitstream:
     """PWM bits packed LSB-first into bytes with zero pad bits (the PWM1
-    payload as it is on disk), plus the frame geometry."""
+    payload as it is on disk), plus the frame geometry.  Fields that
+    check_pwm_header refuses with ValueError raise the same ValueError
+    here; a zero clock is allowed, as in a PWM1 header."""
 
     payload: np.ndarray  # uint8, ceil(n_bits / 8) bytes
     n_bits: int
@@ -134,7 +136,7 @@ class PwmBitstream:
 
     def __post_init__(self):
         self.payload = np.asarray(self.payload, dtype=np.uint8)
-        _check_frame(self.n_bits, self.frame_bits)
+        _check_fields(self.n_bits, self.clock_hz, self.frame_bits)
         if self.payload.shape != ((self.n_bits + 7) // 8,):
             got = (len(self.payload) if self.payload.ndim == 1
                    else f"shape {self.payload.shape}")

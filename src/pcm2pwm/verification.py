@@ -110,10 +110,14 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
     payload is taken at most 64 KiB (_PAYLOAD_BLOCK) at a time, whatever
     the cut, and each stage carries a few hundred samples of state, so
     memory grows with neither the stream nor the block.  Raises
-    MalformedStream, on the first step, for a clock that is not a positive
-    multiple of PWM_BITS_PER_SAMPLE, and at the end for a payload that is
-    not the ceil(n_bits / 8) bytes n_bits need.
+    MalformedStream: on the first step, before a block is read, for a
+    negative n_bits or a clock that is not a positive multiple of
+    PWM_BITS_PER_SAMPLE; at a block that is not a one-dimensional uint8
+    array; and at the end for a payload that is not the ceil(n_bits / 8)
+    bytes n_bits need.
     """
+    if n_bits < 0:
+        raise MalformedStream(f"bit count {n_bits} is negative")
     if clock_hz <= 0 or clock_hz % PWM_BITS_PER_SAMPLE:
         raise MalformedStream(f"bit clock {clock_hz} is not a positive "
                               f"multiple of {PWM_BITS_PER_SAMPLE}")
@@ -132,9 +136,16 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
 def _payload(blocks: Iterable[np.ndarray], n_bits: int
              ) -> Iterator[np.ndarray]:
     """The payload blocks cut into slices of at most _PAYLOAD_BLOCK bytes,
-    then MalformedStream if they did not hold the bytes n_bits need."""
+    then MalformedStream if they did not hold the bytes n_bits need.
+    MalformedStream, too, at a block that is not a 1-D uint8 array."""
     size = 0
     for block in blocks:
+        if not (isinstance(block, np.ndarray) and block.dtype == np.uint8
+                and block.ndim == 1):
+            got = (f"{block.dtype} of shape {block.shape}"
+                   if isinstance(block, np.ndarray) else type(block).__name__)
+            raise MalformedStream(f"payload blocks must be 1-D uint8 arrays, "
+                                  f"got {got}")
         size += len(block)
         for start in range(0, len(block), _PAYLOAD_BLOCK):
             yield block[start:start + _PAYLOAD_BLOCK]
@@ -374,21 +385,43 @@ def measure(ref: np.ndarray, test: np.ndarray, rate: int) -> SpectrumReport:
 
 def _estimate_delay(r: np.ndarray, t: np.ndarray):
     """How many samples t lags r: integer from the cross-correlation peak,
-    plus a parabolic sub-sample refinement."""
+    plus a parabolic sub-sample refinement.
+
+    The search covers lags |k| <= n // 2 of two n-sample streams, and the
+    correlation is taken circularly over _fft_size(n + n // 2 + 1) points.
+    The linear correlation is zero beyond lags +-(n - 1), and a searched
+    lag k shares its circular point only with k -+ size, which lies
+    beyond them, so no lag the search reads wraps.
+    """
     n = len(r)
-    size = 1 << int(np.ceil(np.log2(2 * n)))
+    max_lag = n // 2
+    size = _fft_size(n + max_lag + 1)
     corr = np.fft.irfft(np.fft.rfft(r, size) * np.conj(np.fft.rfft(t, size)),
                         size)
     # corr[k] = sum_j r[j + k] t[j]; t lagging r by d peaks at k = -d, so
     # lags -max_lag .. max_lag read corr[max_lag], ..., corr[0], corr[-1],
     # ..., corr[-max_lag]
-    max_lag = n // 2
     vals = np.concatenate((corr[max_lag::-1], corr[:-max_lag - 1:-1]))
     peak = int(np.argmax(np.abs(vals)))
     frac = 0.0
     if 0 < peak < len(vals) - 1:
         frac = _vertex(*vals[peak - 1:peak + 2])
     return peak - max_lag, frac
+
+
+def _fft_size(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m, for m >= 1: a length numpy's FFT
+    splits into fast radix-2, 3, 4 and 5 passes, and one much nearer m
+    than the next power of two."""
+    best = 1 << (m - 1).bit_length()
+    odd = 1
+    while odd < best:  # odd runs over 3^b 5^c
+        part = odd
+        while part < best:
+            best = min(best, part << (-(-m // part) - 1).bit_length())
+            part *= 3
+        odd *= 5
+    return best
 
 
 def _vertex(y0, y1, y2) -> float:

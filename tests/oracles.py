@@ -115,3 +115,25 @@ def sine_fit_snr_db(x, rate, f0):
     if p_err == 0.0:
         return np.inf
     return 10.0 * np.log10(p_sig / p_err)
+
+
+def correlation_delay(r, t):
+    """How many samples t lags r, searched over |k| <= n // 2 by direct
+    correlation (np.correlate, no FFT), with the peak's offset from a
+    parabola through it and its two neighbours (0 at a search end or for
+    a flat fit): (integer lag, fraction in [-0.5, 0.5])."""
+    n = len(r)
+    max_lag = n // 2
+    full = np.correlate(np.asarray(r, dtype=np.float64),
+                        np.asarray(t, dtype=np.float64), "full")
+    # full[n - 1 + k] = sum_j r[j + k] t[j]; t lagging r by d peaks at k = -d
+    lags = np.arange(-max_lag, max_lag + 1)
+    vals = full[n - 1 - lags]
+    peak = int(np.argmax(np.abs(vals)))
+    frac = 0.0
+    if 0 < peak < len(vals) - 1:
+        y0, y1, y2 = vals[peak - 1:peak + 2]
+        curve = y0 - 2.0 * y1 + y2
+        if abs(curve) > 1e-30:
+            frac = float(np.clip(0.5 * (y0 - y2) / curve, -0.5, 0.5))
+    return int(lags[peak]), frac

@@ -372,7 +372,8 @@ def test_pwm_frame_field_limit(frame_bits, fits, tmp_path):
 def test_pwm_header_rejects_negative_fields(n_bits, clock_hz, match,
                                             tmp_path):
     """A negative bit count or clock is a ValueError before a block is read
-    or the file touched, not a struct.error from packing the header."""
+    or the file touched, not a struct.error from packing the header; the
+    in-memory stream refuses it with the same message."""
     def unread():
         raise AssertionError("a block was read")
         yield
@@ -383,6 +384,15 @@ def test_pwm_header_rejects_negative_fields(n_bits, clock_hz, match,
                          frame_bits=128)
     assert path.read_bytes() == b"previous"
     assert [p.name for p in tmp_path.iterdir()] == ["out.pwm"]
+    with pytest.raises(ValueError, match=match):
+        PwmBitstream(payload=np.zeros(0, np.uint8), n_bits=n_bits,
+                     clock_hz=clock_hz, frame_bits=128)
+
+
+def test_pwm_stream_takes_a_zero_clock():
+    """A zero clock is a legal PWM1 header field, so a legal stream."""
+    assert PwmBitstream(payload=np.zeros(1, np.uint8), n_bits=8, clock_hz=0,
+                        frame_bits=8).clock_hz == 0
 
 
 def test_pwm_blocks_written_in_order(tmp_path):

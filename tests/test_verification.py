@@ -85,6 +85,28 @@ def test_demodulate_stream_rejects_bad_clock(clock_hz):
         next(demodulate_stream(unread(), n_bits=0, clock_hz=clock_hz))
 
 
+def test_demodulate_stream_rejects_negative_bit_count():
+    """A negative bit count is refused by name on the first step, before a
+    payload byte is read, not as a negative byte count at the end."""
+    def unread():
+        raise AssertionError("the payload was read")
+        yield
+    with pytest.raises(MalformedStream, match="bit count -1024 is negative"):
+        next(demodulate_stream(unread(), n_bits=-1024, clock_hz=1024 * RATE))
+
+
+@pytest.mark.parametrize("block,got", [
+    (np.zeros(128, np.int64), "int64 of shape \\(128,\\)"),
+    (np.zeros((16, 8), np.uint8), "uint8 of shape \\(16, 8\\)"),
+    (np.zeros((), np.uint8), "uint8 of shape \\(\\)"),
+    (bytes(128), "bytes")], ids=["int64", "2-d", "0-d", "bytes"])
+def test_demodulate_stream_rejects_blocks_not_1d_uint8(block, got):
+    """Payload blocks are 1-D uint8 arrays; anything else is named, not
+    read as bytes of another width or counted by its rows."""
+    with pytest.raises(MalformedStream, match=f"1-D uint8 arrays, got {got}"):
+        collect(demodulate_stream([block], n_bits=1024, clock_hz=1024 * RATE))
+
+
 def test_demodulate_rejects_other_frame_sizes():
     """300 samples' worth of bits in 64-bit frames is no chain's stream:
     demodulate raises rather than reading it as 128-bit frames."""
@@ -353,6 +375,64 @@ def test_measure_stream_leading_its_reference():
     assert lead.snr_db > 70.0
     assert lead.snr_db == pytest.approx(measure(test, ref, RATE).snr_db,
                                         abs=1e-6)
+
+
+def test_fft_size_is_the_next_2_3_5_smooth_length():
+    """Every m up to 5000 against a brute-force search, and the lengths
+    measure's cross-correlation takes for 1, 4.3, 20 and 60 s clips."""
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+    nxt = 5 ** 6  # 15625: 2-3-5 smooth and above every m below
+    for m in range(5000, 0, -1):
+        if smooth(m):
+            nxt = m
+        assert verification._fft_size(m) == nxt, m
+    for n, size in [(44100, 67500), (189630, 288000), (882000, 1327104),
+                    (2646000, 3981312)]:
+        assert verification._fft_size(n + n // 2 + 1) == size
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(256, 4096), seed=st.integers(0, 2 ** 32 - 1),
+       where=st.floats(-1.0, 1.0))
+@example(n=256, seed=0, where=-1.0)
+@example(n=256, seed=0, where=1.0)
+@example(n=256, seed=0, where=-127 / 128)  # next to an end: d = -127
+@example(n=256, seed=0, where=127 / 128)
+@example(n=4095, seed=1, where=-1.0)
+@example(n=4095, seed=1, where=1.0)
+def test_estimate_delay_matches_direct_correlation(n, seed, where):
+    """Noise and its copy delayed by any d in the search range, ends
+    included, give direct correlation's lag and fraction: a correlation
+    too short to hold every searched lag unwrapped would not."""
+    max_lag = n // 2
+    d = round(where * max_lag)
+    x = np.random.default_rng(seed).standard_normal(n + 2 * max_lag)
+    r = x[max_lag:max_lag + n]
+    t = x[max_lag - d:max_lag - d + n]  # t[j] = r[j - d]
+    lag, frac = verification._estimate_delay(r, t)
+    want_lag, want_frac = oracles.correlation_delay(r, t)
+    assert lag == want_lag
+    assert abs(frac - want_frac) <= 1e-9
+
+
+def test_measure_peak_memory():
+    """measure on a 4.3 s clip and its 27.125-sample delayed copy: the
+    cross-correlation takes 288,000 points, not the 524,288 of the power
+    of two at or above 2n."""
+    n = 189630
+    ref = sine(1000, 0.5, n)
+    test = 0.5 * np.sin(2 * np.pi * 1000 * (np.arange(n) - 27.125) / RATE)
+    tracemalloc.start()
+    try:
+        measure(ref, test, RATE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20, peak
 
 
 def test_measure_gain_invariance():
