@@ -66,6 +66,10 @@ class ClockTooHigh(Exception):
     """Bit clock faster than the PWM1 clock field can declare."""
 
 
+class MalformedStream(ValueError):
+    """A PWM stream breaking the PWM1 rules or verification's geometry."""
+
+
 @dataclass
 class PcmStream:
     """Signed 16-bit samples at a fixed rate, mono after downmix.
@@ -100,19 +104,41 @@ def _check_fields(n_bits: int, clock_hz: int, frame_bits: int) -> None:
     """The frame rules and the signs of a PWM1 header's fields, for
     check_pwm_header and the in-memory stream alike."""
     if not 0 < frame_bits < 2 ** 32:  # a PWM1 u32 field
-        raise ValueError("frame_bits must be in 1 .. 2^32 - 1")
+        raise MalformedStream("frame_bits must be in 1 .. 2^32 - 1")
     if n_bits < 0:
-        raise ValueError(f"bit count {n_bits} is negative")
+        raise MalformedStream(f"bit count {n_bits} is negative")
     if n_bits % frame_bits != 0:
-        raise ValueError("bit count must be a multiple of frame_bits")
+        raise MalformedStream("bit count must be a multiple of frame_bits")
     if clock_hz < 0:
-        raise ValueError(f"bit clock {clock_hz} Hz is negative")
+        raise MalformedStream(f"bit clock {clock_hz} Hz is negative")
+
+
+def _payload_blocks(blocks: Iterable, n_bits: int) -> Iterator[np.ndarray]:
+    """The blocks of an n_bits-bit payload, passed on as checked: the one
+    PWM1 payload rule.  MalformedStream before the first for n_bits < 0,
+    at one that is no 1-D uint8 array, and after the last for a total
+    other than the ceil(n_bits / 8) bytes n_bits need."""
+    if n_bits < 0:
+        raise MalformedStream(f"bit count {n_bits} is negative")
+    size = 0
+    for block in blocks:
+        if not (isinstance(block, np.ndarray) and block.dtype == np.uint8
+                and block.ndim == 1):
+            got = (f"{block.dtype} of shape {block.shape}"
+                   if isinstance(block, np.ndarray) else type(block).__name__)
+            raise MalformedStream(f"payload blocks must be 1-D uint8 arrays, "
+                                  f"got {got}")
+        size += len(block)
+        yield block
+    if size != (n_bits + 7) // 8:
+        raise MalformedStream(f"{n_bits} bits need {(n_bits + 7) // 8} "
+                              f"payload bytes, got {size}")
 
 
 def check_pwm_header(n_bits: int, clock_hz: int, frame_bits: int) -> None:
     """Check a PWM1 header's fields: the frame rules and a negative bit
-    count or clock (ValueError), the u32 bit count (StreamTooLong), then
-    the u32 bit clock (ClockTooHigh)."""
+    count or clock (MalformedStream), the u32 bit count (StreamTooLong),
+    then the u32 bit clock (ClockTooHigh)."""
     _check_fields(n_bits, clock_hz, frame_bits)
     if n_bits > PWM_MAX_BITS:
         raise StreamTooLong(f"stream too long: {n_bits} bits, the PWM1 bit "
@@ -125,9 +151,9 @@ def check_pwm_header(n_bits: int, clock_hz: int, frame_bits: int) -> None:
 @dataclass
 class PwmBitstream:
     """PWM bits packed LSB-first into bytes with zero pad bits (the PWM1
-    payload as it is on disk), plus the frame geometry.  Fields that
-    check_pwm_header refuses with ValueError raise the same ValueError
-    here; a zero clock is allowed, as in a PWM1 header."""
+    payload as it is on disk), plus the frame geometry.  Fields
+    check_pwm_header refuses, a payload write_pwm_blocks refuses and a set
+    pad bit raise MalformedStream; a zero clock is legal, as in PWM1."""
 
     payload: np.ndarray  # uint8, ceil(n_bits / 8) bytes
     n_bits: int
@@ -135,21 +161,22 @@ class PwmBitstream:
     frame_bits: int
 
     def __post_init__(self):
-        self.payload = np.asarray(self.payload, dtype=np.uint8)
         _check_fields(self.n_bits, self.clock_hz, self.frame_bits)
-        if self.payload.shape != ((self.n_bits + 7) // 8,):
-            got = (len(self.payload) if self.payload.ndim == 1
-                   else f"shape {self.payload.shape}")
-            raise ValueError(f"{self.n_bits} bits need "
-                             f"{(self.n_bits + 7) // 8} payload bytes, "
-                             f"got {got}")
+        list(_payload_blocks([self.payload], self.n_bits))
         if self.n_bits % 8 and self.payload[-1] >> (self.n_bits % 8):
-            raise ValueError("pad bits of the last payload byte must be zero")
+            raise MalformedStream("pad bits of the last payload byte must be "
+                                  "zero")
 
     @classmethod
     def from_bits(cls, bits, clock_hz: int, frame_bits: int) -> "PwmBitstream":
-        """Pack unpacked bits, one uint8 0/1 per bit, into a stream."""
-        bits = np.asarray(bits, dtype=np.uint8)
+        """Pack unpacked bits, one integer or bool 0/1 per bit, into a
+        stream; MalformedStream names another dtype or the first value."""
+        bits = np.asarray(bits)
+        if bits.dtype.kind not in "biu":
+            raise MalformedStream(f"bits must be integers, got {bits.dtype}")
+        bad = bits[(bits != 0) & (bits != 1)]
+        if len(bad):
+            raise MalformedStream(f"bits must be 0 or 1, got {bad[0]}")
         return cls(payload=np.packbits(bits, bitorder="little"),
                    n_bits=len(bits), clock_hz=clock_hz, frame_bits=frame_bits)
 
@@ -319,14 +346,15 @@ def write_pwm(stream: PwmBitstream, path) -> None:
 def write_pwm_blocks(blocks: Iterable[np.ndarray], path, *, n_bits: int,
                      clock_hz: int, frame_bits: int) -> None:
     """Write a PWM1 file: the header from the given fields, then the payload
-    blocks (uint8, packed LSB-first) in order.
+    blocks (1-D uint8 arrays, packed LSB-first) in order.
 
     Raises as check_pwm_header does, before touching the file or reading
     a block.  The file is written beside `path` and renamed over it only
     once the blocks held the ceil(n_bits / 8) bytes the header declares
-    (ValueError if not), so a failure or an interrupt part way leaves
-    `path` as it was.  A `path` that exists and is no regular file, such
-    as a device, is written in place.
+    (MalformedStream if not, or at a block that is no 1-D uint8 array),
+    so a failure or an interrupt part way leaves `path` as it was.  A
+    `path` that exists and is no regular file, such as a device, is
+    written in place.
     """
     check_pwm_header(n_bits, clock_hz, frame_bits)
     header = _HEADER.pack(PWM_MAGIC, clock_hz, frame_bits, n_bits)
@@ -338,14 +366,8 @@ def write_pwm_blocks(blocks: Iterable[np.ndarray], path, *, n_bits: int,
     try:
         with open(tmp or target, "xb" if tmp else "wb") as fh:
             fh.write(header)
-            written = 0
-            for block in blocks:
-                block = np.ascontiguousarray(block, dtype=np.uint8)
-                fh.write(block)
-                written += block.nbytes
-        if written != (n_bits + 7) // 8:
-            raise ValueError(f"payload blocks hold {written} bytes, {n_bits} "
-                             f"bits need {(n_bits + 7) // 8}")
+            for block in _payload_blocks(blocks, n_bits):
+                fh.write(np.ascontiguousarray(block))  # write needs C order
         if tmp:
             os.replace(tmp, target)
     except OSError as exc:
@@ -381,5 +403,5 @@ def read_pwm(path) -> PwmBitstream:
     try:
         return PwmBitstream(payload=payload, n_bits=bit_count,
                             clock_hz=clock_hz, frame_bits=frame_bits)
-    except ValueError as exc:
+    except MalformedStream as exc:
         raise MalformedHeader(str(exc)) from exc

@@ -141,7 +141,10 @@ class MoldState:
 
 
 def s0_condition(samples: np.ndarray) -> np.ndarray:
-    """S0: map int16 samples onto [-1, +1) as float64."""
+    """S0: map int16 samples onto [-1, +1) as float64.  ValueError, naming
+    the dtype, for samples of any other dtype."""
+    if samples.dtype != np.int16:
+        raise ValueError(f"S0 takes int16 samples, got {samples.dtype}")
     return samples.astype(np.float64) / PCM_FULL_SCALE
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import dataclasses
 import math
 import os
 import sys
@@ -94,10 +95,10 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
     except (InputError, audio_io.IoFailure, audio_io.MalformedHeader,
-            audio_io.StreamTooLong, audio_io.ClockTooHigh,
-            dse.AllZeroSizes, dse.TooManyBehaviors, dse.UnknownBehavior,
-            profiler.MissingWeight, verification.LengthMismatch,
-            verification.MalformedStream) as exc:
+            audio_io.MalformedStream, audio_io.StreamTooLong,
+            audio_io.ClockTooHigh, dse.AllZeroSizes, dse.TooManyBehaviors,
+            dse.UnknownBehavior, profiler.MissingWeight,
+            verification.LengthMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except dse.NoFeasibleOption as exc:
@@ -249,9 +250,8 @@ def cmd_explore(args) -> int:
     cm = scenario.cost_model
     if args.deadline_ms is not None:
         deadline_ms = _finite("--deadline-ms", args.deadline_ms, positive=True)
-        cm = dse.CostModel(sw_fixed_cost_cents=cm.sw_fixed_cost_cents,
-                           hw_total_cost_cents=cm.hw_total_cost_cents,
-                           deadline_us=int(round(deadline_ms * 1000)))
+        cm = dataclasses.replace(cm,
+                                 deadline_us=int(round(deadline_ms * 1000)))
     pins = _parse_pins(args.pin)
     options = dse.enumerate_partitions(scenario.estimates, cm, pins)
     selected = dse.select(options, cm)  # exits 3 via NoFeasibleOption

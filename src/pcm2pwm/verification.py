@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .audio_io import PwmBitstream, collect
+from .audio_io import MalformedStream, PwmBitstream, _payload_blocks, collect
 from .chain import (FRAME_BITS, INTERP_STAGES, PWM_BITS_PER_SAMPLE,
                     _convolve, windowed_sinc_lowpass)
 
@@ -44,10 +44,6 @@ THD_FLOOR_DB = -140.0
 
 _HARMONIC_HALF_WIDTH = 8  # FFT bins kept around a tone, covers the window lobe
 _PAYLOAD_BLOCK = 1 << 16  # payload bytes demodulated at a time: 4096 frames
-
-
-class MalformedStream(Exception):
-    """PWM stream geometry does not fit the chain's."""
 
 
 class LengthMismatch(Exception):
@@ -110,14 +106,10 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
     payload is taken at most 64 KiB (_PAYLOAD_BLOCK) at a time, whatever
     the cut, and each stage carries a few hundred samples of state, so
     memory grows with neither the stream nor the block.  Raises
-    MalformedStream: on the first step, before a block is read, for a
-    negative n_bits or a clock that is not a positive multiple of
-    PWM_BITS_PER_SAMPLE; at a block that is not a one-dimensional uint8
-    array; and at the end for a payload that is not the ceil(n_bits / 8)
-    bytes n_bits need.
+    MalformedStream on the first step for a clock that is not a positive
+    multiple of PWM_BITS_PER_SAMPLE, and for blocks that break the PWM1
+    payload rule, as write_pwm_blocks does (audio_io._payload_blocks).
     """
-    if n_bits < 0:
-        raise MalformedStream(f"bit count {n_bits} is negative")
     if clock_hz <= 0 or clock_hz % PWM_BITS_PER_SAMPLE:
         raise MalformedStream(f"bit clock {clock_hz} is not a positive "
                               f"multiple of {PWM_BITS_PER_SAMPLE}")
@@ -133,25 +125,11 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
         yield y
 
 
-def _payload(blocks: Iterable[np.ndarray], n_bits: int
-             ) -> Iterator[np.ndarray]:
-    """The payload blocks cut into slices of at most _PAYLOAD_BLOCK bytes,
-    then MalformedStream if they did not hold the bytes n_bits need.
-    MalformedStream, too, at a block that is not a 1-D uint8 array."""
-    size = 0
-    for block in blocks:
-        if not (isinstance(block, np.ndarray) and block.dtype == np.uint8
-                and block.ndim == 1):
-            got = (f"{block.dtype} of shape {block.shape}"
-                   if isinstance(block, np.ndarray) else type(block).__name__)
-            raise MalformedStream(f"payload blocks must be 1-D uint8 arrays, "
-                                  f"got {got}")
-        size += len(block)
+def _payload(blocks: Iterable, n_bits: int) -> Iterator[np.ndarray]:
+    """The checked payload blocks, cut to at most _PAYLOAD_BLOCK bytes."""
+    for block in _payload_blocks(blocks, n_bits):
         for start in range(0, len(block), _PAYLOAD_BLOCK):
             yield block[start:start + _PAYLOAD_BLOCK]
-    if size != (n_bits + 7) // 8:
-        raise MalformedStream(f"{n_bits} bits need {(n_bits + 7) // 8} "
-                              f"payload bytes, got {size}")
 
 
 def _stage_filter(fs_in: int, fs_out: int, rate: int) -> np.ndarray:

@@ -3,15 +3,16 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pcm2pwm import audio_io
 from pcm2pwm.audio_io import (PWM_MAX_BITS, PWM_MAX_CLOCK_HZ, ClockTooHigh,
-                              IoFailure, MalformedHeader, PcmStream,
-                              PwmBitstream, StreamTooLong, UnsupportedFormat,
-                              WavReader, read_pwm, read_wav, write_pwm,
-                              write_pwm_blocks)
+                              IoFailure, MalformedHeader, MalformedStream,
+                              PcmStream, PwmBitstream, StreamTooLong,
+                              UnsupportedFormat, WavReader, read_pwm, read_wav,
+                              write_pwm, write_pwm_blocks)
+from pcm2pwm.verification import demodulate_stream
 
 from conftest import write_wav
 
@@ -406,14 +407,109 @@ def test_pwm_blocks_written_in_order(tmp_path):
 
 @pytest.mark.parametrize("n_blocks", [0, 1, 3])
 def test_pwm_blocks_short_or_long_keep_old_file(n_blocks, tmp_path):
-    """Blocks that do not hold the declared payload raise ValueError; the
-    file that was there stays, and nothing else is left beside it."""
+    """Blocks that do not hold the declared payload raise MalformedStream;
+    the file that was there stays, and nothing else is left beside it."""
     path = tmp_path / "out.pwm"
     path.write_bytes(b"previous")
-    with pytest.raises(ValueError, match="payload blocks hold"):
+    with pytest.raises(MalformedStream, match=f"^256 bits need 32 payload "
+                       f"bytes, got {16 * n_blocks}$"):
         write_pwm_blocks([np.zeros(16, np.uint8)] * n_blocks, path,
                          n_bits=256, clock_hz=100, frame_bits=128)
     assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.pwm"]
+
+
+@pytest.mark.parametrize("bits,error", [
+    (np.array([256, 1, 0.5, 2, 1, 1, 1, 1]), "integers, got float64"),
+    (np.array([1, 256, 0, 2, 1, 1, 1, 1]), "0 or 1, got 256"),
+    (np.array([0, 1, 2, 1, 0, 0, 0, -1]), "0 or 1, got 2"),
+    (np.array([0, 0, 0, 0, 0, 0, 0, -1], np.int8), "0 or 1, got -1")])
+def test_pwm_from_bits_refuses_values_other_than_0_and_1(bits, error):
+    """A bit is 0 or 1: 256 is not read as 0 after a uint8 wrap, 0.5 is
+    not truncated and 2 is not packed as 1."""
+    with pytest.raises(MalformedStream, match=error):
+        PwmBitstream.from_bits(bits, clock_hz=8, frame_bits=8)
+
+
+def test_pwm_from_bits_takes_integer_and_bool_bits():
+    for bits in (np.tile([1, 1, 0], 8), np.tile([True, True, False], 8)):
+        stream = PwmBitstream.from_bits(bits, clock_hz=8, frame_bits=8)
+        assert stream.bits.tolist() == [1, 1, 0] * 8
+
+
+# block kinds a payload case draws: most are the 1-D uint8 the rule takes
+_BLOCK_KINDS = {
+    "uint8": lambda b: b,
+    "strided": lambda b: np.repeat(b, 2)[::2],  # 1-D uint8, not contiguous
+    "int64": lambda b: b.astype(np.int64),
+    "float64": lambda b: b.astype(np.float64),
+    "bool": lambda b: b.astype(bool),
+    "2-D": lambda b: b.reshape(1, -1),
+    "0-d": lambda b: np.zeros((), np.uint8),
+    "bytes": lambda b: b.tobytes(),
+    "list": lambda b: b.tolist(),
+}
+
+
+@st.composite
+def payload_cases(draw):
+    """(n_bits, kinds, blocks): blocks whose bytes fall short of, match or
+    run past the ceil(n_bits / 8) n_bits need, zero in their pad bits."""
+    n_bits = draw(st.integers(0, 2048) if draw(st.integers(0, 9))
+                  else st.integers(-16, -1))
+    need = max(-(-n_bits // 8), 0)
+    total = max(need + draw(st.sampled_from([-9, -1, 0, 0, 0, 1, 7])), 0)
+    data = np.frombuffer(draw(st.binary(min_size=total, max_size=total)),
+                         np.uint8).copy()
+    if n_bits % 8 and 0 < need <= total:
+        data[need - 1] &= (1 << n_bits % 8) - 1
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=4)))
+    pieces = [] if total == 0 and draw(st.booleans()) else np.split(data, cuts)
+    kinds = [draw(st.sampled_from(["uint8"] * 8 + list(_BLOCK_KINDS)))
+             for _ in pieces]
+    return n_bits, kinds, [_BLOCK_KINDS[k](b) for k, b in zip(kinds, pieces)]
+
+
+def _refusal(call):
+    """The MalformedStream message call raises, or None if it returns."""
+    try:
+        call()
+    except MalformedStream as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=payload_cases())
+def test_payload_rule_is_one_contract(case, tmp_path):
+    """The writer, the demodulator and the container take the same payload
+    blocks: 1-D uint8 arrays of ceil(n_bits / 8) bytes in all, for an
+    n_bits >= 0.  All three accept a payload or all three refuse it with
+    the same MalformedStream message, and a refused write keeps the old
+    file."""
+    n_bits, kinds, blocks = case
+    clock_hz = 1024 * 44100
+    path = tmp_path / "out.pwm"
+    path.write_bytes(b"previous")
+    refusals = {
+        _refusal(lambda: write_pwm_blocks(iter(blocks), path, n_bits=n_bits,
+                                          clock_hz=clock_hz, frame_bits=1)),
+        _refusal(lambda: list(demodulate_stream(iter(blocks), n_bits=n_bits,
+                                                clock_hz=clock_hz)))}
+    if len(blocks) == 1:
+        refusals.add(_refusal(lambda: PwmBitstream(
+            payload=blocks[0], n_bits=n_bits, clock_hz=clock_hz,
+            frame_bits=1)))
+    assert len(refusals) == 1, refusals
+    refusal, = refusals
+    valid = (n_bits >= 0 and set(kinds) <= {"uint8", "strided"}
+             and sum(len(b) for b in blocks) == -(-n_bits // 8))
+    assert (refusal is None) == valid, refusal
+    if valid:
+        assert path.read_bytes()[16:] == b"".join(b.tobytes() for b in blocks)
+    else:
+        assert path.read_bytes() == b"previous"
     assert [p.name for p in tmp_path.iterdir()] == ["out.pwm"]
 
 

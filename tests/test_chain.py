@@ -55,6 +55,17 @@ def test_s0_preserves_length():
     assert np.all(np.abs(out) <= 1.0)
 
 
+@pytest.mark.parametrize("samples,dtype", [
+    (np.array([70000, -70000], np.int32), "int32"),
+    (np.array([1.5, np.nan]), "float64"),
+    (np.array([0, 1], np.uint16), "uint16")])
+def test_s0_refuses_other_dtypes(samples, dtype):
+    """S0 takes int16 only: wider integers would land outside [-1, +1) and
+    floats would be scaled as they are, NaN included."""
+    with pytest.raises(ValueError, match=f"int16 samples, got {dtype}"):
+        s0_condition(samples)
+
+
 # --- interpolation ----------------------------------------------------------
 
 def test_kernel_shape():

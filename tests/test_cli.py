@@ -1,9 +1,13 @@
+import fnmatch
+import importlib
+import inspect
 import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -799,3 +803,22 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert child.returncode == EXIT_CLOSED_STDOUT
     assert child.stderr == b""
+
+
+# --- packaging ------------------------------------------------------------
+
+def test_pyproject_installs_the_cli_and_its_data():
+    """The installed package runs: the console script is cli.main, and
+    every data file _bundled names ships as package data."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)
+    module, _, attr = project["project"]["scripts"]["pcm2pwm"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
+    globs = project["tool"]["setuptools"]["package-data"]["pcm2pwm"]
+    names = re.findall(r'_bundled\("([^"]+)"\)', inspect.getsource(cli))
+    assert sorted(names) == ["baseline.scenario", "pe_library.ini"]
+    for name in names:
+        assert any(fnmatch.fnmatch(f"data/{name}", g) for g in globs), name
+        assert Path(cli._bundled(name)).is_file(), name
