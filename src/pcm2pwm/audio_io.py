@@ -117,10 +117,10 @@ def _payload_blocks(blocks: Iterable, n_bits: int) -> Iterator[np.ndarray]:
     """The blocks of an n_bits-bit payload, passed on as checked: the one
     PWM1 payload rule.  MalformedStream before the first for n_bits < 0,
     at one that is no 1-D uint8 array, and after the last for a total
-    other than the ceil(n_bits / 8) bytes n_bits need."""
+    other than the ceil(n_bits / 8) bytes n_bits need or a set pad bit."""
     if n_bits < 0:
         raise MalformedStream(f"bit count {n_bits} is negative")
-    size = 0
+    size, last = 0, None  # last: the last non-empty block
     for block in blocks:
         if not (isinstance(block, np.ndarray) and block.dtype == np.uint8
                 and block.ndim == 1):
@@ -129,10 +129,13 @@ def _payload_blocks(blocks: Iterable, n_bits: int) -> Iterator[np.ndarray]:
             raise MalformedStream(f"payload blocks must be 1-D uint8 arrays, "
                                   f"got {got}")
         size += len(block)
+        last = block if len(block) else last
         yield block
     if size != (n_bits + 7) // 8:
         raise MalformedStream(f"{n_bits} bits need {(n_bits + 7) // 8} "
                               f"payload bytes, got {size}")
+    if n_bits % 8 and last[-1] >> n_bits % 8:
+        raise MalformedStream("pad bits of the last payload byte must be zero")
 
 
 def check_pwm_header(n_bits: int, clock_hz: int, frame_bits: int) -> None:
@@ -152,8 +155,8 @@ def check_pwm_header(n_bits: int, clock_hz: int, frame_bits: int) -> None:
 class PwmBitstream:
     """PWM bits packed LSB-first into bytes with zero pad bits (the PWM1
     payload as it is on disk), plus the frame geometry.  Fields
-    check_pwm_header refuses, a payload write_pwm_blocks refuses and a set
-    pad bit raise MalformedStream; a zero clock is legal, as in PWM1."""
+    check_pwm_header refuses and a payload write_pwm_blocks refuses raise
+    MalformedStream; a zero clock is legal, as in PWM1."""
 
     payload: np.ndarray  # uint8, ceil(n_bits / 8) bytes
     n_bits: int
@@ -163,15 +166,15 @@ class PwmBitstream:
     def __post_init__(self):
         _check_fields(self.n_bits, self.clock_hz, self.frame_bits)
         list(_payload_blocks([self.payload], self.n_bits))
-        if self.n_bits % 8 and self.payload[-1] >> (self.n_bits % 8):
-            raise MalformedStream("pad bits of the last payload byte must be "
-                                  "zero")
 
     @classmethod
     def from_bits(cls, bits, clock_hz: int, frame_bits: int) -> "PwmBitstream":
-        """Pack unpacked bits, one integer or bool 0/1 per bit, into a
-        stream; MalformedStream names another dtype or the first value."""
+        """Pack a 1-D array of integer or bool 0/1 bits into a stream;
+        MalformedStream names another shape or dtype, or the first value."""
         bits = np.asarray(bits)
+        if bits.ndim != 1:
+            raise MalformedStream(f"bits must be one-dimensional, got shape "
+                                  f"{bits.shape}")
         if bits.dtype.kind not in "biu":
             raise MalformedStream(f"bits must be integers, got {bits.dtype}")
         bad = bits[(bits != 0) & (bits != 1)]
@@ -350,11 +353,11 @@ def write_pwm_blocks(blocks: Iterable[np.ndarray], path, *, n_bits: int,
 
     Raises as check_pwm_header does, before touching the file or reading
     a block.  The file is written beside `path` and renamed over it only
-    once the blocks held the ceil(n_bits / 8) bytes the header declares
-    (MalformedStream if not, or at a block that is no 1-D uint8 array),
-    so a failure or an interrupt part way leaves `path` as it was.  A
-    `path` that exists and is no regular file, such as a device, is
-    written in place.
+    once the blocks held the ceil(n_bits / 8) bytes the header declares,
+    pad bits zero (MalformedStream if not, or at a block that is no 1-D
+    uint8 array), so a failure or an interrupt part way leaves `path` as
+    it was.  A `path` that exists and is no regular file, such as a
+    device, is written in place.
     """
     check_pwm_header(n_bits, clock_hz, frame_bits)
     header = _HEADER.pack(PWM_MAGIC, clock_hz, frame_bits, n_bits)

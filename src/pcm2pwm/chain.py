@@ -74,11 +74,9 @@ def design_interp_kernel() -> np.ndarray:
     makes the x2 stage DC-exact (total tap sum 2.0).
     """
     taps = 2.0 * _blackman_sinc(FIR_TAPS, 0.25)
-    # exact unit DC gain per polyphase branch
+    # exact unit DC gain per polyphase branch (each sums to about 1, not 0)
     for phase in (0, 1):
-        s = taps[phase::2].sum()
-        if s != 0.0:
-            taps[phase::2] /= s
+        taps[phase::2] /= taps[phase::2].sum()
     taps.flags.writeable = False
     return taps
 
@@ -161,7 +159,9 @@ def upsample2(x: np.ndarray, *, behavior: str = "S1",
     With `state`, `x` is the next block of a longer stream: it is filtered
     after the history the state holds, which it then updates, and each
     output is the same dot product as in a one-block call, bit for bit.
+    ValueError for an x that is empty or not 1-D.
     """
+    _one_dimensional(x, behavior)
     if len(x) == 0:
         raise ValueError("cannot upsample an empty stream")
     state = state or FirState()
@@ -171,6 +171,12 @@ def upsample2(x: np.ndarray, *, behavior: str = "S1",
     out = _convolve(stuffed, _KERNEL)[len(state.history):len(stuffed)]
     state.history = stuffed[-(FIR_TAPS - 1):].copy()
     return np.clip(out, -1.0, 1.0, out=out)
+
+
+def _one_dimensional(x: np.ndarray, stage: str) -> None:
+    """ValueError, naming the shape, unless x is one-dimensional."""
+    if np.ndim(x) != 1:
+        raise ValueError(f"{stage} takes a 1-D array, got shape {np.shape(x)}")
 
 
 def _convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -198,8 +204,10 @@ def linearize(x: np.ndarray, state: LineState | None = None,
     With `state`, `x` is the next block of a longer stream and `last` says
     whether it ends the stream.  A sample is emitted once its
     look-ahead has arrived, so a block's output lags its input by one
-    sample, and the last block emits the held sample too.
+    sample, and the last block emits the held sample too.  ValueError for
+    an x that is not 1-D.
     """
+    _one_dimensional(x, "LINE")
     state = state or LineState()
     first = len(state.tail) == 0
     x = np.concatenate([state.tail, x])
@@ -237,8 +245,10 @@ def noise_shape(x: np.ndarray, state: MoldState | None = None) -> np.ndarray:
     half-up onto the 2^QUANTIZER_BITS - 1 grid, and the pre-clamp error
     v - dequantized(code) is fed back.  State starts at zero, or at what
     `state` carried from the previous block, which it then updates.
-    Returns the codes, 0 .. 2^QUANTIZER_BITS - 1, as uint8.
+    Returns the codes, 0 .. 2^QUANTIZER_BITS - 1, as uint8.  ValueError
+    for an x that is not 1-D.
     """
+    _one_dimensional(x, "MOLD")
     n_levels = 2 ** QUANTIZER_BITS - 1
     half = n_levels / 2.0
     inv_half = 1.0 / half

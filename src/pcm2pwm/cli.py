@@ -9,7 +9,7 @@ Subcommands:
 
 Inputs are WAV paths or synthetic specs ("sine:FREQ_HZ:AMP_DBFS[:SECONDS]",
 "noise:AMP_DBFS[:SECONDS]", "silence[:SECONDS]"); synthetic signals default
-to 4.3 s and noise uses --seed.  Exit codes:
+to 4.3 s; convert and roundtrip seed noise with --seed.  Exit codes:
 
     0    success
     1    the roundtrip demodulator worker ended without a reply
@@ -122,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("profile", help="count operations and estimate times")
-    _add_input(p, required=False)
+    p.add_argument("--input", help="WAV path or synthetic spec, as for "
+                                   "convert; only its length and rate count")
     p.add_argument("--scenario", help="scenario file with principal cycle "
                                       "totals (instead of modelled counts)")
     p.add_argument("--pe-lib", help="processing-element library (INI)")
@@ -152,8 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_input(p, required=True):
-    p.add_argument("--input", required=required,
+def _add_input(p):
+    p.add_argument("--input", required=True,
                    help="WAV path or sine:FREQ:AMP_DBFS[:SECONDS] / "
                         "noise:AMP_DBFS[:SECONDS] / silence[:SECONDS]")
     p.add_argument("--seed", type=int, default=0,
@@ -209,7 +210,7 @@ def cmd_profile(args) -> int:
                              f"{sorted(missing)}")
         pes = [pe for pe in pes if pe.name in totals]
     elif args.input:
-        with _open_input(args.input, args.seed) as source:  # header only
+        with _open_input(args.input, 0) as source:  # header only, no noise
             n, rate = source.frame_count, source.sample_rate
         if n:  # an empty input plays for the deadline
             if args.deadline_ms is not None:

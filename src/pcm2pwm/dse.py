@@ -215,8 +215,6 @@ def enumerate_partitions(estimates: dict, cm: CostModel,
 def select(options: list, cm: CostModel) -> PartitionOption:
     """Cheapest option beating the deadline; ties go to the faster, then
     the smaller hardware set."""
-    if not options:
-        raise NoFeasibleOption("no options to select from")
     feasible = [o for o in options if o.t_total_us < cm.deadline_us]
     if not feasible:
         raise NoFeasibleOption(

@@ -423,10 +423,12 @@ def test_pwm_blocks_short_or_long_keep_old_file(n_blocks, tmp_path):
     (np.array([256, 1, 0.5, 2, 1, 1, 1, 1]), "integers, got float64"),
     (np.array([1, 256, 0, 2, 1, 1, 1, 1]), "0 or 1, got 256"),
     (np.array([0, 1, 2, 1, 0, 0, 0, -1]), "0 or 1, got 2"),
-    (np.array([0, 0, 0, 0, 0, 0, 0, -1], np.int8), "0 or 1, got -1")])
+    (np.array([0, 0, 0, 0, 0, 0, 0, -1], np.int8), "0 or 1, got -1"),
+    (np.ones((2, 8), np.uint8), r"one-dimensional, got shape \(2, 8\)")])
 def test_pwm_from_bits_refuses_values_other_than_0_and_1(bits, error):
     """A bit is 0 or 1: 256 is not read as 0 after a uint8 wrap, 0.5 is
-    not truncated and 2 is not packed as 1."""
+    not truncated and 2 is not packed as 1; bits are a 1-D array, whose
+    row count is not read as the bit count."""
     with pytest.raises(MalformedStream, match=error):
         PwmBitstream.from_bits(bits, clock_hz=8, frame_bits=8)
 
@@ -454,15 +456,13 @@ _BLOCK_KINDS = {
 @st.composite
 def payload_cases(draw):
     """(n_bits, kinds, blocks): blocks whose bytes fall short of, match or
-    run past the ceil(n_bits / 8) n_bits need, zero in their pad bits."""
+    run past the ceil(n_bits / 8) n_bits need, with any pad bits."""
     n_bits = draw(st.integers(0, 2048) if draw(st.integers(0, 9))
                   else st.integers(-16, -1))
     need = max(-(-n_bits // 8), 0)
     total = max(need + draw(st.sampled_from([-9, -1, 0, 0, 0, 1, 7])), 0)
     data = np.frombuffer(draw(st.binary(min_size=total, max_size=total)),
                          np.uint8).copy()
-    if n_bits % 8 and 0 < need <= total:
-        data[need - 1] &= (1 << n_bits % 8) - 1
     cuts = sorted(draw(st.lists(st.integers(0, total), max_size=4)))
     pieces = [] if total == 0 and draw(st.booleans()) else np.split(data, cuts)
     kinds = [draw(st.sampled_from(["uint8"] * 8 + list(_BLOCK_KINDS)))
@@ -485,9 +485,9 @@ def _refusal(call):
 def test_payload_rule_is_one_contract(case, tmp_path):
     """The writer, the demodulator and the container take the same payload
     blocks: 1-D uint8 arrays of ceil(n_bits / 8) bytes in all, for an
-    n_bits >= 0.  All three accept a payload or all three refuse it with
-    the same MalformedStream message, and a refused write keeps the old
-    file."""
+    n_bits >= 0, with zero pad bits.  All three accept a payload or all
+    three refuse it with the same MalformedStream message, and a refused
+    write keeps the old file."""
     n_bits, kinds, blocks = case
     clock_hz = 1024 * 44100
     path = tmp_path / "out.pwm"
@@ -504,7 +504,8 @@ def test_payload_rule_is_one_contract(case, tmp_path):
     assert len(refusals) == 1, refusals
     refusal, = refusals
     valid = (n_bits >= 0 and set(kinds) <= {"uint8", "strided"}
-             and sum(len(b) for b in blocks) == -(-n_bits // 8))
+             and sum(len(b) for b in blocks) == -(-n_bits // 8)
+             and not (n_bits % 8 and np.concatenate(blocks)[-1] >> n_bits % 8))
     assert (refusal is None) == valid, refusal
     if valid:
         assert path.read_bytes()[16:] == b"".join(b.tobytes() for b in blocks)
@@ -529,6 +530,30 @@ def test_pwm_payload_invariants():
                           clock_hz=100, frame_bits=4)
     assert stream.bits.tolist() == [1, 1, 1, 1]
     assert not stream.bits.flags.writeable
+
+
+def test_set_pad_bit_is_one_refusal(tmp_path):
+    """A set pad bit breaks the payload rule: the container, the writer and
+    the demodulator refuse it with one message, the writer keeping the old
+    file, while read_pwm still reads such a file with its pad bits
+    cleared."""
+    ones = np.array([0xFF], np.uint8)
+    with pytest.raises(MalformedStream) as container:
+        PwmBitstream(payload=ones, n_bits=4, clock_hz=1, frame_bits=4)
+    path = tmp_path / "out.pwm"
+    path.write_bytes(b"previous")
+    with pytest.raises(MalformedStream) as writer:
+        write_pwm_blocks([ones], path, n_bits=4, clock_hz=1, frame_bits=4)
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.pwm"]
+    with pytest.raises(MalformedStream) as demodulator:
+        list(demodulate_stream([np.zeros(0, np.uint8), ones, ones[:0]],
+                               n_bits=4, clock_hz=1024))
+    assert (str(container.value) == str(writer.value)
+            == str(demodulator.value)
+            == "pad bits of the last payload byte must be zero")
+    path.write_bytes(struct.pack("<4sIII", b"PWM1", 1, 4, 4) + ones.tobytes())
+    assert read_pwm(path).payload.tolist() == [0x0F]
 
 
 @pytest.mark.parametrize("n_bits", [1, 4, 7, 9, 12])

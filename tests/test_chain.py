@@ -101,6 +101,17 @@ def test_upsample2_rejects_empty():
         upsample2(np.zeros(0))
 
 
+@pytest.mark.parametrize("stage,name", [(upsample2, "S1"),
+                                         (linearize, "LINE"),
+                                         (noise_shape, "MOLD")])
+def test_float_stages_refuse_arrays_not_1d(stage, name):
+    """S1-S3, LINE and MOLD take one-dimensional arrays; another shape is
+    named, not broadcast, joined or iterated."""
+    with pytest.raises(ValueError, match=fr"^{name} takes a 1-D array, got "
+                                         r"shape \(2, 10\)$"):
+        stage(np.zeros((2, 10)))
+
+
 def test_upsample2_length_law():
     for n in (1, 7, 100, 1001):
         out = upsample2(np.random.default_rng(n).uniform(-0.5, 0.5, n))

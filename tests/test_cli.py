@@ -296,6 +296,22 @@ def test_profile_needs_source(capsys):
     assert main(["profile"]) == 2
 
 
+def test_profile_takes_no_seed(capsys):
+    """profile reads only an input's length and rate, so a seed could not
+    change its report: --seed is an unknown option there, and only there."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["profile", "--input", "noise:-6", "--seed", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    helps = {}
+    for command in ("convert", "profile", "explore", "roundtrip"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        helps[command] = capsys.readouterr().out
+    assert [c for c, text in helps.items() if "--seed" in text] == [
+        "convert", "roundtrip"]
+
+
 def test_profile_takes_one_source(capsys):
     """--input and --scenario are two ways to get cycle totals; given both,
     profile refuses rather than report one and drop the other."""

@@ -214,6 +214,12 @@ def test_select_impossible_deadline(estimates, cm):
         select(enumerate_partitions(estimates, harsh), harsh)
 
 
+def test_select_nothing(cm):
+    """An empty list has no mapping that beats the deadline."""
+    with pytest.raises(NoFeasibleOption, match="no mapping beats the "):
+        select([], cm)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 50))
 def test_select_scale_invariance(scale):

@@ -45,7 +45,6 @@ def test_profile_stdout_digest(source, fmt, tmp_path, capsys):
     spec = source
     if source == "short.wav":
         spec = str(write_wav(tmp_path / source, sine_int16(1000, 0.5, 0.1)))
-    assert main(["profile", "--input", spec, "--seed", "0",
-                 "--format", fmt]) == 0
+    assert main(["profile", "--input", spec, "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[source, fmt]

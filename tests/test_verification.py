@@ -107,6 +107,19 @@ def test_demodulate_stream_rejects_blocks_not_1d_uint8(block, got):
         collect(demodulate_stream([block], n_bits=1024, clock_hz=1024 * RATE))
 
 
+@pytest.mark.parametrize("rate", [1, 43478, 43479, 44100, 48000, 192000,
+                                  4194303])
+def test_stage_filters_are_long_enough_to_decimate(rate):
+    """Both stages' filters reach back at least m - 1 inputs from their
+    middle tap, D >= m - 1, at the edges of _stage_filter's cases up to the
+    PWM1 clock ceiling: _polyphase_decimate's branch starts D - r are then
+    never negative."""
+    clock_hz, frame_rate = 1024 * rate, 8 * rate
+    for h, m in ((verification._stage_filter(clock_hz, frame_rate, rate), 128),
+                 (verification._stage_filter(frame_rate, rate, rate), 8)):
+        assert (len(h) - 1) // 2 >= m - 1
+
+
 def test_demodulate_rejects_other_frame_sizes():
     """300 samples' worth of bits in 64-bit frames is no chain's stream:
     demodulate raises rather than reading it as 128-bit frames."""
