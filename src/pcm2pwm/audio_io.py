@@ -5,8 +5,8 @@ Two on-disk formats are handled here, both bit-exactly:
 * RIFF/WAVE, PCM format code 1, 16-bit only.  Stereo (or any multi-channel)
   input is downmixed to mono by the per-frame arithmetic mean rounded toward
   zero.  Anything that is not 16-bit integer PCM is rejected rather than
-  converted.  WavReader checks the header and then reads the data chunk a
-  bounded block at a time; read_wav collects it into one PcmStream.
+  converted.  WavReader checks the header and then reads the data chunk
+  _BLOCK frames at a time; read_wav collects it into one PcmStream.
 
 * The "PWM1" container: a 16-byte header followed by the bit payload.
 
@@ -32,6 +32,7 @@ come, and replaces the output file only once all of them are written.
 from __future__ import annotations
 
 import io
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -43,7 +44,8 @@ PWM_MAGIC = b"PWM1"
 _HEADER = struct.Struct("<4sIII")
 PWM_MAX_BITS = 2 ** 32 - 1  # largest payload length the u32 field holds
 PWM_MAX_CLOCK_HZ = 2 ** 32 - 1  # largest bit clock the u32 field holds
-_WAV_BLOCK = 4096  # frames WavReader.blocks reads at a time
+# input samples a pipeline stage takes at a time (MOLD 8 x as many S3 ones)
+_BLOCK = 1024
 
 
 class MalformedHeader(Exception):
@@ -76,7 +78,8 @@ class PcmStream:
 
     samples is one-dimensional and may have any integer dtype, within the
     int16 range; anything else raises ValueError rather than being
-    rounded, truncated or read along its first axis."""
+    rounded, truncated or read along its first axis, as does a rate that
+    is no positive integer."""
 
     samples: np.ndarray  # int16
     sample_rate: int
@@ -93,16 +96,36 @@ class PcmStream:
                 raise ValueError("samples out of 16-bit range")
             arr = arr.astype(np.int16)
         self.samples = arr
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        _check_rate(self.sample_rate)
 
     def __len__(self):
         return len(self.samples)
 
 
+def _check_rate(sample_rate: int) -> None:
+    """ValueError unless sample_rate is a positive integer."""
+    if not isinstance(sample_rate, numbers.Integral):
+        raise ValueError(f"sample_rate must be an integer, got "
+                         f"{sample_rate!r}")
+    if sample_rate <= 0:
+        raise ValueError("sample_rate must be positive")
+
+
+def _cut(blocks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The elements of `blocks`, in order, re-cut into non-empty blocks of
+    at most `size`: the one cut at a pipeline's entry."""
+    for block in blocks:
+        for start in range(0, len(block), size):
+            yield block[start:start + size]
+
+
 def _check_fields(n_bits: int, clock_hz: int, frame_bits: int) -> None:
-    """The frame rules and the signs of a PWM1 header's fields, for
+    """The types, frame rules and signs of a PWM1 header's fields, for
     check_pwm_header and the in-memory stream alike."""
+    for name, value in (("n_bits", n_bits), ("clock_hz", clock_hz),
+                        ("frame_bits", frame_bits)):
+        if not isinstance(value, numbers.Integral):
+            raise MalformedStream(f"{name} must be an integer, got {value!r}")
     if not 0 < frame_bits < 2 ** 32:  # a PWM1 u32 field
         raise MalformedStream("frame_bits must be in 1 .. 2^32 - 1")
     if n_bits < 0:
@@ -139,9 +162,9 @@ def _payload_blocks(blocks: Iterable, n_bits: int) -> Iterator[np.ndarray]:
 
 
 def check_pwm_header(n_bits: int, clock_hz: int, frame_bits: int) -> None:
-    """Check a PWM1 header's fields: the frame rules and a negative bit
-    count or clock (MalformedStream), the u32 bit count (StreamTooLong),
-    then the u32 bit clock (ClockTooHigh)."""
+    """Check a PWM1 header's fields: a field that is no integer, the frame
+    rules and a negative bit count or clock (MalformedStream), the u32
+    bit count (StreamTooLong), then the u32 bit clock (ClockTooHigh)."""
     _check_fields(n_bits, clock_hz, frame_bits)
     if n_bits > PWM_MAX_BITS:
         raise StreamTooLong(f"stream too long: {n_bits} bits, the PWM1 bit "
@@ -286,13 +309,13 @@ class WavReader:
         self.frame_count = data[1] // block_align
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """The int16 mono samples, at most _WAV_BLOCK at a time.  Each frame
-        is the arithmetic mean of its channels, rounded toward zero."""
+        """The int16 mono samples, at most _BLOCK at a time.  Each frame is
+        the arithmetic mean of its channels, rounded toward zero."""
         align = 2 * self.channels
         try:
             self._fh.seek(self._data_at)
-            for start in range(0, self.frame_count, _WAV_BLOCK):
-                n = min(_WAV_BLOCK, self.frame_count - start)
+            for start in range(0, self.frame_count, _BLOCK):
+                n = min(_BLOCK, self.frame_count - start)
                 raw = self._fh.read(n * align)
                 if len(raw) != n * align:
                     raise MalformedHeader("data chunk shrank while reading")

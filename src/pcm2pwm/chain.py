@@ -24,16 +24,19 @@ No rate travels with them: the design fixes each stage's rate as a
 multiple of the input's.  All arithmetic is double precision.  The
 operations each stage is modelled to perform are profiler.op_counts.
 
-convert_stream runs the chain over bounded blocks of input, as the
-SpecC behaviors do, so memory does not grow with the clip.  Each stage
-takes a block plus the state it carried from the previous block: S1-S3
-their last FIR_TAPS - 1 zero-stuffed input samples (FirState), LINE the
-look-behind and the pending look-ahead sample (LineState), MOLD its
-error feedback e1, e2 (MoldState); S0 and the waveform generator carry
-nothing.  A stage called without state starts a fresh one, so it
-treats its input as the whole stream, and every cut, down to 1-sample
-blocks, gives the same bits as that one-block call.  convert is
-convert_stream over one PcmStream, collected (audio_io.collect).
+convert_stream cuts its input once, at its entry, into blocks of at most
+audio_io._BLOCK samples, as the SpecC behaviors pass bounded buffers, so
+memory does not grow with the clip; every stage computes the block it is
+handed in one pass.  Each stage takes a block plus the state it carried
+from the previous block: S1-S3 their last FIR_TAPS - 1 zero-stuffed input
+samples (FirState), LINE the look-behind and the pending look-ahead
+sample (LineState), MOLD its error feedback e1, e2 (MoldState); S0 and
+the waveform generator carry nothing.  A stage called without state
+starts a fresh one, so it treats its input as the whole stream; with
+state, LINE takes an empty block as the end of the stream, so it takes
+no empty block before the end.  Every cut, down to 1-sample blocks, gives
+the same bits as that one-block call.
+convert is convert_stream over one PcmStream, collected (audio_io.collect).
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .audio_io import PcmStream, PwmBitstream, collect
+from .audio_io import (_BLOCK, PcmStream, PwmBitstream, _check_rate, _cut,
+                       collect)
 
 BEHAVIORS = ("S0", "S1", "S2", "S3", "LINE", "MOLD")
 
@@ -90,17 +94,6 @@ def windowed_sinc_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
     taps = _blackman_sinc(num_taps, cutoff)
     return taps / taps.sum()
 
-
-# MOLD converts this many samples to Python floats at a time, so no more
-# float objects than this are alive at once.  convert_stream hands it up to
-# 8 x _BLOCK samples: one tolist() of those raised a 4.3 s convert's VmHWM
-# by about 0.8 MB, and in one whole-stream noise_shape call on 4.3 s of S3
-# output (1.5 M samples) it raised a fresh process's VmHWM from 46 to 105 MB.
-_MOLD_BLOCK = 8192
-
-# convert_stream feeds the chain at most this many input samples at a time;
-# the largest block any stage holds is 8 x this many float64 samples.
-_BLOCK = 4096
 
 # PWM bits each input sample becomes: 2^INTERP_STAGES outputs of S3, each
 # one frame of FRAME_BITS bits.
@@ -188,8 +181,7 @@ def _convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.convolve(x, h)
 
 
-def linearize(x: np.ndarray, state: LineState | None = None,
-              last: bool = True) -> np.ndarray:
+def linearize(x: np.ndarray, state: LineState | None = None) -> np.ndarray:
     """LINE: replace each sample with the signal value at its pulse crossing.
 
     Uniformly sampled PWM fixes the pulse width from the sample at the frame
@@ -201,19 +193,21 @@ def linearize(x: np.ndarray, state: LineState | None = None,
     and last samples have no complete neighbourhood and pass through
     unchanged.
 
-    With `state`, `x` is the next block of a longer stream and `last` says
-    whether it ends the stream.  A sample is emitted once its
-    look-ahead has arrived, so a block's output lags its input by one
-    sample, and the last block emits the held sample too.  ValueError for
-    an x that is not 1-D.
+    Without `state`, `x` is the whole stream.  With it, `x` is the next
+    block of a longer stream, and an empty block ends the stream: the
+    blocks before it must be non-empty, and none may follow it.  A
+    sample is emitted once its look-ahead has arrived, so a block's output
+    lags its input by one sample, and the empty block emits the held
+    sample.  ValueError for an x that is not 1-D.
     """
     _one_dimensional(x, "LINE")
+    end = state is None or len(x) == 0
     state = state or LineState()
     first = len(state.tail) == 0
     x = np.concatenate([state.tail, x])
     state.tail = x[-2:].copy()
     parts = [x[:1] if first else x[:0], _crossings(x)]
-    if last and len(x) > 1:
+    if end and len(x) > 1:
         parts.append(x[-1:])
     return np.concatenate(parts)
 
@@ -258,16 +252,15 @@ def noise_shape(x: np.ndarray, state: MoldState | None = None) -> np.ndarray:
     append = codes.append
     state = state or MoldState()
     e1, e2 = state.e1, state.e2
-    for start in range(0, len(x), _MOLD_BLOCK):
-        for xv in x[start:start + _MOLD_BLOCK].tolist():
-            v = xv + 2.0 * e1 - e2
-            c = 1.0 if v > 1.0 else (-1.0 if v < -1.0 else v)
-            # round half-up; -1 <= c <= 1 puts the argument in [0, 127.5],
-            # so code is 0 .. n_levels and needs no clamp
-            code = int((c + 1.0) * half + 0.5)
-            append(code)
-            e2 = e1
-            e1 = v - deq[code]
+    for xv in x.tolist():
+        v = xv + 2.0 * e1 - e2
+        c = 1.0 if v > 1.0 else (-1.0 if v < -1.0 else v)
+        # round half-up; -1 <= c <= 1 puts the argument in [0, 127.5], so
+        # code is 0 .. n_levels and needs no clamp
+        code = int((c + 1.0) * half + 0.5)
+        append(code)
+        e2 = e1
+        e1 = v - deq[code]
     state.e1, state.e2 = e1, e2
     return np.frombuffer(codes, dtype=np.uint8)
 
@@ -297,35 +290,28 @@ def convert_stream(blocks: Iterable[np.ndarray], sample_rate: int
     """Run the chain over int16 blocks of PCM samples at `sample_rate` and
     yield the packed PWM1 payload, block by block.
 
-    The blocks may have any sizes; the chain sees them re-cut into at most
+    The blocks may have any sizes; the chain sees them cut into at most
     _BLOCK samples, and every cut gives the same bytes.  All payload
     blocks joined are what generate_pwm would make for the whole stream:
     PWM_BITS_PER_SAMPLE bits per input sample at a sample_rate *
     PWM_BITS_PER_SAMPLE Hz bit clock.  Raises ValueError, on the first
-    step, for a stream with no samples.
+    step, for a rate that is no positive integer or a stream with no
+    samples, and at a block that is not int16 (s0_condition).
     """
+    _check_rate(sample_rate)
+    rate = sample_rate << INTERP_STAGES  # MOLD's code rate
     fir = [FirState() for _ in range(INTERP_STAGES)]
     line, mold = LineState(), MoldState()
-    for block, last in _bounded(blocks):
-        x = s0_condition(PcmStream(block, sample_rate).samples)
+    for block in _cut(blocks, _BLOCK):
+        x = s0_condition(block)
         for i, state in enumerate(fir):
             x = upsample2(x, behavior=f"S{i + 1}", state=state)
-        codes = noise_shape(linearize(x, line, last), mold)
-        yield generate_pwm(codes, sample_rate << INTERP_STAGES).payload
-
-
-def _bounded(blocks: Iterable[np.ndarray]) -> Iterator[tuple]:
-    """(block, is_last) for the samples of `blocks`: non-empty blocks of at
-    most _BLOCK samples."""
-    held = None
-    for block in blocks:
-        for start in range(0, len(block), _BLOCK):
-            if held is not None:
-                yield held, False
-            held = block[start:start + _BLOCK]
-    if held is None:
+        yield generate_pwm(noise_shape(linearize(x, line), mold), rate).payload
+    if len(line.tail) == 0:
         raise ValueError("cannot convert an empty stream")
-    yield held, True
+    # an empty block ends LINE's stream: its held sample comes out
+    end = noise_shape(linearize(np.zeros(0), line), mold)
+    yield generate_pwm(end, rate).payload
 
 
 def convert(pcm: PcmStream) -> PwmBitstream:

@@ -29,7 +29,8 @@ to 4.3 s; convert and roundtrip seed noise with --seed.  Exit codes:
     4    quality floor missed
     141  stdout closed early, e.g. by `| head` (128 + SIGPIPE)
 
-convert and roundtrip stream: the chain runs over bounded blocks, and
+convert and roundtrip stream: the WAV reader and the synthetic inputs
+make blocks of audio_io._BLOCK samples, the chain runs over them, and
 roundtrip feeds its PWM payload blocks straight into the demodulator
 (verification.demodulate_stream), so neither holds a whole PWM stream.
 roundtrip still holds the input clip, the clip demodulated back to the
@@ -66,12 +67,11 @@ EXIT_QUALITY = 4
 EXIT_CLOSED_STDOUT = 141
 
 DEFAULT_SIGNAL_SECONDS = 4.3
-_SYNTH_BLOCK = 4096  # samples a synthetic input makes at a time
 # roundtrip's pipe depth: the chain may run eight of its payload blocks
 # ahead of the demodulator worker before a send waits.  A pipe that holds
 # less than a block makes every block a hand-off that waits for the worker
 # to be scheduled.  Linux caps it at net.core.wmem_max.
-_PIPE_BYTES = 8 * (chain._BLOCK * chain.PWM_BITS_PER_SAMPLE // 8)
+_PIPE_BYTES = 8 * (audio_io._BLOCK * chain.PWM_BITS_PER_SAMPLE // 8)
 
 
 class InputError(Exception):
@@ -432,8 +432,8 @@ class _Synthetic:
         self._freq = params[0] if kind == "sine" else None
 
     def blocks(self):
-        for start in range(0, self.frame_count, _SYNTH_BLOCK):
-            n = min(_SYNTH_BLOCK, self.frame_count - start)
+        for start in range(0, self.frame_count, audio_io._BLOCK):
+            n = min(audio_io._BLOCK, self.frame_count - start)
             if self._freq is not None:
                 t = np.arange(start, start + n) / self.sample_rate
                 wave = self._amp * np.sin(2.0 * np.pi * self._freq * t)

@@ -14,14 +14,15 @@ delay, then reports SNR, THD at the detected fundamental and the 0-20 kHz
 noise floor.  SNR is capped at +140 dB so identical streams yield a finite
 sentinel.
 
-demodulate_stream takes the PWM1 payload at most 64 KiB at a time, however
-it is cut, and yields the audio a block at a time, each stage carrying a
-few hundred samples of state, so `pcm2pwm roundtrip` feeds it
-chain.convert_stream's blocks and never holds a whole PWM stream; every cut
-gives the same samples bit for bit.  demodulate is its one-block case,
-collected.  measure holds whole clips: the reference, the demodulated audio
-and their FFTs.  Audio is plain float64 arrays: demodulate returns one at
-the chain's input rate, and measure takes the rate ref and test share.
+demodulate_stream cuts the PWM1 payload once, at its entry, into blocks of
+at most 64 KiB (audio_io._cut), however it arrives, and yields the audio a
+block at a time, each stage carrying a few hundred samples of state, so
+`pcm2pwm roundtrip` feeds it chain.convert_stream's blocks and never holds
+a whole PWM stream; every cut gives the same samples bit for bit.
+demodulate is its one-block case, collected.  measure holds whole clips:
+the reference, the demodulated audio and their FFTs.  Audio is plain
+float64 arrays: demodulate returns one at the chain's input rate, and
+measure takes the rate ref and test share.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .audio_io import MalformedStream, PwmBitstream, _payload_blocks, collect
+from .audio_io import (MalformedStream, PwmBitstream, _cut, _payload_blocks,
+                       collect)
 from .chain import (FRAME_BITS, INTERP_STAGES, PWM_BITS_PER_SAMPLE,
                     _convolve, windowed_sinc_lowpass)
 
@@ -115,7 +117,8 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
                               f"multiple of {PWM_BITS_PER_SAMPLE}")
     rate = clock_hz // PWM_BITS_PER_SAMPLE
     frame_rate = clock_hz // FRAME_BITS
-    frames = _edge_decimate(_payload(blocks, n_bits), n_bits,
+    payload = _cut(_payload_blocks(blocks, n_bits), _PAYLOAD_BLOCK)
+    frames = _edge_decimate(payload, n_bits,
                             _stage_filter(clock_hz, frame_rate, rate),
                             FRAME_BITS)
     for y in _polyphase_decimate(frames, n_bits // FRAME_BITS,
@@ -123,13 +126,6 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
                                  1 << INTERP_STAGES):
         np.clip(y, -1.0, 1.0, out=y)
         yield y
-
-
-def _payload(blocks: Iterable, n_bits: int) -> Iterator[np.ndarray]:
-    """The checked payload blocks, cut to at most _PAYLOAD_BLOCK bytes."""
-    for block in _payload_blocks(blocks, n_bits):
-        for start in range(0, len(block), _PAYLOAD_BLOCK):
-            yield block[start:start + _PAYLOAD_BLOCK]
 
 
 def _stage_filter(fs_in: int, fs_out: int, rate: int) -> np.ndarray:

@@ -79,14 +79,14 @@ def _truncated_means(frames, channels):
                       max_size=channels), max_size=64))),
     st.integers(1, 9))
 def test_downmix_per_block(channels_frames, block):
-    """The incremental reader downmixes block by block, at most _WAV_BLOCK
+    """The incremental reader downmixes block by block, at most _BLOCK
     frames at a time, to the same truncated means."""
     import tempfile
     from unittest import mock
     channels, frames = channels_frames
     interleaved = np.array([v for f in frames for v in f], dtype=np.int16)
     with tempfile.TemporaryDirectory() as d, \
-            mock.patch.object(audio_io, "_WAV_BLOCK", block):
+            mock.patch.object(audio_io, "_BLOCK", block):
         path = write_wav(f"{d}/x.wav", interleaved, channels=channels)
         with WavReader(path) as wav:
             assert (wav.sample_rate, wav.frame_count) == (44100, len(frames))
@@ -200,6 +200,15 @@ def test_pcm_sample_rate_must_be_positive(rate, valid):
             PcmStream(np.zeros(4, np.int16), rate)
 
 
+@pytest.mark.parametrize("rate", [44100.0, 1.5, "44100", None])
+def test_pcm_sample_rate_must_be_an_integer(rate):
+    """A rate that is no integer is refused on construction, not by a
+    TypeError in the chain's shifts; numpy integers are integers."""
+    with pytest.raises(ValueError, match="sample_rate must be an integer"):
+        PcmStream(np.zeros(4, np.int16), rate)
+    assert PcmStream(np.zeros(4, np.int16), np.int64(8000)).sample_rate == 8000
+
+
 @pytest.mark.parametrize("samples,error", [
     (np.array([0.7, -0.9, 1.5, 32766.9]), "integers"),
     (np.array([0.0, np.nan]), "integers"),
@@ -254,6 +263,18 @@ def test_collect_counts_blocks_against_the_declared_length(held, error):
     else:
         with pytest.raises(ValueError, match=error):
             audio_io.collect(reader.blocks(), reader.frame_count, np.int16)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=12), st.integers(1, 16))
+def test_cut_is_bounded_and_in_order(sizes, size):
+    """_cut, the one cut at a pipeline's entry, passes every element on in
+    order, in non-empty blocks of at most `size`."""
+    x = np.arange(sum(sizes))
+    blocks = np.split(x, np.cumsum(sizes)[:-1]) if sizes else []
+    pieces = list(audio_io._cut(blocks, size))
+    assert np.array_equal(np.concatenate([x[:0], *pieces]), x)
+    assert all(0 < len(p) <= size for p in pieces)
 
 
 # --- PWM1 container ---------------------------------------------------------
@@ -388,6 +409,26 @@ def test_pwm_header_rejects_negative_fields(n_bits, clock_hz, match,
     with pytest.raises(ValueError, match=match):
         PwmBitstream(payload=np.zeros(0, np.uint8), n_bits=n_bits,
                      clock_hz=clock_hz, frame_bits=128)
+
+
+@pytest.mark.parametrize("value", [8.0, 1.5, "8", None])
+@pytest.mark.parametrize("field", ["n_bits", "clock_hz", "frame_bits"])
+def test_pwm_header_fields_must_be_integers(field, value, tmp_path):
+    """A header field that is no integer is a MalformedStream naming it,
+    from write_pwm_blocks before a block is read or the file touched and
+    from the in-memory stream, not a struct.error or a later TypeError."""
+    def unread():
+        raise AssertionError("a block was read")
+        yield
+    fields = {"n_bits": 8, "clock_hz": 8, "frame_bits": 8, field: value}
+    path = tmp_path / "out.pwm"
+    with pytest.raises(MalformedStream, match=f"{field} must be an integer"):
+        write_pwm_blocks(unread(), path, **fields)
+    assert not path.exists()
+    with pytest.raises(MalformedStream, match=f"{field} must be an integer"):
+        PwmBitstream(payload=np.zeros(1, np.uint8), **fields)
+    fields[field] = np.uint32(8)  # numpy integers are integers
+    assert len(PwmBitstream(payload=np.zeros(1, np.uint8), **fields)) == 8
 
 
 def test_pwm_stream_takes_a_zero_clock():

@@ -322,34 +322,23 @@ def test_convert_is_one_shot_across_blocks():
 @given(st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=400),
        st.lists(st.integers(0, 10 ** 6), max_size=30))
 @example(samples=[0.25] * 70, cuts=[1])
+@example(samples=np.linspace(-0.5, 0.5, 10).tolist(), cuts=[5])
 def test_stage_states_carry_across_blocks(samples, cuts):
     """Each stateful stage, block by block with its state, equals its one
-    whole-array call, over any cut down to a 1-sample first block."""
+    whole-array call, over any cut down to a 1-sample first block; LINE
+    takes the non-empty pieces, then one empty block to end the stream."""
     x = np.array(samples)
     blocks = _split(x, cuts)
+    pieces = [b for b in blocks if len(b)]
     line, mold = LineState(), MoldState()
-    lined = np.concatenate([linearize(b, line, last=i == len(blocks) - 1)
-                            for i, b in enumerate(blocks)])
-    assert np.array_equal(lined, linearize(x))
+    lined = [linearize(b, line) for b in pieces + [x[:0]]]
+    assert np.array_equal(np.concatenate(lined), linearize(x))
     codes = np.concatenate([noise_shape(b, mold) for b in blocks])
     assert np.array_equal(codes, noise_shape(x))
 
     fir = FirState()
-    up = [upsample2(b, state=fir) for b in blocks if len(b)]
+    up = [upsample2(b, state=fir) for b in pieces]
     assert np.array_equal(np.concatenate(up), upsample2(x))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 9000), st.lists(st.integers(0, 10 ** 6), max_size=40))
-def test_blocks_are_bounded_and_in_order(n, cuts):
-    """The chain sees the samples in order, in non-empty blocks of at most
-    _BLOCK, with only the last one flagged last."""
-    x = np.arange(n)
-    pairs = list(chain._bounded(_split(x, cuts)))
-    blocks = [b for b, _ in pairs]
-    assert np.array_equal(np.concatenate(blocks), x)
-    assert all(0 < len(b) <= chain._BLOCK for b in blocks)
-    assert [last for _, last in pairs] == [False] * (len(pairs) - 1) + [True]
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,3 +359,21 @@ def test_convert_stream_rejects_empty():
     for blocks in ([], [np.zeros(0, dtype=np.int16)]):
         with pytest.raises(ValueError, match="empty"):
             next(convert_stream(blocks, 44100))
+
+
+def test_convert_stream_refuses_int32_blocks():
+    """Blocks are int16, as S0 takes them; an int32 block is refused, not
+    cast."""
+    with pytest.raises(ValueError, match="int32"):
+        next(convert_stream([np.zeros(8, dtype=np.int32)], 44100))
+
+
+@pytest.mark.parametrize("rate", [44100.0, 0, -1, "44100"])
+def test_convert_stream_checks_its_rate_first(rate):
+    """A rate that is no positive integer raises on the first step, before
+    any block is read."""
+    def blocks():
+        raise AssertionError("a block was read")
+        yield
+    with pytest.raises(ValueError, match="sample_rate"):
+        next(convert_stream(blocks(), rate))

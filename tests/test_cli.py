@@ -188,6 +188,24 @@ def test_convert_memory_flat_in_clip_length(tmp_path):
     assert peak_kb[40] <= 1.10 * peak_kb[5] + 4096, peak_kb
 
 
+def test_mold_gets_at_most_eight_blocks(tmp_path, capsys, monkeypatch):
+    """convert cuts its input once, at its entry: MOLD, the stage handed
+    the most samples, gets at most 8 x audio_io._BLOCK of them a call, so
+    no more Python floats than that are alive at once."""
+    sizes = []
+    real = chain.noise_shape
+
+    def spy(x, state=None):
+        sizes.append(len(x))
+        return real(x, state)
+    monkeypatch.setattr(chain, "noise_shape", spy)
+    assert main(["convert", "--input", "sine:1000:-6:2",
+                 "--output", str(tmp_path / "out.pwm")]) == 0
+    capsys.readouterr()
+    assert sum(sizes) == 8 * 2 * 44100
+    assert max(sizes) <= 8 * audio_io._BLOCK
+
+
 def test_demodulate_stream_memory_flat_in_clip_length():
     """Fresh-process peak RSS of demodulate_stream fed by convert_stream,
     each audio block dropped after use, is on a 40 s clip within 10 % (plus

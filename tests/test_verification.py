@@ -171,7 +171,8 @@ def stage1_minus6():
 
 def payload_cut(payload, n_bits):
     """The payload as demodulate_stream hands it to stage 1."""
-    return verification._payload([payload], n_bits)
+    return audio_io._cut(audio_io._payload_blocks([payload], n_bits),
+                         verification._PAYLOAD_BLOCK)
 
 
 def test_edge_decimate_matches_polyphase_on_clip(stage1_minus6):
