@@ -76,39 +76,53 @@ class MalformedStream(ValueError):
 class PcmStream:
     """Signed 16-bit samples at a fixed rate, mono after downmix.
 
-    samples is one-dimensional and may have any integer dtype, within the
+    samples is a 1-D array (or sequence) of any integer dtype, within the
     int16 range; anything else raises ValueError rather than being
-    rounded, truncated or read along its first axis, as does a rate that
-    is no positive integer."""
+    rounded, truncated or read along its first axis, as does a
+    sample_rate that is no integer of at least 1 (a bool is none)."""
 
     samples: np.ndarray  # int16
     sample_rate: int
 
     def __post_init__(self):
-        arr = np.asarray(self.samples)
-        if arr.ndim != 1:
-            raise ValueError(f"samples must be one-dimensional, got shape "
-                             f"{arr.shape}")
+        arr = _vector("samples", self.samples, (np.integer,))
         if arr.dtype != np.int16:
-            if arr.dtype.kind not in "iu":
-                raise ValueError(f"samples must be integers, got {arr.dtype}")
             if len(arr) and (arr.min() < -32768 or arr.max() > 32767):
                 raise ValueError("samples out of 16-bit range")
             arr = arr.astype(np.int16)
         self.samples = arr
-        _check_rate(self.sample_rate)
+        _integer("sample_rate", self.sample_rate, 1)
 
     def __len__(self):
         return len(self.samples)
 
 
-def _check_rate(sample_rate: int) -> None:
-    """ValueError unless sample_rate is a positive integer."""
-    if not isinstance(sample_rate, numbers.Integral):
-        raise ValueError(f"sample_rate must be an integer, got "
-                         f"{sample_rate!r}")
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
+def _integer(name: str, value, least: int, error=ValueError) -> None:
+    """`error`, naming `value`, unless it is an integer of at least `least`:
+    the one rule for every count, rate and header field.  numpy integers
+    count; a bool does not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise error(f"{name} must be an integer of at least {least}, "
+                    f"got {value!r}")
+
+
+def _vector(name: str, x, kinds: tuple, error=ValueError) -> np.ndarray:
+    """x as an array, or `error` naming its type (or dtype and shape)
+    unless it is one-dimensional and its dtype is a subtype of one of
+    `kinds`, numpy scalar types such as np.integer or np.uint8: the one
+    rule for every sample, bit and code array."""
+    arr = np.asarray(x)
+    if arr.ndim != 1 or not issubclass(arr.dtype.type, kinds):
+        got = (f"{arr.dtype} of shape {arr.shape}"
+               if isinstance(x, np.ndarray) else type(x).__name__)
+        names = " or ".join(kind.__name__.rstrip("_") for kind in kinds)
+        raise error(f"{name} must be a 1-D {names} array, got {got}")
+    return arr
+
+
+# what S1-S3, LINE, MOLD and measure compute with: real samples
+_REAL = (np.bool_, np.integer, np.floating)
 
 
 def _cut(blocks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
@@ -122,35 +136,25 @@ def _cut(blocks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
 def _check_fields(n_bits: int, clock_hz: int, frame_bits: int) -> None:
     """The types, frame rules and signs of a PWM1 header's fields, for
     check_pwm_header and the in-memory stream alike."""
-    for name, value in (("n_bits", n_bits), ("clock_hz", clock_hz),
-                        ("frame_bits", frame_bits)):
-        if not isinstance(value, numbers.Integral):
-            raise MalformedStream(f"{name} must be an integer, got {value!r}")
-    if not 0 < frame_bits < 2 ** 32:  # a PWM1 u32 field
+    _integer("n_bits", n_bits, 0, MalformedStream)
+    _integer("clock_hz", clock_hz, 0, MalformedStream)
+    _integer("frame_bits", frame_bits, 1, MalformedStream)
+    if frame_bits >= 2 ** 32:  # a PWM1 u32 field
         raise MalformedStream("frame_bits must be in 1 .. 2^32 - 1")
-    if n_bits < 0:
-        raise MalformedStream(f"bit count {n_bits} is negative")
     if n_bits % frame_bits != 0:
         raise MalformedStream("bit count must be a multiple of frame_bits")
-    if clock_hz < 0:
-        raise MalformedStream(f"bit clock {clock_hz} Hz is negative")
 
 
 def _payload_blocks(blocks: Iterable, n_bits: int) -> Iterator[np.ndarray]:
     """The blocks of an n_bits-bit payload, passed on as checked: the one
-    PWM1 payload rule.  MalformedStream before the first for n_bits < 0,
-    at one that is no 1-D uint8 array, and after the last for a total
-    other than the ceil(n_bits / 8) bytes n_bits need or a set pad bit."""
-    if n_bits < 0:
-        raise MalformedStream(f"bit count {n_bits} is negative")
+    PWM1 payload rule.  MalformedStream before the first for an n_bits
+    that is no integer of at least 0, at one that is no 1-D uint8 array,
+    and after the last for a total other than the ceil(n_bits / 8) bytes
+    n_bits need or a set pad bit."""
+    _integer("n_bits", n_bits, 0, MalformedStream)
     size, last = 0, None  # last: the last non-empty block
     for block in blocks:
-        if not (isinstance(block, np.ndarray) and block.dtype == np.uint8
-                and block.ndim == 1):
-            got = (f"{block.dtype} of shape {block.shape}"
-                   if isinstance(block, np.ndarray) else type(block).__name__)
-            raise MalformedStream(f"payload blocks must be 1-D uint8 arrays, "
-                                  f"got {got}")
+        block = _vector("payload block", block, (np.uint8,), MalformedStream)
         size += len(block)
         last = block if len(block) else last
         yield block
@@ -194,12 +198,7 @@ class PwmBitstream:
     def from_bits(cls, bits, clock_hz: int, frame_bits: int) -> "PwmBitstream":
         """Pack a 1-D array of integer or bool 0/1 bits into a stream;
         MalformedStream names another shape or dtype, or the first value."""
-        bits = np.asarray(bits)
-        if bits.ndim != 1:
-            raise MalformedStream(f"bits must be one-dimensional, got shape "
-                                  f"{bits.shape}")
-        if bits.dtype.kind not in "biu":
-            raise MalformedStream(f"bits must be integers, got {bits.dtype}")
+        bits = _vector("bits", bits, (np.bool_, np.integer), MalformedStream)
         bad = bits[(bits != 0) & (bits != 1)]
         if len(bad):
             raise MalformedStream(f"bits must be 0 or 1, got {bad[0]}")
@@ -338,11 +337,15 @@ class WavReader:
 
 def collect(blocks: Iterable[np.ndarray], n: int, dtype) -> np.ndarray:
     """The blocks' elements, in order, in one preallocated array of n
-    `dtype`s.  ValueError if they hold fewer or more than n elements, the
-    block that would run past n raising before it is written."""
+    `dtype`s.  ValueError for an n that is no integer of at least 0, at a
+    block that is no 1-D array of `dtype` (it is not cast), or if they
+    hold fewer or more than n elements, the block that would run past n
+    raising before it is written."""
+    _integer("n", n, 0)
     out = np.empty(n, dtype=dtype)
     pos = 0
     for block in blocks:
+        block = _vector("block", block, (out.dtype.type,))
         if pos + len(block) > n:
             raise ValueError(f"blocks hold more than the {n} elements declared")
         out[pos:pos + len(block)] = block

@@ -41,13 +41,14 @@ convert is convert_stream over one PcmStream, collected (audio_io.collect).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .audio_io import (_BLOCK, PcmStream, PwmBitstream, _check_rate, _cut,
-                       collect)
+from .audio_io import (_BLOCK, _REAL, PcmStream, PwmBitstream, _cut, _integer,
+                       _vector, collect)
 
 BEHAVIORS = ("S0", "S1", "S2", "S3", "LINE", "MOLD")
 
@@ -62,8 +63,9 @@ FRAME_BITS = 2 ** QUANTIZER_BITS  # one PWM frame, a counter period per code
 def _blackman_sinc(num_taps: int, cutoff: float) -> np.ndarray:
     """Blackman-windowed sinc centred on the middle tap, the one core both
     filter designers scale."""
-    if num_taps % 2 == 0 or num_taps < 3:
-        raise ValueError("num_taps must be odd and >= 3")
+    _integer("num_taps", num_taps, 3)
+    if num_taps % 2 == 0:
+        raise ValueError(f"num_taps must be odd, got {num_taps}")
     if not 0.0 < cutoff < 0.5:
         raise ValueError("cutoff must be in (0, 0.5)")
     m = np.arange(num_taps) - (num_taps - 1) // 2
@@ -88,8 +90,9 @@ def design_interp_kernel() -> np.ndarray:
 def windowed_sinc_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
     """Blackman-windowed sinc lowpass, unit DC gain.
 
-    cutoff is the half-amplitude frequency as a fraction of the sampling
-    rate, 0 < cutoff < 0.5.  Stopband rejection is about 74 dB.
+    num_taps is an odd integer of at least 3, and cutoff the half-amplitude
+    frequency as a fraction of the sampling rate, 0 < cutoff < 0.5;
+    ValueError otherwise.  Stopband rejection is about 74 dB.
     """
     taps = _blackman_sinc(num_taps, cutoff)
     return taps / taps.sum()
@@ -133,9 +136,8 @@ class MoldState:
 
 def s0_condition(samples: np.ndarray) -> np.ndarray:
     """S0: map int16 samples onto [-1, +1) as float64.  ValueError, naming
-    the dtype, for samples of any other dtype."""
-    if samples.dtype != np.int16:
-        raise ValueError(f"S0 takes int16 samples, got {samples.dtype}")
+    what it got, for samples that are no 1-D int16 array."""
+    samples = _vector("S0 input", samples, (np.int16,))
     return samples.astype(np.float64) / PCM_FULL_SCALE
 
 
@@ -152,9 +154,11 @@ def upsample2(x: np.ndarray, *, behavior: str = "S1",
     With `state`, `x` is the next block of a longer stream: it is filtered
     after the history the state holds, which it then updates, and each
     output is the same dot product as in a one-block call, bit for bit.
-    ValueError for an x that is empty or not 1-D.
+    ValueError for an x that is empty or no 1-D array of real samples
+    (bool, integer or floating); a NaN or an infinity is filtered as it
+    is, and LINE refuses what it becomes.
     """
-    _one_dimensional(x, behavior)
+    x = _vector(f"{behavior} input", x, _REAL)
     if len(x) == 0:
         raise ValueError("cannot upsample an empty stream")
     state = state or FirState()
@@ -164,12 +168,6 @@ def upsample2(x: np.ndarray, *, behavior: str = "S1",
     out = _convolve(stuffed, _KERNEL)[len(state.history):len(stuffed)]
     state.history = stuffed[-(FIR_TAPS - 1):].copy()
     return np.clip(out, -1.0, 1.0, out=out)
-
-
-def _one_dimensional(x: np.ndarray, stage: str) -> None:
-    """ValueError, naming the shape, unless x is one-dimensional."""
-    if np.ndim(x) != 1:
-        raise ValueError(f"{stage} takes a 1-D array, got shape {np.shape(x)}")
 
 
 def _convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -198,9 +196,12 @@ def linearize(x: np.ndarray, state: LineState | None = None) -> np.ndarray:
     blocks before it must be non-empty, and none may follow it.  A
     sample is emitted once its look-ahead has arrived, so a block's output
     lags its input by one sample, and the empty block emits the held
-    sample.  ValueError for an x that is not 1-D.
+    sample.  ValueError for an x that is no 1-D array of real samples, or
+    holds a NaN or an infinity.
     """
-    _one_dimensional(x, "LINE")
+    x = _vector("LINE input", x, _REAL)
+    if not np.isfinite(x).all():
+        raise ValueError("LINE input must be finite")
     end = state is None or len(x) == 0
     state = state or LineState()
     first = len(state.tail) == 0
@@ -240,9 +241,11 @@ def noise_shape(x: np.ndarray, state: MoldState | None = None) -> np.ndarray:
     v - dequantized(code) is fed back.  State starts at zero, or at what
     `state` carried from the previous block, which it then updates.
     Returns the codes, 0 .. 2^QUANTIZER_BITS - 1, as uint8.  ValueError
-    for an x that is not 1-D.
+    for an x that is no 1-D array of real samples, or that leaves the
+    error state not finite: x holds a NaN or an infinity, or values so
+    large that the feedback overflows.
     """
-    _one_dimensional(x, "MOLD")
+    x = _vector("MOLD input", x, _REAL)
     n_levels = 2 ** QUANTIZER_BITS - 1
     half = n_levels / 2.0
     inv_half = 1.0 / half
@@ -252,15 +255,22 @@ def noise_shape(x: np.ndarray, state: MoldState | None = None) -> np.ndarray:
     append = codes.append
     state = state or MoldState()
     e1, e2 = state.e1, state.e2
-    for xv in x.tolist():
-        v = xv + 2.0 * e1 - e2
-        c = 1.0 if v > 1.0 else (-1.0 if v < -1.0 else v)
-        # round half-up; -1 <= c <= 1 puts the argument in [0, 127.5], so
-        # code is 0 .. n_levels and needs no clamp
-        code = int((c + 1.0) * half + 0.5)
-        append(code)
-        e2 = e1
-        e1 = v - deq[code]
+    try:
+        for xv in x.tolist():
+            v = xv + 2.0 * e1 - e2
+            c = 1.0 if v > 1.0 else (-1.0 if v < -1.0 else v)
+            # round half-up; -1 <= c <= 1 puts the argument in [0, 127.5],
+            # so code is 0 .. n_levels and needs no clamp
+            code = int((c + 1.0) * half + 0.5)
+            append(code)
+            e2 = e1
+            e1 = v - deq[code]
+    except ValueError:  # int() of a NaN v: the check below refuses it
+        e1 = math.nan
+    # a NaN, an infinity or an overflow leaves the state not finite: one
+    # check a block, not one a sample
+    if not (math.isfinite(e1) and math.isfinite(e2)):
+        raise ValueError("MOLD input must be finite")
     state.e1, state.e2 = e1, e2
     return np.frombuffer(codes, dtype=np.uint8)
 
@@ -273,8 +283,11 @@ def generate_pwm(codes: np.ndarray, sample_rate: int) -> PwmBitstream:
     hardware equivalent compares a free-running counter against a code
     register.  The bit clock is sample_rate * FRAME_BITS.  Each code is
     one lookup into the table of the 128 frames; a code below 0 or of 128
-    or more raises IndexError.
+    or more raises IndexError.  ValueError for codes that are no 1-D bool
+    or integer array, or a sample_rate that is no integer of at least 0.
     """
+    codes = _vector("codes", codes, (np.bool_, np.integer))
+    _integer("sample_rate", sample_rate, 0)
     low = np.min(codes, initial=0)
     if low < 0:  # take would wrap it to a frame from the other end
         raise IndexError(f"code {low} is out of bounds for the "
@@ -295,13 +308,15 @@ def convert_stream(blocks: Iterable[np.ndarray], sample_rate: int
     blocks joined are what generate_pwm would make for the whole stream:
     PWM_BITS_PER_SAMPLE bits per input sample at a sample_rate *
     PWM_BITS_PER_SAMPLE Hz bit clock.  Raises ValueError, on the first
-    step, for a rate that is no positive integer or a stream with no
-    samples, and at a block that is not int16 (s0_condition).
+    step, for a sample_rate that is no integer of at least 1 (a bool is
+    none), at a block that is no 1-D int16 array, as s0_condition takes,
+    and, at the end, for a stream with no samples.
     """
-    _check_rate(sample_rate)
+    _integer("sample_rate", sample_rate, 1)
     rate = sample_rate << INTERP_STAGES  # MOLD's code rate
     fir = [FirState() for _ in range(INTERP_STAGES)]
     line, mold = LineState(), MoldState()
+    blocks = (_vector("block", block, (np.int16,)) for block in blocks)
     for block in _cut(blocks, _BLOCK):
         x = s0_condition(block)
         for i, state in enumerate(fir):

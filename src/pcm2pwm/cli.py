@@ -13,8 +13,9 @@ to 4.3 s; convert and roundtrip seed noise with --seed.  Exit codes:
 
     0    success
     1    the roundtrip demodulator worker ended without a reply
-    2    input error: a missing, malformed or empty input, a bad option
-         value, a scenario or element library that is missing, a
+    2    input error: a missing, unreadable (a directory, say),
+         malformed or empty input, a bad option value (a negative
+         --seed, say), a scenario or element library that is missing, a
          directory, not UTF-8 or malformed (no section header, a
          duplicate section, a missing key or weight, a negative cycle
          total, all code sizes 0, over 20 behaviors to explore), one
@@ -352,7 +353,8 @@ def _demodulate_in_worker(payload, **stream) -> np.ndarray:
             for block in payload:
                 conn.send_bytes(block)
             conn.send_bytes(b"")
-        with contextlib.suppress(EOFError):
+        # a worker that died with blocks unread resets the pipe: no reply
+        with contextlib.suppress(EOFError, ConnectionResetError):
             reply = conn.recv()
     finally:
         conn.close()  # a worker still reading leaves on EOF
@@ -391,7 +393,10 @@ def _demodulate_worker(conn, parent_end, stream) -> None:
 def _open_input(spec: str, seed: int):
     """The input as a reader whose sample_rate and frame_count are known
     before blocks() yields a sample: an audio_io.WavReader, or a
-    _Synthetic for a synthetic spec."""
+    _Synthetic for a synthetic spec.  InputError for a negative seed or a
+    missing file; a file that cannot be read, such as a directory, raises
+    IoFailure."""
+    audio_io._integer("--seed", seed, 0, InputError)
     kind, _, rest = spec.partition(":")
     if kind in ("sine", "noise", "silence"):
         yield _Synthetic(kind, rest, seed)
@@ -399,7 +404,9 @@ def _open_input(spec: str, seed: int):
     try:
         wav = audio_io.WavReader(spec)
     except audio_io.IoFailure as exc:
-        raise InputError(f"input not found: {spec}") from exc
+        if isinstance(exc.__cause__, FileNotFoundError):
+            raise InputError(f"input not found: {spec}") from exc
+        raise
     except (audio_io.MalformedHeader, audio_io.UnsupportedFormat) as exc:
         raise InputError(f"{spec}: {exc}") from exc
     with wav:

@@ -29,6 +29,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .audio_io import _integer
 from .chain import BEHAVIORS, FIR_TAPS
 
 OP_KINDS = ("add", "mul", "mac", "cmp", "mem")
@@ -51,10 +52,10 @@ def op_counts(n_samples: int) -> dict:
     """{behavior: {kind: count}}, every OP_KINDS key, for converting
     n_samples input samples: each behavior's row times the samples it
     emits.  LINE passes its two end samples through uncounted, and nothing
-    runs for n = 0."""
+    runs for n = 0.  ValueError for an n_samples that is no integer of at
+    least 0 (a bool is none)."""
+    _integer("n_samples", n_samples, 0)
     n = n_samples
-    if n < 0:
-        raise ValueError("sample count must be non-negative")
     emitted = {"S0": n, "S1": 2 * n, "S2": 4 * n, "S3": 8 * n,
                "LINE": max(8 * n - 2, 0), "MOLD": 8 * n}
     return {b: {k: _OPS_PER_SAMPLE[b].get(k, 0) * emitted[b] for k in OP_KINDS}
@@ -105,9 +106,9 @@ def cycles(counts: dict, pe: ProcessingElement) -> dict:
 
 
 def exec_time(cycle_count: int, pe: ProcessingElement) -> Fraction:
-    """Execution time in seconds, exact: cycles / (freq_mhz * 10^6)."""
-    if cycle_count < 0:
-        raise ValueError("cycle count must be non-negative")
+    """Execution time in seconds, exact: cycles / (freq_mhz * 10^6).
+    ValueError for a cycle_count that is no integer of at least 0."""
+    _integer("cycle_count", cycle_count, 0)
     return Fraction(cycle_count) / (pe.freq_mhz * 10 ** 6)
 
 

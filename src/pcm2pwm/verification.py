@@ -35,8 +35,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .audio_io import (MalformedStream, PwmBitstream, _cut, _payload_blocks,
-                       collect)
+from .audio_io import (_REAL, MalformedStream, PwmBitstream, _cut, _integer,
+                       _payload_blocks, _vector, collect)
 from .chain import (FRAME_BITS, INTERP_STAGES, PWM_BITS_PER_SAMPLE,
                     _convolve, windowed_sinc_lowpass)
 
@@ -48,7 +48,7 @@ _HARMONIC_HALF_WIDTH = 8  # FFT bins kept around a tone, covers the window lobe
 _PAYLOAD_BLOCK = 1 << 16  # payload bytes demodulated at a time: 4096 frames
 
 
-class LengthMismatch(Exception):
+class LengthMismatch(ValueError):
     """Streams cannot be aligned for comparison."""
 
 
@@ -108,13 +108,15 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
     payload is taken at most 64 KiB (_PAYLOAD_BLOCK) at a time, whatever
     the cut, and each stage carries a few hundred samples of state, so
     memory grows with neither the stream nor the block.  Raises
-    MalformedStream on the first step for a clock that is not a positive
-    multiple of PWM_BITS_PER_SAMPLE, and for blocks that break the PWM1
-    payload rule, as write_pwm_blocks does (audio_io._payload_blocks).
+    MalformedStream on the first step for a clock_hz that is no positive
+    integer multiple of PWM_BITS_PER_SAMPLE or an n_bits that is no
+    integer of at least 0 (a bool is none), and for blocks that break the
+    PWM1 payload rule, as write_pwm_blocks does (audio_io._payload_blocks).
     """
-    if clock_hz <= 0 or clock_hz % PWM_BITS_PER_SAMPLE:
-        raise MalformedStream(f"bit clock {clock_hz} is not a positive "
-                              f"multiple of {PWM_BITS_PER_SAMPLE}")
+    _integer("clock_hz", clock_hz, 1, MalformedStream)
+    if clock_hz % PWM_BITS_PER_SAMPLE:
+        raise MalformedStream(f"bit clock {clock_hz} is not a multiple of "
+                              f"{PWM_BITS_PER_SAMPLE}")
     rate = clock_hz // PWM_BITS_PER_SAMPLE
     frame_rate = clock_hz // FRAME_BITS
     payload = _cut(_payload_blocks(blocks, n_bits), _PAYLOAD_BLOCK)
@@ -259,41 +261,46 @@ def _polyphase_decimate(blocks: Iterable[np.ndarray], n_in: int,
     demodulator stage (D = 473, m = 8) that drops the first 466 input
     samples.
 
-    Each block costs one convolution per branch, over the branch's new
-    samples after the last len(h[0::m]) it has seen, and yields every
-    output its branches cover.  Branch starts D - r are never negative:
-    demodulate_stream's stage 2 (m = 8, fs_in = 8 rate) takes 5.5 fs_in /
-    transition taps, over a 0.04 rate transition below 43,479 Hz (at
-    least 1100) and one under 0.5 rate above (over 88), so D >= 44 > m - 1.
+    The input is kept as one window from x[D - m + 1], the first sample a
+    branch reads, and branch r is read from it as window[m - 1 - r::m].
+    Each block is appended to the window and costs one convolution per
+    branch, over the branch's samples after the last len(h[0::m]) it has
+    used, and yields every output its branches cover.  Branch starts
+    D - r are never negative: demodulate_stream's stage 2 (m = 8, fs_in =
+    8 rate) takes 5.5 fs_in / transition taps, over a 0.04 rate transition
+    below 43,479 Hz (at least 1100) and one under 0.5 rate above (over
+    88), so D >= 44 > m - 1.
     """
     n_out = n_in // m
     delay = (len(h) - 1) // 2
     branch_taps = [h[r::m] for r in range(m)]
     history = len(branch_taps[0])  # the longest branch filter
-    xs = [np.zeros(0) for _ in range(m)]  # branch samples base, base + 1, ...
+    start = delay - m + 1  # window[0] is x[start + base m]
+    window = np.zeros(0)
     base = received = done = 0
     for x in blocks:
-        for r in range(m):  # x[D - r + j m] is sample j of branch r
-            k = delay - r - received
-            xs[r] = np.concatenate((xs[r], x[max(k, k % m)::m]))
+        window = np.concatenate((window, x[max(start - received, 0):]))
         received += len(x)
-        # branch 0 has the fewest samples
-        ready = n_out if received >= n_in else base + len(xs[0])
+        # branch 0, window[m - 1::m], has the fewest samples
+        ready = n_out if received >= n_in else base + len(window) // m
         if ready <= done:
             continue
         y = np.zeros(ready - done)
-        for branch, taps in zip(xs, branch_taps):
+        for r, taps in enumerate(branch_taps):
+            branch = window[m - 1 - r::m]
             acc = _convolve(branch, taps)[done - base:ready - base]
             y[:len(acc)] += acc
         done = ready
         keep = max(done - history, base)
-        xs = [branch[keep - base:] for branch in xs]
+        window = window[(keep - base) * m:]
         base = keep
         yield y
 
 
 def blackman_harris(n: int) -> np.ndarray:
-    """4-term Blackman-Harris window (sidelobes near -92 dB)."""
+    """n-point 4-term Blackman-Harris window (sidelobes near -92 dB);
+    ValueError for an n that is no integer of at least 2."""
+    _integer("n", n, 2)
     k = np.arange(n)
     a = (0.35875, 0.48829, 0.14128, 0.01168)
     return (a[0]
@@ -311,10 +318,14 @@ def measure(ref: np.ndarray, test: np.ndarray, rate: int) -> SpectrumReport:
     fraction of a sample, scaled by the least-squares gain, and the
     residual defines the SNR.  THD and the in-band noise floor come from a
     Blackman-Harris windowed FFT at the detected fundamental.  Raises
-    ValueError for a rate <= 0 or a sample that is not finite.
+    ValueError for a rate that is no integer of at least 1 (a bool is
+    none), for ref or test that is no 1-D array of real samples (bool,
+    integer or floating) and for a sample that is not finite, and
+    LengthMismatch, a ValueError, for streams that overlap by fewer than
+    256 samples.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    _integer("rate", rate, 1)
+    ref, test = _vector("ref", ref, _REAL), _vector("test", test, _REAL)
     n = min(len(ref), len(test))
     if n < 256:
         raise LengthMismatch(f"only {n} overlapping samples")

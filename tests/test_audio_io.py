@@ -200,7 +200,7 @@ def test_pcm_sample_rate_must_be_positive(rate, valid):
             PcmStream(np.zeros(4, np.int16), rate)
 
 
-@pytest.mark.parametrize("rate", [44100.0, 1.5, "44100", None])
+@pytest.mark.parametrize("rate", [44100.0, 1.5, "44100", None, True])
 def test_pcm_sample_rate_must_be_an_integer(rate):
     """A rate that is no integer is refused on construction, not by a
     TypeError in the chain's shifts; numpy integers are integers."""
@@ -210,16 +210,21 @@ def test_pcm_sample_rate_must_be_an_integer(rate):
 
 
 @pytest.mark.parametrize("samples,error", [
-    (np.array([0.7, -0.9, 1.5, 32766.9]), "integers"),
-    (np.array([0.0, np.nan]), "integers"),
-    (np.array([True, False]), "integers"),
+    (np.array([0.7, -0.9, 1.5, 32766.9]),
+     r"^samples must be a 1-D integer array, got float64 of shape \(4,\)$"),
+    (np.array([0.0, np.nan]), r"integer array, got float64 of shape \(2,\)"),
+    (np.array([True, False]), r"integer array, got bool of shape \(2,\)"),
     (np.array([-32768, 0, 32767], dtype=np.int64), None),
     (np.array([0, 32767], dtype=np.uint16), None),
     (np.array([0, 32768], dtype=np.int64), "out of 16-bit range"),
     (np.array([-32769, 0], dtype=np.int32), "out of 16-bit range"),
-    (np.zeros((2, 300), dtype=np.int16), "one-dimensional"),
-    (np.int16(5), "one-dimensional"),
-])
+    (np.zeros((2, 300), dtype=np.int16),
+     r"1-D integer array, got int16 of shape \(2, 300\)"),
+    (np.int16(5), "1-D integer array, got int16$"),
+], ids=["samples0-integers", "samples1-integers", "samples2-integers",
+        "samples3-None", "samples4-None", "samples5-out of 16-bit range",
+        "samples6-out of 16-bit range", "samples7-one-dimensional",
+        "samples8-one-dimensional"])
 def test_pcm_samples_must_be_16_bit_integers(samples, error):
     """One-dimensional samples of any integer dtype within the int16 range
     convert; others raise rather than being truncated, wrapped, cast or
@@ -389,8 +394,10 @@ def test_pwm_frame_field_limit(frame_bits, fits, tmp_path):
 
 
 @pytest.mark.parametrize("n_bits,clock_hz,match", [
-    (-128, 1, "bit count -128 is negative"),
-    (0, -1, "bit clock -1 Hz is negative")])
+    (-128, 1, "^n_bits must be an integer of at least 0, got -128$"),
+    (0, -1, "^clock_hz must be an integer of at least 0, got -1$")],
+    ids=["-128-1-bit count -128 is negative",
+         "0--1-bit clock -1 Hz is negative"])
 def test_pwm_header_rejects_negative_fields(n_bits, clock_hz, match,
                                             tmp_path):
     """A negative bit count or clock is a ValueError before a block is read
@@ -461,11 +468,17 @@ def test_pwm_blocks_short_or_long_keep_old_file(n_blocks, tmp_path):
 
 
 @pytest.mark.parametrize("bits,error", [
-    (np.array([256, 1, 0.5, 2, 1, 1, 1, 1]), "integers, got float64"),
+    (np.array([256, 1, 0.5, 2, 1, 1, 1, 1]),
+     r"^bits must be a 1-D bool or integer array, got float64 of shape "
+     r"\(8,\)$"),
     (np.array([1, 256, 0, 2, 1, 1, 1, 1]), "0 or 1, got 256"),
     (np.array([0, 1, 2, 1, 0, 0, 0, -1]), "0 or 1, got 2"),
     (np.array([0, 0, 0, 0, 0, 0, 0, -1], np.int8), "0 or 1, got -1"),
-    (np.ones((2, 8), np.uint8), r"one-dimensional, got shape \(2, 8\)")])
+    (np.ones((2, 8), np.uint8),
+     r"1-D bool or integer array, got uint8 of shape \(2, 8\)$")],
+    ids=["bits0-integers, got float64", "bits1-0 or 1, got 256",
+         "bits2-0 or 1, got 2", "bits3-0 or 1, got -1",
+         r"bits4-one-dimensional, got shape \(2, 8\)"])
 def test_pwm_from_bits_refuses_values_other_than_0_and_1(bits, error):
     """A bit is 0 or 1: 256 is not read as 0 after a uint8 wrap, 0.5 is
     not truncated and 2 is not packed as 1; bits are a 1-D array, whose

@@ -62,7 +62,9 @@ def test_s0_preserves_length():
 def test_s0_refuses_other_dtypes(samples, dtype):
     """S0 takes int16 only: wider integers would land outside [-1, +1) and
     floats would be scaled as they are, NaN included."""
-    with pytest.raises(ValueError, match=f"int16 samples, got {dtype}"):
+    with pytest.raises(ValueError, match=fr"^S0 input must be a 1-D int16 "
+                                         fr"array, got {dtype} of shape "
+                                         r"\(2,\)$"):
         s0_condition(samples)
 
 
@@ -107,9 +109,28 @@ def test_upsample2_rejects_empty():
 def test_float_stages_refuse_arrays_not_1d(stage, name):
     """S1-S3, LINE and MOLD take one-dimensional arrays; another shape is
     named, not broadcast, joined or iterated."""
-    with pytest.raises(ValueError, match=fr"^{name} takes a 1-D array, got "
-                                         r"shape \(2, 10\)$"):
+    with pytest.raises(ValueError, match=fr"^{name} input must be a 1-D bool "
+                                         r"or integer or floating array, got "
+                                         r"float64 of shape \(2, 10\)$"):
         stage(np.zeros((2, 10)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stage,name", [(linearize, "LINE"),
+                                         (noise_shape, "MOLD")])
+def test_line_and_mold_refuse_samples_not_finite(stage, name, value):
+    """A NaN or inf is refused by name: MOLD does not fail in int() on a
+    NaN or emit codes from an inf error state, and LINE does not pass a
+    NaN on or warn on an inf."""
+    with pytest.raises(ValueError, match=f"^{name} input must be finite$"):
+        stage(np.array([0.1, value, 0.2]))
+
+
+def test_mold_refuses_an_error_state_that_overflows():
+    """Finite samples so large that the error feedback overflows are
+    refused too, rather than shaped from an infinite state."""
+    with pytest.raises(ValueError, match="^MOLD input must be finite$"):
+        noise_shape(np.array([0.1, 1e308, 0.2]))
 
 
 def test_upsample2_length_law():
@@ -231,6 +252,18 @@ def test_generate_pwm_rejects_negative_codes(codes):
     a negative code is as far out of range as 128."""
     with pytest.raises(IndexError, match="out of bounds"):
         generate_pwm(np.array(codes), 352800)
+
+
+@pytest.mark.parametrize("codes,got", [
+    (np.array([1.0, 2.0]), r"float64 of shape \(2,\)"),
+    (np.array([np.nan]), r"float64 of shape \(1,\)"),
+    (np.ones((2, 2), np.uint8), r"uint8 of shape \(2, 2\)")])
+def test_generate_pwm_refuses_codes_not_1d_integers(codes, got):
+    """Codes are a 1-D integer array: float codes are named, not refused
+    by numpy's casting TypeError, and rows are not read as codes."""
+    with pytest.raises(ValueError, match=f"^codes must be a 1-D bool or "
+                                         f"integer array, got {got}$"):
+        generate_pwm(codes, 352800)
 
 
 @settings(max_examples=100, deadline=None)
@@ -368,7 +401,7 @@ def test_convert_stream_refuses_int32_blocks():
         next(convert_stream([np.zeros(8, dtype=np.int32)], 44100))
 
 
-@pytest.mark.parametrize("rate", [44100.0, 0, -1, "44100"])
+@pytest.mark.parametrize("rate", [44100.0, 0, -1, "44100", True])
 def test_convert_stream_checks_its_rate_first(rate):
     """A rate that is no positive integer raises on the first step, before
     any block is read."""

@@ -46,6 +46,37 @@ def test_convert_missing_input(tmp_path, capsys):
     assert "input not found" in captured.err
 
 
+@pytest.mark.parametrize("command", ["convert", "profile", "roundtrip"])
+def test_directory_input_is_not_called_missing(command, tmp_path, capsys):
+    """A directory exists: the error names why it cannot be read, not
+    "input not found", and still exits 2."""
+    argv = [command, "--input", str(tmp_path)]
+    if command == "convert":
+        argv += ["--output", str(tmp_path / "out.pwm")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {tmp_path}: ")
+    assert "Is a directory" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["noise:-6:0.01", "sine:1000:-6:0.01"])
+@pytest.mark.parametrize("command", ["convert", "roundtrip"])
+def test_negative_seed_is_its_own_input_error(command, spec, tmp_path,
+                                              capsys):
+    """A negative --seed is named as such, not blamed on a spec that is
+    fine, and exits 2."""
+    argv = [command, "--input", spec, "--seed", "-1"]
+    if command == "convert":
+        argv += ["--output", str(tmp_path / "out.pwm")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --seed must be an integer of at least 0, "
+                            "got -1\n")
+    assert captured.out == ""
+
+
 def test_convert_synthetic_input(tmp_path, capsys):
     out = tmp_path / "synth.pwm"
     code = main(["convert", "--input", "sine:1000:-6:0.05",

@@ -1,0 +1,358 @@
+"""Contract test of the library's public functions (ROADMAP item 11, after
+Claessen & Hughes, "QuickCheck", ICFP 2000).
+
+Each public function of audio_io, chain, verification and profiler that
+takes an array, a count or a rate is given arrays of every dtype (complex
+and object too, floats with NaN and inf), with 0, 1 or 2 dimensions and
+empty ones, and counts or rates that are 0, negative, bool, float, NaN or
+infinite.  A call must return its documented result exactly when its
+input is documented as valid, and otherwise raise a documented exception:
+ValueError or its subclasses MalformedStream and LengthMismatch, and
+IndexError for out-of-range PWM codes.  Any other exception, and any
+warning, fails.  Every test runs each edge array and edge count in each
+argument as an explicit example, then hypothesis's own draws, which run
+derandomized, so tier-1 is reproducible.
+Paths (read_wav, read_pwm) are fuzzed over bytes in test_audio_io.
+"""
+
+import math
+import tempfile
+import warnings
+from fractions import Fraction
+from importlib import resources
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from pcm2pwm import audio_io, chain, profiler, verification
+from pcm2pwm.audio_io import PcmStream, PwmBitstream
+
+CONTRACT = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=200)
+
+DTYPES = (np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8,
+          np.uint16, np.uint64, np.float32, np.float64, np.complex128,
+          object)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# counts and rates: valid ones, and 0, negative, bool, float, NaN and inf
+COUNTS = st.sampled_from([0, 1, 3, 8, 31, 128, 1024, 44100, np.int64(8),
+                          -1, -1024, True, False, 1.5, 8.0, 44100.0,
+                          math.nan, math.inf, -math.inf])
+RATE_CLOCK = 1024 * 44100  # a chain's bit clock at 44.1 kHz
+EDGE_ARRAYS = (np.zeros(3, complex), np.array([0, 1, None], dtype=object),
+               np.array([0.0, 1.0, 0.5]), np.array([0.0, math.nan, 0.5]),
+               np.array([0.0, math.inf, 0.5]), np.array(1, np.int16),
+               np.zeros((2, 3), np.int16), np.zeros(0, np.int16),
+               np.zeros(0), np.array([True, False, True]))
+EDGE_COUNTS = (0, -1, True, False, 1.5, 8.0, math.nan, math.inf, -math.inf,
+               np.int64(8))
+
+
+def _elements(dtype):
+    """Element values for `dtype`: small ones (0/1 bits, 7-bit codes) as
+    often as the dtype's full range, and NaN and inf among floats."""
+    kind = np.dtype(dtype).kind
+    if kind == "f":
+        width = 8 * np.dtype(dtype).itemsize
+        return st.floats(-4, 4, width=width) | NON_FINITE
+    if kind == "c":
+        return st.complex_numbers(max_magnitude=4)
+    if kind == "O":
+        return st.integers(-2, 2) | st.floats(-1, 1)
+    if kind in "iu":
+        info = np.iinfo(dtype)
+        return (st.integers(max(info.min, -2), min(info.max, 130))
+                | hnp.from_dtype(np.dtype(dtype)))
+    return None
+
+
+@st.composite
+def arrays(draw, valid, lengths=st.integers(0, 40)):
+    """An array of any dtype, 0-d, 1-d (empty too) or 2-d; or, half the
+    time, a 1-D array of the (dtype, elements) the function takes."""
+    n = draw(lengths)
+    if draw(st.booleans()):
+        return draw(hnp.arrays(valid[0], n, elements=valid[1]))
+    dtype = draw(st.sampled_from(DTYPES))
+    shape = draw(st.sampled_from([(), (n,), (n,), (2, n // 2)]))
+    return draw(hnp.arrays(dtype, shape, elements=_elements(dtype)))
+
+
+def edges(varied, **fixed):
+    """Explicit hypothesis examples: each edge array (or count) in each
+    array (or count) argument of `varied` in turn, the others as given."""
+    def decorate(test):
+        for name, default in varied.items():
+            pool = (EDGE_ARRAYS if isinstance(default, np.ndarray)
+                    else EDGE_COUNTS)
+            for value in pool:
+                test = example(**{**varied, **fixed, name: value})(test)
+        return test
+    return decorate
+
+
+REFUSED = object()
+
+
+def outcome(call, allowed=(ValueError,)):
+    """call()'s result, or REFUSED if it raised one of `allowed`; any other
+    exception, and any warning, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except allowed:
+            return REFUSED
+
+
+def is_vector(x, kinds) -> bool:
+    return x.ndim == 1 and issubclass(x.dtype.type, kinds)
+
+
+def is_count(value, least) -> bool:
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= least)
+
+
+REAL = (np.bool_, np.integer, np.floating)
+
+
+# --- audio_io ----------------------------------------------------------------
+
+@CONTRACT
+@given(arrays((np.int16, None)), COUNTS)
+@edges(dict(x=np.zeros(4, np.int16), rate=44100))
+def test_pcm_stream(x, rate):
+    pcm = outcome(lambda: PcmStream(x, rate))
+    valid = (is_vector(x, np.integer) and is_count(rate, 1)
+             and all(-32768 <= v <= 32767 for v in x.tolist()))
+    assert (pcm is not REFUSED) == valid
+    if valid:
+        assert pcm.samples.dtype == np.int16
+        assert pcm.samples.tolist() == x.tolist()
+
+
+@CONTRACT
+@given(arrays((np.uint8, st.integers(0, 1))), COUNTS, COUNTS)
+@edges(dict(x=np.zeros(8, np.uint8), clock_hz=8, frame_bits=8))
+def test_pwm_from_bits(x, clock_hz, frame_bits):
+    stream = outcome(lambda: PwmBitstream.from_bits(x, clock_hz, frame_bits))
+    valid = (is_vector(x, (np.bool_, np.integer))
+             and set(x.tolist()) <= {0, 1} and is_count(clock_hz, 0)
+             and is_count(frame_bits, 1) and len(x) % frame_bits == 0)
+    assert (stream is not REFUSED) == valid
+    if valid:
+        assert stream.bits.tolist() == x.astype(np.uint8).tolist()
+
+
+@CONTRACT
+@given(arrays((np.uint8, None)), st.one_of(COUNTS, st.none()), COUNTS,
+       COUNTS)
+@edges(dict(x=np.zeros(1, np.uint8), n_bits=8, clock_hz=8, frame_bits=8))
+def test_pwm_stream_and_writer(x, n_bits, clock_hz, frame_bits):
+    """PwmBitstream and write_pwm_blocks share the PWM1 rules; n_bits None
+    stands for the bit count a 1-D payload holds."""
+    n_bits = 8 * (len(x) if x.ndim == 1 else 1) if n_bits is None else n_bits
+    fields = dict(n_bits=n_bits, clock_hz=clock_hz, frame_bits=frame_bits)
+    header = (is_count(n_bits, 0) and is_count(clock_hz, 0)
+              and is_count(frame_bits, 1) and n_bits % frame_bits == 0)
+    checked = outcome(lambda: audio_io.check_pwm_header(**fields))
+    assert (checked is not REFUSED) == header
+    stream = outcome(lambda: PwmBitstream(payload=x, **fields))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/out.pwm"
+        written = outcome(lambda: audio_io.write_pwm_blocks([x], path,
+                                                            **fields))
+        if written is not REFUSED:
+            assert audio_io.read_pwm(path) == stream
+    valid = (header and is_vector(x, np.uint8)
+             and len(x) == (n_bits + 7) // 8
+             and not (n_bits % 8 and x[-1] >> n_bits % 8))
+    assert (stream is not REFUSED) == (written is not REFUSED) == valid
+
+
+@CONTRACT
+@given(arrays((np.int16, None)), st.one_of(COUNTS, st.none()),
+       st.sampled_from([np.int16, np.uint8, np.float64]))
+@edges(dict(x=np.zeros(8, np.int16), n=8), dtype=np.int16)
+def test_collect(x, n, dtype):
+    n = len(x) if n is None and x.ndim == 1 else n
+    out = outcome(lambda: audio_io.collect([x], n, dtype))
+    valid = is_vector(x, dtype) and n == len(x) and is_count(n, 0)
+    assert (out is not REFUSED) == valid
+    if valid:
+        assert out.dtype == dtype and out.tobytes() == x.tobytes()
+
+
+# --- chain -------------------------------------------------------------------
+
+@CONTRACT
+@given(arrays((np.float64, st.floats(-1, 1))))
+@edges(dict(x=np.zeros(4)))
+def test_float_stages(x):
+    """S0 takes 1-D int16 samples; S1-S3, LINE and MOLD 1-D real ones, LINE
+    and MOLD finite ones too, and S1-S3 at least one."""
+    y = outcome(lambda: chain.s0_condition(x))
+    assert (y is not REFUSED) == is_vector(x, np.int16)
+    if y is not REFUSED:
+        assert y.dtype == np.float64 and np.array_equal(y, x / 32768)
+
+    real = is_vector(x, REAL)
+    finite = real and np.isfinite(x).all()
+    y = outcome(lambda: chain.upsample2(x))
+    assert (y is not REFUSED) == (real and len(x) > 0)
+    if y is not REFUSED:
+        assert y.dtype == np.float64 and len(y) == 2 * len(x)
+        assert np.all(np.isnan(y) | (np.abs(y) <= 1.0))
+    y = outcome(lambda: chain.linearize(x))
+    assert (y is not REFUSED) == finite
+    if y is not REFUSED:
+        assert y.dtype == np.float64 and len(y) == len(x)
+    codes = outcome(lambda: chain.noise_shape(x))
+    assert (codes is not REFUSED) == finite
+    if codes is not REFUSED:
+        assert codes.dtype == np.uint8 and len(codes) == len(x)
+        assert np.all(codes < chain.FRAME_BITS)
+
+
+@CONTRACT
+@given(arrays((np.uint8, st.integers(0, 127))), COUNTS)
+@edges(dict(codes=np.zeros(2, np.uint8), rate=44100))
+def test_generate_pwm(codes, rate):
+    valid = is_vector(codes, (np.bool_, np.integer)) and is_count(rate, 0)
+    if valid and not all(0 <= c < chain.FRAME_BITS for c in codes.tolist()):
+        refused = outcome(lambda: chain.generate_pwm(codes, rate),
+                          (IndexError,))
+        assert refused is REFUSED
+        return
+    pwm = outcome(lambda: chain.generate_pwm(codes, rate))
+    assert (pwm is not REFUSED) == valid
+    if valid:
+        assert len(pwm) == chain.FRAME_BITS * len(codes)
+        assert pwm.clock_hz == chain.FRAME_BITS * rate
+        assert pwm.frame_count == len(codes)
+
+
+@CONTRACT
+@given(arrays((np.int16, None), st.integers(0, 12)), COUNTS)
+@edges(dict(x=np.zeros(4, np.int16), rate=44100))
+def test_convert_stream_and_convert(x, rate):
+    payload = outcome(lambda: list(chain.convert_stream([x], rate)))
+    valid = is_vector(x, np.int16) and len(x) > 0 and is_count(rate, 1)
+    assert (payload is not REFUSED) == valid
+    if valid:
+        pwm = chain.convert(PcmStream(x, rate))
+        assert np.concatenate(payload).tobytes() == pwm.payload.tobytes()
+        assert len(pwm) == chain.PWM_BITS_PER_SAMPLE * len(x)
+
+
+@CONTRACT
+@given(COUNTS, st.floats(allow_nan=True, allow_infinity=True))
+@edges(dict(num_taps=31), cutoff=0.25)
+def test_windowed_sinc_lowpass(num_taps, cutoff):
+    taps = outcome(lambda: chain.windowed_sinc_lowpass(num_taps, cutoff))
+    valid = is_count(num_taps, 3) and num_taps % 2 and 0 < cutoff < 0.5
+    assert (taps is not REFUSED) == bool(valid)
+    if valid:
+        assert len(taps) == num_taps and math.isclose(taps.sum(), 1.0)
+
+
+# --- verification ------------------------------------------------------------
+
+@CONTRACT
+@given(arrays((np.uint8, None)), st.one_of(COUNTS, st.none()),
+       st.one_of(COUNTS, st.just(RATE_CLOCK)))
+@edges(dict(x=np.zeros(1, np.uint8), n_bits=8, clock_hz=RATE_CLOCK))
+def test_demodulate_stream(x, n_bits, clock_hz):
+    n_bits = 8 * (len(x) if x.ndim == 1 else 1) if n_bits is None else n_bits
+    audio = outcome(lambda: list(verification.demodulate_stream(
+        [x], n_bits=n_bits, clock_hz=clock_hz)))
+    valid = (is_vector(x, np.uint8) and is_count(n_bits, 0)
+             and len(x) == (n_bits + 7) // 8
+             and not (n_bits % 8 and x[-1] >> n_bits % 8)
+             and is_count(clock_hz, 1) and clock_hz % 1024 == 0)
+    assert (audio is not REFUSED) == valid
+    if valid:
+        y = np.concatenate(audio) if audio else np.zeros(0)
+        assert len(y) == n_bits // chain.PWM_BITS_PER_SAMPLE
+        assert np.all(np.abs(y) <= 1.0)
+
+
+@CONTRACT
+@given(st.integers(0, 3), st.sampled_from([64, 128, 1024]),
+       st.one_of(COUNTS, st.just(RATE_CLOCK)))
+@edges(dict(clock_hz=RATE_CLOCK), n_samples=1, frame_bits=128)
+def test_demodulate(n_samples, frame_bits, clock_hz):
+    pwm = outcome(lambda: PwmBitstream.from_bits(
+        np.zeros(1024 * n_samples, np.uint8), clock_hz, frame_bits))
+    if pwm is REFUSED:
+        return
+    audio = outcome(lambda: verification.demodulate(pwm))
+    valid = (frame_bits == chain.FRAME_BITS and clock_hz != 0
+             and clock_hz % 1024 == 0)
+    assert (audio is not REFUSED) == valid
+    if valid:
+        assert audio.tolist() == [0.0] * n_samples
+
+
+@CONTRACT
+@given(arrays((np.float64, st.floats(-1, 1)), st.integers(250, 300)),
+       COUNTS, st.booleans())
+@edges(dict(x=np.zeros(300), rate=44100), as_test=True)
+@edges(dict(x=np.zeros(300)), rate=44100, as_test=False)
+def test_measure(x, rate, as_test):
+    """x is scored against a 1 kHz tone, as test or as ref."""
+    tone = np.sin(2 * np.pi * 1000 / 44100 * np.arange(300))
+    ref, test = (tone, x) if as_test else (x, tone)
+    report = outcome(lambda: verification.measure(ref, test, rate))
+    valid = (is_vector(x, REAL) and np.isfinite(x).all() and len(x) >= 256
+             and is_count(rate, 1))
+    assert (report is not REFUSED) == valid
+    if valid:
+        assert all(map(math.isfinite, (report.fundamental_hz, report.snr_db,
+                                       report.thd_db,
+                                       report.inband_noise_power)))
+        assert report.snr_db <= verification.SNR_CAP_DB
+
+
+@CONTRACT
+@given(COUNTS)
+@edges(dict(n=64))
+def test_blackman_harris(n):
+    window = outcome(lambda: verification.blackman_harris(n))
+    assert (window is not REFUSED) == is_count(n, 2)
+    if window is not REFUSED:
+        assert len(window) == n and np.all(np.isfinite(window))
+
+
+# --- profiler ----------------------------------------------------------------
+
+PES = profiler.load_pe_library(
+    str(resources.files("pcm2pwm").joinpath("data", "pe_library.ini")))
+
+
+@CONTRACT
+@given(COUNTS)
+@edges(dict(n=8))
+def test_op_counts(n):
+    counts = outcome(lambda: profiler.op_counts(n))
+    assert (counts is not REFUSED) == is_count(n, 0)
+    if counts is not REFUSED:
+        assert all(c >= 0 for row in counts.values() for c in row.values())
+        assert counts["S3"]["mac"] == 8 * n * chain.FIR_TAPS
+
+
+@CONTRACT
+@given(COUNTS)
+@edges(dict(cycle_count=8))
+def test_exec_time_and_summary(cycle_count):
+    t = outcome(lambda: profiler.exec_time(cycle_count, PES[0]))
+    rows = outcome(lambda: profiler.principal_summary_rows(
+        {pe.name: cycle_count for pe in PES}, PES, 4.3))
+    valid = is_count(cycle_count, 0)
+    assert (t is not REFUSED) == (rows is not REFUSED) == valid
+    if valid:
+        assert t == Fraction(cycle_count) / (PES[0].freq_mhz * 10 ** 6)
+        assert [r["cycles"] for r in rows] == [cycle_count] * len(PES)

@@ -66,6 +66,15 @@ def test_op_counts_empty_input():
         op_counts(-1)
 
 
+@pytest.mark.parametrize("n", [1.5, 8.0, np.nan, True, -1])
+def test_op_counts_take_only_sample_counts(n):
+    """A sample count is an integer of at least 0: 1.5 samples give no
+    fractional counts, and True is not one sample."""
+    with pytest.raises(ValueError, match=f"^n_samples must be an integer of "
+                                         f"at least 0, got {n}$"):
+        op_counts(n)
+
+
 # --- cycle weighting ---------------------------------------------------------
 
 def test_cycles_unit_weight():

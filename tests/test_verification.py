@@ -74,14 +74,21 @@ def test_demodulate_finds_the_rate_in_the_clock(rate):
     assert len(demodulate(convert(PcmStream(samples, rate)))) == len(samples)
 
 
-@pytest.mark.parametrize("clock_hz", [0, 1024 * RATE + 1])
-def test_demodulate_stream_rejects_bad_clock(clock_hz):
-    """A clock that is not a positive multiple of 1024 is no chain's: the
-    first step raises, before a payload byte is read."""
+@pytest.mark.parametrize("clock_hz,match", [
+    (0, "^clock_hz must be an integer of at least 1, got 0$"),
+    (1024 * RATE + 1, f"^bit clock {1024 * RATE + 1} is not a multiple of "
+                      f"1024$"),
+    (1024.0 * RATE, f"^clock_hz must be an integer of at least 1, got "
+                    f"{1024.0 * RATE}$"),
+    (True, "^clock_hz must be an integer of at least 1, got True$")],
+    ids=["0", "45158401", "float", "bool"])
+def test_demodulate_stream_rejects_bad_clock(clock_hz, match):
+    """A clock that is no positive integer multiple of 1024 is no chain's:
+    the first step raises, before a payload byte is read."""
     def unread():
         raise AssertionError("the payload was read")
         yield
-    with pytest.raises(MalformedStream, match="not a positive multiple"):
+    with pytest.raises(MalformedStream, match=match):
         next(demodulate_stream(unread(), n_bits=0, clock_hz=clock_hz))
 
 
@@ -91,8 +98,19 @@ def test_demodulate_stream_rejects_negative_bit_count():
     def unread():
         raise AssertionError("the payload was read")
         yield
-    with pytest.raises(MalformedStream, match="bit count -1024 is negative"):
+    with pytest.raises(MalformedStream, match="^n_bits must be an integer of "
+                                              "at least 0, got -1024$"):
         next(demodulate_stream(unread(), n_bits=-1024, clock_hz=1024 * RATE))
+
+
+@pytest.mark.parametrize("n_bits", [2400.0, True])
+def test_demodulate_stream_rejects_bit_counts_that_are_no_integers(n_bits):
+    """A float bit count is refused by name, not by numpy's TypeError at a
+    slice; a bool one, not read as 1 bit to return no audio."""
+    with pytest.raises(MalformedStream, match=f"^n_bits must be an integer "
+                                              f"of at least 0, got {n_bits}$"):
+        collect(demodulate_stream([np.zeros(300, np.uint8)], n_bits=n_bits,
+                                  clock_hz=1024 * RATE))
 
 
 @pytest.mark.parametrize("block,got", [
@@ -103,7 +121,8 @@ def test_demodulate_stream_rejects_negative_bit_count():
 def test_demodulate_stream_rejects_blocks_not_1d_uint8(block, got):
     """Payload blocks are 1-D uint8 arrays; anything else is named, not
     read as bytes of another width or counted by its rows."""
-    with pytest.raises(MalformedStream, match=f"1-D uint8 arrays, got {got}"):
+    with pytest.raises(MalformedStream, match=f"^payload block must be a 1-D "
+                                              f"uint8 array, got {got}$"):
         collect(demodulate_stream([block], n_bits=1024, clock_hz=1024 * RATE))
 
 
@@ -357,11 +376,31 @@ def test_measure_rejects_non_finite_samples(which, value):
         measure(*streams, RATE)
 
 
-@pytest.mark.parametrize("rate", [0, -RATE])
+@pytest.mark.parametrize("rate", [0, -RATE, np.nan, np.inf, True, 44100.5])
 def test_measure_rejects_non_positive_rate(rate):
+    """A rate is a positive integer: NaN is not a numpy error from deep in
+    the harmonic analysis, and True or 44100.5 no report."""
     x = sine(1000, 0.5, 4096)
-    with pytest.raises(ValueError, match="rate must be positive"):
+    with pytest.raises(ValueError, match=f"^rate must be an integer of at "
+                                         f"least 1, got {rate}$"):
         measure(x, x, rate)
+
+
+@pytest.mark.parametrize("which,stream,got", [
+    (1, np.zeros(4096, complex), r"complex128 of shape \(4096,\)"),
+    (0, np.zeros((2, 4096)), r"float64 of shape \(2, 4096\)"),
+    (1, np.zeros(4096, object), r"object of shape \(4096,\)")])
+def test_measure_refuses_arrays_not_1d_real(which, stream, got):
+    """ref and test are 1-D real samples: a complex stream is not scored
+    by its real part after a ComplexWarning, and a 2-D one is named, not
+    counted by its rows."""
+    streams = [sine(1000, 0.5, 4096), sine(1000, 0.5, 4096)]
+    streams[which] = stream
+    name = ("ref", "test")[which]
+    with pytest.raises(ValueError, match=f"^{name} must be a 1-D bool or "
+                                         f"integer or floating array, got "
+                                         f"{got}$"):
+        measure(*streams, RATE)
 
 
 def test_measure_silence_reference_caps():
