@@ -197,7 +197,8 @@ def linearize(x: np.ndarray, state: LineState | None = None) -> np.ndarray:
     sample is emitted once its look-ahead has arrived, so a block's output
     lags its input by one sample, and the empty block emits the held
     sample.  ValueError for an x that is no 1-D array of real samples, or
-    holds a NaN or an infinity.
+    holds a NaN, an infinity or samples so large (about 1e155) that the
+    crossing fit overflows.
     """
     x = _vector("LINE input", x, _REAL)
     if not np.isfinite(x).all():
@@ -206,8 +207,13 @@ def linearize(x: np.ndarray, state: LineState | None = None) -> np.ndarray:
     state = state or LineState()
     first = len(state.tail) == 0
     x = np.concatenate([state.tail, x])
+    try:
+        with np.errstate(over="raise"):
+            middle = _crossings(x)
+    except FloatingPointError as exc:
+        raise ValueError(f"LINE input too large to fit: {exc}") from exc
     state.tail = x[-2:].copy()
-    parts = [x[:1] if first else x[:0], _crossings(x)]
+    parts = [x[:1] if first else x[:0], middle]
     if end and len(x) > 1:
         parts.append(x[-1:])
     return np.concatenate(parts)

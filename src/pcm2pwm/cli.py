@@ -252,8 +252,11 @@ def cmd_explore(args) -> int:
     cm = scenario.cost_model
     if args.deadline_ms is not None:
         deadline_ms = _finite("--deadline-ms", args.deadline_ms, positive=True)
-        cm = dataclasses.replace(cm,
-                                 deadline_us=int(round(deadline_ms * 1000)))
+        try:
+            deadline_us = dse._ms_to_us(str(deadline_ms))
+        except ValueError as exc:
+            raise InputError(f"--deadline-ms {exc}") from exc
+        cm = dataclasses.replace(cm, deadline_us=deadline_us)
     pins = _parse_pins(args.pin)
     options = dse.enumerate_partitions(scenario.estimates, cm, pins)
     selected = dse.select(options, cm)  # exits 3 via NoFeasibleOption
@@ -298,13 +301,11 @@ def cmd_roundtrip(args) -> int:
     floor_db = _finite("--snr-floor-db", args.snr_floor_db)
     with _open_input(args.input, args.seed) as source:
         n_bits, clock_hz = _pwm_size(source)
-        pcm = audio_io.PcmStream(audio_io.collect(
-            source.blocks(), source.frame_count, np.int16), source.sample_rate)
-    rate = pcm.sample_rate
-    audio = _demodulate_in_worker(
-        chain.convert_stream([pcm.samples], rate), n_bits=n_bits,
-        clock_hz=clock_hz)
-    report = verification.measure(chain.s0_condition(pcm.samples), audio, rate)
+        rate = source.sample_rate
+        pcm = audio_io.collect(source.blocks(), source.frame_count, np.int16)
+    audio = _demodulate_in_worker(chain.convert_stream([pcm], rate),
+                                  n_bits=n_bits, clock_hz=clock_hz)
+    report = verification.measure(chain.s0_condition(pcm), audio, rate)
     if args.format == "csv":
         print(report.csv(), end="")
     else:
@@ -436,7 +437,10 @@ class _Synthetic:
             self._rng = np.random.default_rng(seed) if kind == "noise" else None
         except (OverflowError, ValueError) as exc:
             raise InputError(f"bad synthetic signal spec {kind}:{rest}") from exc
-        self._freq = params[0] if kind == "sine" else None
+        # sin(2 pi f n / rate) repeats in f with period rate: reducing f
+        # keeps the phase finite for any finite f, and leaves f < rate as is
+        self._freq = (math.fmod(params[0], self.sample_rate)
+                      if kind == "sine" else None)
 
     def blocks(self):
         for start in range(0, self.frame_count, audio_io._BLOCK):

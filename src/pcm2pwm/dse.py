@@ -89,11 +89,11 @@ class BehaviorEstimate:
 
     @property
     def t_hw_ms(self) -> float:
-        return self.t_hw_us / 1000.0
+        return self.t_hw_us / 1000
 
     @property
     def t_sw_ms(self) -> float:
-        return self.t_sw_us / 1000.0
+        return self.t_sw_us / 1000
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class CostModel:
 
     @property
     def deadline_ms(self) -> float:
-        return self.deadline_us / 1000.0
+        return self.deadline_us / 1000
 
 
 @dataclass(frozen=True)
@@ -125,15 +125,15 @@ class PartitionOption:
 
     @property
     def t_dsp_ms(self) -> float:
-        return self.t_dsp_us / 1000.0
+        return self.t_dsp_us / 1000
 
     @property
     def t_hw_ms(self) -> float:
-        return self.t_hw_us / 1000.0
+        return self.t_hw_us / 1000
 
     @property
     def t_total_ms(self) -> float:
-        return self.t_total_us / 1000.0
+        return self.t_total_us / 1000
 
     @property
     def cost_usd(self) -> float:

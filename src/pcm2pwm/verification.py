@@ -153,43 +153,45 @@ def _stage_filter(fs_in: int, fs_out: int, rate: int) -> np.ndarray:
 
 def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
                    m: int) -> Iterator[np.ndarray]:
-    """Filter and decimate a packed bitstream as +-1 samples, per transition.
+    """Filter and decimate a packed bitstream as +-1 samples, per step.
 
     blocks hold n_bits bits packed LSB-first, as in PwmBitstream, cut at
     any byte.  Computes y[n] = sum_k h[k] s(n m + D - k) with s = 2 bits - 1
     inside the stream and 0 outside, D = (len(h)-1)//2, exactly as a
-    direct-form filter would.  Write s as a sum of steps: one of height +-2
-    at each transition p (bits[p] != bits[p-1]), one into the stream at 0
-    and one out of it at n_bits.  With C the cumulative taps (C[0] = 0,
-    C[L] = H, the tap sum),
+    direct-form filter would.  Write s as a sum of steps p, one wherever
+    it changes.  With C the cumulative taps (C[0] = 0, C[L] = H, the tap
+    sum),
 
         y[n] = H s(n m + D - L + 1) + sum_p delta_p C[n m + D - p + 1]
 
     over the steps p with 1 <= n m + D - p + 1 <= L - 1.  A step reaches
     at most (L - 2) // m + 1 consecutive outputs, so the sum is one
-    bincount per output phase over the transitions of a block of outputs.
-    Cost follows the transitions (at most two per leading-edge PWM frame)
-    instead of L per output.  Only the bit window of one block is unpacked
-    at a time; the settled bits s(n m + D - L + 1) are read from the
-    payload by byte index and shift.
+    bincount per output phase over the steps of a block of outputs.  Cost
+    follows the transitions (at most two per leading-edge PWM frame)
+    instead of L per output.
 
     Each arriving block is one pass over the outputs the payload now covers
-    (demodulate_stream hands it at most 64 KiB); the bytes no later window
-    reads (about L bits before the next output) are then dropped.
+    (demodulate_stream hands it at most 64 KiB).  The pass unpacks the
+    window from its first output's settled bit to the last bit it reads,
+    zero-padded: positions outside the stream are coded 2, where s is 0,
+    so the steps into the stream at 0 and out of it at n_bits are changes
+    between neighbouring codes, as transitions are.  The bytes before the
+    next pass's window are then dropped.
     """
     n_out = n_bits // m
     taps = len(h)
     delay = (taps - 1) // 2
     cum = np.concatenate(([0.0], np.cumsum(h)))
+    sign = np.array([-1.0, 1.0, 0.0])  # s of the codes 0, 1 and 2
 
-    # a transition at p adds delta C[r + 1 + j m] to output n0 + j, where n0
-    # is the first output it reaches and r = n0 m + D - p is in [0, m);
-    # signed[j, r + m b] is that term for the bit b after the transition
+    # a step at p from code a to code b adds (s(b) - s(a)) C[r + 1 + j m] to
+    # output n0 + j, where n0 is the first output it reaches and r = n0 m +
+    # D - p is in [0, m); weighted[j, r + m (3 a + b)] is that term
     phases = (taps - 2) // m + 1
-    a = np.arange(phases)[:, None] * m + np.arange(1, m + 1)
-    ramp = np.where(a < taps, cum[np.minimum(a, taps)], 0.0)
-    signed = np.concatenate((-2.0 * ramp, 2.0 * ramp), axis=1)
-    first = -((taps - 1 - delay) // -m)  # first n with a non-negative index
+    k = np.arange(phases)[:, None] * m + np.arange(1, m + 1)
+    ramp = np.where(k < taps, cum[np.minimum(k, taps)], 0.0)
+    weighted = np.hstack([(after - before) * ramp
+                          for before in sign for after in sign])
 
     buf = np.zeros(0, dtype=np.uint8)  # payload bytes base, base + 1, ...
     base = received = done = 0
@@ -201,51 +203,34 @@ def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
         ready = n_out if 8 * received >= n_bits else min(reach, n_out)
         if ready <= done:
             continue
-        y = np.zeros(ready - done)
-        # the steps into the stream at 0 and out of it at n_bits; the one at
-        # 0 reaches n <= (L - 2 - D) // m, where done <= n and phases m > L - 2
-        # give (done - phases) m + D < 0: the trim kept byte 0 (base is 0)
-        for p in (0, n_bits):
-            n = np.arange(max(-((delay - p) // m), done),
-                          min((p - delay + taps - 2) // m + 1, ready))
-            if len(n):
-                delta = (2.0 * _bit(buf, 0) - 1.0 if p == 0 else
-                         1.0 - 2.0 * _bit(buf, n_bits - 1 - 8 * base))
-                y[n - done] += delta * cum[n * m + delay - p + 1]
+        # the window of codes lo .. hi; only [start, stop] is in the stream
+        lo = done * m + delay - taps + 1
+        hi = (ready - 1) * m + delay
+        start, stop = max(lo, 0), min(hi, n_bits - 1)
+        code = np.unpackbits(buf, count=stop + 1 - 8 * base,
+                             bitorder="little")[start - 8 * base:]
+        if lo < start or stop < hi:
+            code = np.pad(code, (start - lo, hi - stop), constant_values=2)
 
-        # steps at or before n m + D - L + 1 have passed all taps: H s(...)
-        head = max(done, first)
-        i = np.arange(head, ready) * m + delay - taps + 1 - 8 * base
-        y[head - done:] += _bit(buf, i) * (2.0 * cum[-1]) - cum[-1]
-
-        lo = max((done - phases) * m + delay + 1, 1)
-        hi = min((ready - 1) * m + delay, n_bits - 1)
-        if lo <= hi:
-            skip = (lo - 1) & 7  # bits lo - 1 .. hi, unpacked from whole bytes
-            lo_byte = ((lo - 1) >> 3) - base
-            seg = np.unpackbits(buf[lo_byte:(hi >> 3) + 1 - base],
-                                bitorder="little")[skip:skip + hi - lo + 2]
-            q = np.flatnonzero(seg[1:] != seg[:-1])
-            p = q + lo
-            n0 = (p - delay + m - 1) // m
-            col = n0 * m + delay - p + m * seg[q + 1].astype(np.intp)
-            idx = n0 - (done - phases)
-            acc = np.zeros(ready - done + 2 * phases)
-            for j in range(phases):
-                acc += np.bincount(idx + j, weights=signed[j][col],
-                                   minlength=len(acc))
-            y += acc[phases:phases + ready - done]
+        # the settled bits n m + D - L + 1 have passed all taps: H s(...)
+        y = sign[code[:(ready - done) * m:m]] * cum[-1]
+        q = np.flatnonzero(code[1:] != code[:-1]) + 1
+        p = q + lo
+        n0 = (p - delay + m - 1) // m
+        col = (n0 * m + delay - p
+               + m * (3 * code[q - 1].astype(np.intp) + code[q]))
+        idx = n0 - (done - phases)
+        acc = np.zeros(ready - done + 2 * phases)
+        for j in range(phases):
+            acc += np.bincount(idx + j, weights=weighted[j][col],
+                               minlength=len(acc))
+        y += acc[phases:phases + ready - done]
         done = ready
-        # the first byte the next output reads
-        keep = max((done - phases) * m + delay, 0) >> 3
+        # the first byte the next window reads
+        keep = max(done * m + delay - taps + 1, 0) >> 3
         buf = buf[keep - base:]
         base = keep
         yield y
-
-
-def _bit(payload: np.ndarray, i):
-    """Bit i (an index or an index array) of an LSB-first packed payload."""
-    return (payload[i >> 3] >> (i & 7)) & 1
 
 
 def _polyphase_decimate(blocks: Iterable[np.ndarray], n_in: int,
@@ -320,9 +305,9 @@ def measure(ref: np.ndarray, test: np.ndarray, rate: int) -> SpectrumReport:
     Blackman-Harris windowed FFT at the detected fundamental.  Raises
     ValueError for a rate that is no integer of at least 1 (a bool is
     none), for ref or test that is no 1-D array of real samples (bool,
-    integer or floating) and for a sample that is not finite, and
-    LengthMismatch, a ValueError, for streams that overlap by fewer than
-    256 samples.
+    integer or floating), for a sample that is not finite and for samples
+    so large that scoring them overflows, and LengthMismatch, a
+    ValueError, for streams that overlap by fewer than 256 samples.
     """
     _integer("rate", rate, 1)
     ref, test = _vector("ref", ref, _REAL), _vector("test", test, _REAL)
@@ -331,9 +316,17 @@ def measure(ref: np.ndarray, test: np.ndarray, rate: int) -> SpectrumReport:
         raise LengthMismatch(f"only {n} overlapping samples")
     if not (np.isfinite(ref).all() and np.isfinite(test).all()):
         raise ValueError("samples must be finite")
+    try:
+        with np.errstate(over="raise"):
+            return _score(ref[:n], test[:n], rate)
+    except FloatingPointError as exc:
+        raise ValueError(f"samples too large to score: {exc}") from exc
 
-    r = ref[:n] - ref[:n].mean()
-    t = test[:n] - test[:n].mean()
+
+def _score(ref: np.ndarray, test: np.ndarray, rate: int) -> SpectrumReport:
+    """measure's report for two checked streams of equal length."""
+    r = ref - ref.mean()
+    t = test - test.mean()
 
     p_ref = float(np.dot(r, r))
     if p_ref == 0.0:

@@ -456,6 +456,37 @@ def test_explore_impossible_deadline(capsys):
     assert "deadline" in captured.err
 
 
+@pytest.mark.parametrize("value", ["3731.3004", "1e-300"])
+def test_explore_deadline_finer_than_a_microsecond_is_input_error(value,
+                                                                   capsys):
+    """--deadline-ms takes a scenario's deadline_ms rule: whole
+    microseconds, never rounded (3731.3004 ms rounded to 3731.300 would
+    drop MOLD's 3731.3 ms, which beats it; 1e-300 would round to 0)."""
+    assert main(["explore", "--deadline-ms", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --deadline-ms {value!r}: finer than "
+                            f"microseconds\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("source", ["option", "scenario"])
+def test_explore_huge_deadline_selects_all_software(source, tmp_path, capsys):
+    """A 1e308 ms deadline, on the command line or in a scenario, is
+    met by every mapping, so the all-software one, the cheapest, wins."""
+    if source == "option":
+        argv = ["explore", "--deadline-ms", "1e308"]
+    else:
+        scenario = tmp_path / "huge.scenario"
+        scenario.write_text(_edited("baseline.scenario",
+                                    r"deadline_ms = \d+", "deadline_ms = 1e308"),
+                            encoding="utf-8")
+        argv = ["explore", "--scenario", str(scenario)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "selected: - (4548.9 ms, $9.00)" in captured.out
+    assert captured.err == ""
+
+
 def test_explore_pin(capsys):
     code = main(["explore", "--pin", "S0=sw"])
     captured = capsys.readouterr()

@@ -11,22 +11,30 @@ ValueError or its subclasses MalformedStream and LengthMismatch, and
 IndexError for out-of-range PWM codes.  Any other exception, and any
 warning, fails.  Every test runs each edge array and edge count in each
 argument as an explicit example, then hypothesis's own draws, which run
-derandomized, so tier-1 is reproducible.
+derandomized, so tier-1 is reproducible.  LINE and measure are also
+drawn finite samples too large for their arithmetic.
 Paths (read_wav, read_pwm) are fuzzed over bytes in test_audio_io.
+
+The command line's half gives every numeric option of every subcommand,
+and every number of a synthetic spec, each of NUMBERS, in-process through
+cli.main: the exit code must be one the cli docstring lists, nothing may
+print a traceback, and a nonzero exit prints one error line.
 """
 
 import math
+import re
 import tempfile
 import warnings
 from fractions import Fraction
 from importlib import resources
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pcm2pwm import audio_io, chain, profiler, verification
+from pcm2pwm import audio_io, chain, cli, profiler, verification
 from pcm2pwm.audio_io import PcmStream, PwmBitstream
 
 CONTRACT = settings(derandomize=True, database=None, deadline=None,
@@ -36,6 +44,11 @@ DTYPES = (np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8,
           np.uint16, np.uint64, np.float32, np.float64, np.complex128,
           object)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# finite samples up to 1e150 must be taken; larger ones, drawn for LINE and
+# measure, may overflow their arithmetic, and are then refused
+TAKEN = 1e150
+HUGE = st.sampled_from([TAKEN, 1e155, 1e308]).flatmap(
+    lambda v: st.sampled_from([v, -v]))
 # counts and rates: valid ones, and 0, negative, bool, float, NaN and inf
 COUNTS = st.sampled_from([0, 1, 3, 8, 31, 128, 1024, 44100, np.int64(8),
                           -1, -1024, True, False, 1.5, 8.0, 44100.0,
@@ -189,11 +202,14 @@ def test_collect(x, n, dtype):
 # --- chain -------------------------------------------------------------------
 
 @CONTRACT
-@given(arrays((np.float64, st.floats(-1, 1))))
+@given(arrays((np.float64, st.floats(-1, 1) | HUGE)))
 @edges(dict(x=np.zeros(4)))
+@example(x=np.array([0.1, 1e155, 0.2]))
+@example(x=np.array([1e308, -1e308, 1e308]))
 def test_float_stages(x):
     """S0 takes 1-D int16 samples; S1-S3, LINE and MOLD 1-D real ones, LINE
-    and MOLD finite ones too, and S1-S3 at least one."""
+    and MOLD finite ones too, and S1-S3 at least one.  LINE and MOLD may
+    refuse finite samples beyond TAKEN."""
     y = outcome(lambda: chain.s0_condition(x))
     assert (y is not REFUSED) == is_vector(x, np.int16)
     if y is not REFUSED:
@@ -201,17 +217,18 @@ def test_float_stages(x):
 
     real = is_vector(x, REAL)
     finite = real and np.isfinite(x).all()
+    huge = finite and bool(np.any(np.abs(x) > TAKEN))
     y = outcome(lambda: chain.upsample2(x))
     assert (y is not REFUSED) == (real and len(x) > 0)
     if y is not REFUSED:
         assert y.dtype == np.float64 and len(y) == 2 * len(x)
         assert np.all(np.isnan(y) | (np.abs(y) <= 1.0))
     y = outcome(lambda: chain.linearize(x))
-    assert (y is not REFUSED) == finite
+    assert (y is not REFUSED) == finite or (huge and y is REFUSED)
     if y is not REFUSED:
         assert y.dtype == np.float64 and len(y) == len(x)
     codes = outcome(lambda: chain.noise_shape(x))
-    assert (codes is not REFUSED) == finite
+    assert (codes is not REFUSED) == finite or (huge and codes is REFUSED)
     if codes is not REFUSED:
         assert codes.dtype == np.uint8 and len(codes) == len(x)
         assert np.all(codes < chain.FRAME_BITS)
@@ -298,19 +315,23 @@ def test_demodulate(n_samples, frame_bits, clock_hz):
 
 
 @CONTRACT
-@given(arrays((np.float64, st.floats(-1, 1)), st.integers(250, 300)),
+@given(arrays((np.float64, st.floats(-1, 1) | HUGE), st.integers(250, 300)),
        COUNTS, st.booleans())
 @edges(dict(x=np.zeros(300), rate=44100), as_test=True)
 @edges(dict(x=np.zeros(300)), rate=44100, as_test=False)
+@example(x=np.full(300, 1e155), rate=44100, as_test=True)
+@example(x=np.r_[1e308, -1e308].repeat(150), rate=44100, as_test=False)
 def test_measure(x, rate, as_test):
-    """x is scored against a 1 kHz tone, as test or as ref."""
+    """x is scored against a 1 kHz tone, as test or as ref; finite samples
+    beyond TAKEN may be refused."""
     tone = np.sin(2 * np.pi * 1000 / 44100 * np.arange(300))
     ref, test = (tone, x) if as_test else (x, tone)
     report = outcome(lambda: verification.measure(ref, test, rate))
     valid = (is_vector(x, REAL) and np.isfinite(x).all() and len(x) >= 256
              and is_count(rate, 1))
-    assert (report is not REFUSED) == valid
-    if valid:
+    huge = valid and bool(np.any(np.abs(x) > TAKEN))
+    assert (report is not REFUSED) == valid or (huge and report is REFUSED)
+    if report is not REFUSED:
         assert all(map(math.isfinite, (report.fundamental_hz, report.snr_db,
                                        report.thd_db,
                                        report.inband_noise_power)))
@@ -356,3 +377,56 @@ def test_exec_time_and_summary(cycle_count):
     if valid:
         assert t == Fraction(cycle_count) / (PES[0].freq_mhz * 10 ** 6)
         assert [r["cycles"] for r in rows] == [cycle_count] * len(PES)
+
+
+# --- cli ---------------------------------------------------------------------
+
+NUMBERS = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e308", "")
+SCENARIO = str(resources.files("pcm2pwm").joinpath("data",
+                                                   "baseline.scenario"))
+SPECS = (("sine", "1000", "-6", "0.05"), ("noise", "-6", "0.05"),
+         ("silence", "0.05"))
+EXIT_CODES = {int(code) for code in  # the cli docstring's list
+              re.findall(r"^    (\d+) ", cli.__doc__, re.MULTILINE)}
+
+
+def _argvs(value):
+    """Each numeric option, and each number of each synthetic spec, set to
+    value, in every subcommand that takes it."""
+    yield ["explore", "--deadline-ms", value]
+    yield ["profile", "--scenario", "BUNDLED", "--deadline-ms", value]
+    yield ["profile", "--input", "silence:0", "--deadline-ms", value]
+    yield ["roundtrip", "--input", "sine:1000:-6:0.05", "--snr-floor-db",
+           value]
+    for command in ("convert", "roundtrip"):
+        yield [command, "--input", "noise:-6:0.05", "--seed", value]
+    for kind, *numbers in SPECS:
+        for i in range(len(numbers)):
+            spec = ":".join([kind, *numbers[:i], value, *numbers[i + 1:]])
+            for command in ("convert", "profile", "roundtrip"):
+                yield [command, "--input", spec]
+
+
+@pytest.mark.parametrize("argv", [argv for value in NUMBERS
+                                  for argv in _argvs(value)], ids=" ".join)
+def test_cli_numbers(argv, tmp_path, capsys):
+    argv = [SCENARIO if arg == "BUNDLED" else arg for arg in argv]
+    if argv[0] == "convert":
+        argv = [*argv, "--output", str(tmp_path / "out.pwm")]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses a value it cannot parse
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in EXIT_CODES
+    assert "Traceback" not in out + err
+    lines = err.splitlines()
+    if code == 0:
+        assert err == ""
+    elif code == cli.EXIT_QUALITY:
+        assert len(lines) == 1 and lines[0].startswith("snr ")
+    else:
+        assert err.count("error:") == 1
+        assert (lines == [lines[-1]] and lines[0].startswith("error: ")
+                or lines[0].startswith("usage: ")
+                and lines[-1].startswith(f"pcm2pwm {argv[0]}: error: "))

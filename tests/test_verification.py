@@ -221,6 +221,20 @@ def test_edge_decimate_matches_direct_form_on_clip_prefix(stage1_minus6):
         oracles.decimate_direct(2.0 * prefix - 1.0, h, 128), rtol=0, atol=1e-9)
 
 
+def test_edge_decimate_matches_direct_form_on_clip_end(stage1_minus6):
+    """The outputs whose windows lie in the clip's last 2^17 bits, the
+    last of them running past its end, where the stream steps to 0."""
+    pwm, h = stage1_minus6
+    y = collect(verification._edge_decimate(
+        payload_cut(pwm.payload, len(pwm)), len(pwm), h, 128))
+    suffix = np.unpackbits(pwm.payload[-2 ** 14:], bitorder="little")
+    expected = oracles.decimate_direct(2.0 * suffix - 1.0, h, 128)
+    # the first output of the suffix whose window starts inside it
+    inside = -(-(len(h) - 1 - (len(h) - 1) // 2) // 128)
+    np.testing.assert_allclose(y[-len(expected):][inside:], expected[inside:],
+                               rtol=0, atol=1e-9)
+
+
 def test_edge_decimate_takes_at_most_64_kib(stage1_minus6):
     """Stage 1 never sees more than 64 KiB of payload at a time, even
     when demodulate hands it the whole payload as one block."""
