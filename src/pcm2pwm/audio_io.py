@@ -400,7 +400,8 @@ def write_pwm_blocks(blocks: Iterable[np.ndarray], path, *, n_bits: int,
         if tmp:
             os.replace(tmp, target)
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        # the OS reason only: exc names the temporary file, not path
+        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if tmp and os.path.exists(tmp):
             os.remove(tmp)

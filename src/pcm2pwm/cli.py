@@ -8,23 +8,29 @@ Subcommands:
     roundtrip  convert, demodulate and score against the input
 
 Inputs are WAV paths or synthetic specs ("sine:FREQ_HZ:AMP_DBFS[:SECONDS]",
-"noise:AMP_DBFS[:SECONDS]", "silence[:SECONDS]"); synthetic signals default
-to 4.3 s; convert and roundtrip seed noise with --seed.  Exit codes:
+"noise:AMP_DBFS[:SECONDS]", "silence[:SECONDS]", no field empty);
+synthetic signals default to 4.3 s; convert and roundtrip seed noise with
+--seed.  --deadline-ms is read in whole microseconds, as a scenario's
+deadline_ms; profile's goal is --deadline-ms, else the scenario's
+deadline_ms, the clip's length, or 4.3 s for an empty input.  Exit codes:
 
     0    success
     1    the roundtrip demodulator worker ended without a reply
     2    input error: a missing, unreadable (a directory, say),
          malformed or empty input, a bad option value (a negative
-         --seed, say), a scenario or element library that is missing, a
+         --seed, a --deadline-ms finer than microseconds or an empty
+         --output, say), a scenario or element library that is missing, a
          directory, not UTF-8 or malformed (no section header, a
          duplicate section, a missing key or weight, a negative cycle
          total, all code sizes 0, over 20 behaviors to explore), one
          behavior pinned to both hw and sw (--pin S0=hw --pin S0=sw),
-         an output path that cannot be written, a convert or roundtrip
-         input over the PWM1 bit count (95.1 s at 44.1 kHz) or bit
-         clock (4,194,304 Hz sample rate or more), both given to
+         an output path that cannot be written (named with the OS
+         reason only), a convert or roundtrip input over the PWM1 bit
+         count (95.1 s at 44.1 kHz) or bit clock (4,194,304 Hz sample
+         rate or more), both given to
          profile (--input and --scenario), profile --deadline-ms with
          an --input that has samples (its goal is the clip's length),
+         profile --scenario with deadline_ms = 0 and no --deadline-ms,
          or a roundtrip input too short to score (under 256 samples)
     3    no feasible mapping
     4    quality floor missed
@@ -34,6 +40,9 @@ convert and roundtrip stream: the WAV reader and the synthetic inputs
 make blocks of audio_io._BLOCK samples, the chain runs over them, and
 roundtrip feeds its PWM payload blocks straight into the demodulator
 (verification.demodulate_stream), so neither holds a whole PWM stream.
+One such block is the unit end to end: one chain pass, one payload block
+of verification._PAYLOAD_BLOCK bytes, one pipe message and one pass of
+each demodulator stage.
 roundtrip still holds the input clip, the clip demodulated back to the
 input rate and the FFTs measure takes of them.
 
@@ -69,10 +78,11 @@ EXIT_CLOSED_STDOUT = 141
 
 DEFAULT_SIGNAL_SECONDS = 4.3
 # roundtrip's pipe depth: the chain may run eight of its payload blocks
-# ahead of the demodulator worker before a send waits.  A pipe that holds
-# less than a block makes every block a hand-off that waits for the worker
-# to be scheduled.  Linux caps it at net.core.wmem_max.
-_PIPE_BYTES = 8 * (audio_io._BLOCK * chain.PWM_BITS_PER_SAMPLE // 8)
+# (1 MiB), each one pass of the demodulator's stages, ahead of the worker
+# before a send waits.  A pipe that holds less than a block makes every
+# block a hand-off that waits for the worker to be scheduled.  Linux caps
+# it at net.core.wmem_max.
+_PIPE_BYTES = 8 * verification._PAYLOAD_BLOCK
 
 
 class InputError(Exception):
@@ -129,8 +139,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "totals (instead of modelled counts)")
     p.add_argument("--pe-lib", help="processing-element library (INI)")
     p.add_argument("--deadline-ms", type=float,
-                   help="real-time goal for --scenario or an empty --input "
-                        "(default 4300); a clip's goal is its own length")
+                   help="real-time goal, in whole microseconds, for "
+                        "--scenario (default: its deadline_ms) or an empty "
+                        "--input (default 4300); a clip's goal is its own "
+                        "length")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--output", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_profile)
@@ -138,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="evaluate all hardware/software mappings")
     p.add_argument("--scenario", help="scenario file (default: bundled)")
     p.add_argument("--deadline-ms", type=float,
-                   help="override the scenario deadline")
+                   help="override the scenario deadline, in whole "
+                        "microseconds")
     p.add_argument("--pin", action="append", default=[], metavar="NAME=hw|sw",
                    help="force a behavior onto one side (repeatable)")
     p.add_argument("--format", choices=("text", "csv"), default="text")
@@ -163,6 +176,7 @@ def _add_input(p):
 
 
 def cmd_convert(args) -> int:
+    _check_output(args.output)
     with _open_input(args.input, args.seed) as source:
         n_bits, clock_hz = _pwm_size(source)
         rate, frame_bits = source.sample_rate, chain.FRAME_BITS
@@ -194,8 +208,9 @@ def _pwm_size(source) -> tuple:
 def cmd_profile(args) -> int:
     if args.scenario and args.input:
         raise InputError("profile takes --input or --scenario, not both")
-    deadline_ms = 4300.0 if args.deadline_ms is None else args.deadline_ms
-    playback_s = _finite("--deadline-ms", deadline_ms, positive=True) / 1000.0
+    _check_output(args.output)
+    goal_ms = (None if args.deadline_ms is None
+               else _deadline_us(args.deadline_ms) / 1000)
     pes = _load(profiler.load_pe_library,
                 args.pe_lib or _bundled("pe_library.ini"))
     out_lines = []
@@ -210,15 +225,24 @@ def cmd_profile(args) -> int:
             raise InputError(f"cycle totals for unknown elements: "
                              f"{sorted(missing)}")
         pes = [pe for pe in pes if pe.name in totals]
+        if goal_ms is None:
+            goal_ms = scenario.cost_model.deadline_ms
+            if not goal_ms:
+                raise InputError(f"{args.scenario}: deadline_ms = 0 is no "
+                                 f"real-time goal; give --deadline-ms")
+        playback_s = goal_ms / 1000.0
     elif args.input:
         with _open_input(args.input, 0) as source:  # header only, no noise
             n, rate = source.frame_count, source.sample_rate
-        if n:  # an empty input plays for the deadline
-            if args.deadline_ms is not None:
+        if n:  # a clip's goal is its own length
+            if goal_ms is not None:
                 raise InputError("--deadline-ms applies to --scenario or an "
                                  "empty --input; a clip's goal is its "
                                  "own length")
             playback_s = n / rate
+        else:  # an empty input plays for the deadline
+            playback_s = (DEFAULT_SIGNAL_SECONDS if goal_ms is None
+                          else goal_ms / 1000.0)
         counts = profiler.op_counts(n)
         totals = {pe.name: sum(profiler.cycles(counts, pe).values())
                   for pe in pes}
@@ -234,15 +258,15 @@ def cmd_profile(args) -> int:
     else:
         out_lines.append(profiler.format_principal_summary(rows, playback_s))
     report = "\n".join(out_lines)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(report)
-        except OSError as exc:
-            raise audio_io.IoFailure(
-                f"cannot write {args.output}: {exc}") from exc
-    else:
+    if args.output is None:
         print(report, end="" if report.endswith("\n") else "\n")
+        return EXIT_OK
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(report)
+    except OSError as exc:
+        raise audio_io.IoFailure(
+            f"cannot write {args.output}: {exc.strerror or exc}") from exc
     return EXIT_OK
 
 
@@ -251,12 +275,8 @@ def cmd_explore(args) -> int:
                      args.scenario or _bundled("baseline.scenario"))
     cm = scenario.cost_model
     if args.deadline_ms is not None:
-        deadline_ms = _finite("--deadline-ms", args.deadline_ms, positive=True)
-        try:
-            deadline_us = dse._ms_to_us(str(deadline_ms))
-        except ValueError as exc:
-            raise InputError(f"--deadline-ms {exc}") from exc
-        cm = dataclasses.replace(cm, deadline_us=deadline_us)
+        cm = dataclasses.replace(cm,
+                                 deadline_us=_deadline_us(args.deadline_ms))
     pins = _parse_pins(args.pin)
     options = dse.enumerate_partitions(scenario.estimates, cm, pins)
     selected = dse.select(options, cm)  # exits 3 via NoFeasibleOption
@@ -398,9 +418,9 @@ def _open_input(spec: str, seed: int):
     missing file; a file that cannot be read, such as a directory, raises
     IoFailure."""
     audio_io._integer("--seed", seed, 0, InputError)
-    kind, _, rest = spec.partition(":")
+    kind, *fields = spec.split(":")
     if kind in ("sine", "noise", "silence"):
-        yield _Synthetic(kind, rest, seed)
+        yield _Synthetic(kind, fields, seed)
         return
     try:
         wav = audio_io.WavReader(spec)
@@ -421,10 +441,10 @@ class _Synthetic:
 
     sample_rate = 44100
 
-    def __init__(self, kind: str, rest: str, seed: int):
+    def __init__(self, kind: str, fields: list, seed: int):
         n_args = {"sine": 2, "noise": 1, "silence": 0}[kind]  # before SECONDS
         try:
-            values = [float(p) for p in rest.split(":") if p]
+            values = [float(p) for p in fields]  # an empty field is none
             if len(values) == n_args:
                 values.append(DEFAULT_SIGNAL_SECONDS)
             *params, seconds = values
@@ -436,7 +456,8 @@ class _Synthetic:
             self._amp = 10.0 ** (params[-1] / 20.0) if params else 0.0
             self._rng = np.random.default_rng(seed) if kind == "noise" else None
         except (OverflowError, ValueError) as exc:
-            raise InputError(f"bad synthetic signal spec {kind}:{rest}") from exc
+            raise InputError(f"bad synthetic signal spec "
+                             f"{':'.join([kind, *fields])}") from exc
         # sin(2 pi f n / rate) repeats in f with period rate: reducing f
         # keeps the phase finite for any finite f, and leaves f < rate as is
         self._freq = (math.fmod(params[0], self.sample_rate)
@@ -462,6 +483,24 @@ def _finite(option: str, value: float, positive: bool = False) -> float:
         sign = " positive" if positive else ""
         raise InputError(f"{option} {value:g} is not a finite{sign} number")
     return value
+
+
+def _deadline_us(deadline_ms: float) -> int:
+    """--deadline-ms in whole microseconds, read as a scenario's deadline_ms
+    is (dse._ms_to_us); InputError unless it is finite, positive and whole
+    in microseconds.  The result / 1000 is deadline_ms again, exactly."""
+    _finite("--deadline-ms", deadline_ms, positive=True)
+    try:
+        return dse._ms_to_us(str(deadline_ms))
+    except ValueError as exc:
+        raise InputError(f"--deadline-ms {exc}") from exc
+
+
+def _check_output(path) -> None:
+    """InputError for an empty --output, which names no file (the working
+    directory, to os.path.realpath); None, no --output, passes."""
+    if path == "":
+        raise InputError("--output '' names no file")
 
 
 def _load(loader, path):

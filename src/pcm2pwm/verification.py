@@ -15,10 +15,11 @@ noise floor.  SNR is capped at +140 dB so identical streams yield a finite
 sentinel.
 
 demodulate_stream cuts the PWM1 payload once, at its entry, into blocks of
-at most 64 KiB (audio_io._cut), however it arrives, and yields the audio a
-block at a time, each stage carrying a few hundred samples of state, so
-`pcm2pwm roundtrip` feeds it chain.convert_stream's blocks and never holds
-a whole PWM stream; every cut gives the same samples bit for bit.
+at most one chain block's payload (audio_io._cut), however it arrives, and
+yields the audio a block at a time, each stage carrying a few hundred
+samples of state, so `pcm2pwm roundtrip` feeds it chain.convert_stream's
+blocks and never holds a whole PWM stream; every cut gives the same
+samples bit for bit.
 demodulate is its one-block case, collected.  measure holds whole clips:
 the reference, the demodulated audio and their FFTs.  Audio is plain
 float64 arrays: demodulate returns one at the chain's input rate, and
@@ -35,8 +36,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .audio_io import (_REAL, MalformedStream, PwmBitstream, _cut, _integer,
-                       _payload_blocks, _vector, collect)
+from .audio_io import (_BLOCK, _REAL, MalformedStream, PwmBitstream, _cut,
+                       _integer, _payload_blocks, _vector, collect)
 from .chain import (FRAME_BITS, INTERP_STAGES, PWM_BITS_PER_SAMPLE,
                     _convolve, windowed_sinc_lowpass)
 
@@ -45,7 +46,9 @@ AUDIO_BAND_HZ = 20000.0
 THD_FLOOR_DB = -140.0
 
 _HARMONIC_HALF_WIDTH = 8  # FFT bins kept around a tone, covers the window lobe
-_PAYLOAD_BLOCK = 1 << 16  # payload bytes demodulated at a time: 4096 frames
+# payload bytes demodulated at a time: what chain.convert_stream makes of
+# one block of _BLOCK input samples, 128 KiB
+_PAYLOAD_BLOCK = _BLOCK * PWM_BITS_PER_SAMPLE // 8
 
 
 class LengthMismatch(ValueError):
@@ -105,9 +108,10 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
     The first stage reads only the bit transitions (_edge_decimate): a
     leading-edge PWM frame has at most two, against the 795 taps a
     direct-form filter would spend per output at 45.1584 MHz.  The
-    payload is taken at most 64 KiB (_PAYLOAD_BLOCK) at a time, whatever
-    the cut, and each stage carries a few hundred samples of state, so
-    memory grows with neither the stream nor the block.  Raises
+    payload is taken at most one chain block's 128 KiB (_PAYLOAD_BLOCK)
+    at a time, whatever the cut, so each block convert_stream yields is
+    one pass of each stage.  Each stage carries a few hundred samples of
+    state, so memory grows with neither the stream nor the block.  Raises
     MalformedStream on the first step for a clock_hz that is no positive
     integer multiple of PWM_BITS_PER_SAMPLE or an n_bits that is no
     integer of at least 0 (a bool is none), and for blocks that break the
@@ -171,7 +175,7 @@ def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
     instead of L per output.
 
     Each arriving block is one pass over the outputs the payload now covers
-    (demodulate_stream hands it at most 64 KiB).  The pass unpacks the
+    (demodulate_stream hands it at most 128 KiB).  The pass unpacks the
     window from its first output's settled bit to the last bit it reads,
     zero-padded: positions outside the stream are coded 2, where s is 0,
     so the steps into the stream at 0 and out of it at n_bits are changes

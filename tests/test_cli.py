@@ -284,9 +284,23 @@ def test_unwritable_output_is_input_error(command, tmp_path, capsys):
     out = tmp_path / "missing" / "out"
     assert main([command, "--input", "sine:1000:-6:0.01",
                  "--output", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out}: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    # the path given and the OS reason, never the temporary file convert
+    # writes beside it, so the message reads the same on every run
+    assert capsys.readouterr().err == (f"error: cannot write {out}: No such "
+                                       f"file or directory\n")
+
+
+@pytest.mark.parametrize("command", ["convert", "profile"])
+def test_empty_output_is_input_error(command, tmp_path, capsys, monkeypatch):
+    """--output '' names no file: it is refused as such, not taken for
+    stdout (profile) or for the working directory (convert)."""
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--input", "sine:1000:-6:0.01",
+                 "--output", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --output '' names no file\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
 
 
 # --- profile --------------------------------------------------------------
@@ -393,6 +407,36 @@ def test_profile_deadline_is_for_scenarios_and_empty_inputs(capsys):
         "goal: execution faster than 1.00 s of audio\n")
 
 
+def test_profile_goal_is_the_scenario_deadline(tmp_path, capsys):
+    """Without --deadline-ms, profile --scenario judges the elements against
+    the scenario's own deadline_ms, as explore does."""
+    scenario = tmp_path / "3000.scenario"
+    scenario.write_text(_edited("baseline.scenario", r"deadline_ms = \d+",
+                                "deadline_ms = 3000"), encoding="utf-8")
+    assert main(["profile", "--scenario", str(scenario)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "goal: execution faster than 3.00 s of audio\n")
+    assert main(["explore", "--scenario", str(scenario)]) == 0
+    assert "deadline 3000.0 ms" in capsys.readouterr().out
+
+
+def test_profile_refuses_a_scenario_deadline_of_0(tmp_path, capsys):
+    """deadline_ms = 0 is a legal scenario, for which explore finds no
+    mapping, but no real-time goal: profile needs --deadline-ms for it."""
+    scenario = tmp_path / "0.scenario"
+    scenario.write_text(_edited("baseline.scenario", r"deadline_ms = \d+",
+                                "deadline_ms = 0"), encoding="utf-8")
+    assert main(["profile", "--scenario", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {scenario}: deadline_ms = 0 is no "
+                            f"real-time goal; give --deadline-ms\n")
+    assert captured.out == ""
+    assert main(["profile", "--scenario", str(scenario),
+                 "--deadline-ms", "3000"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "goal: execution faster than 3.00 s of audio\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["--scenario", cli._bundled("baseline.scenario")],
     ["--input", "sine:1000:-6:0.1", "--format", "csv"],
@@ -456,17 +500,21 @@ def test_explore_impossible_deadline(capsys):
     assert "deadline" in captured.err
 
 
-@pytest.mark.parametrize("value", ["3731.3004", "1e-300"])
+@pytest.mark.parametrize("value", ["3731.3004", "1e-300", "5e-324"])
 def test_explore_deadline_finer_than_a_microsecond_is_input_error(value,
                                                                    capsys):
     """--deadline-ms takes a scenario's deadline_ms rule: whole
     microseconds, never rounded (3731.3004 ms rounded to 3731.300 would
-    drop MOLD's 3731.3 ms, which beats it; 1e-300 would round to 0)."""
-    assert main(["explore", "--deadline-ms", value]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (f"error: --deadline-ms {value!r}: finer than "
-                            f"microseconds\n")
-    assert captured.out == ""
+    drop MOLD's 3731.3 ms, which beats it; 1e-300 would round to 0).
+    profile reads it by the same rule (5e-324 ms / 1000 would underflow
+    to a 0 s goal)."""
+    for argv in (["explore"], ["profile", "--input", "silence:0"],
+                 ["profile", "--scenario", _bundled("baseline.scenario")]):
+        assert main([*argv, "--deadline-ms", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --deadline-ms {value!r}: finer "
+                                f"than microseconds\n")
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("source", ["option", "scenario"])
@@ -607,11 +655,11 @@ def test_roundtrip_worker_audio_is_the_in_process_audio(monkeypatch, capsys):
     monkeypatch.setattr(verification, "measure", keep_test)
     assert main(["roundtrip", "--input", "sine:1000:-6:0.5"]) == 0
     capsys.readouterr()
-    source = cli._Synthetic("sine", "1000:-6:0.5", 0)
-    n = source.frame_count
-    here = np.concatenate(list(verification.demodulate_stream(
-        chain.convert_stream(source.blocks(), 44100), n_bits=n * 1024,
-        clock_hz=44100 * 1024)))
+    with cli._open_input("sine:1000:-6:0.5", 0) as source:
+        n = source.frame_count
+        here = np.concatenate(list(verification.demodulate_stream(
+            chain.convert_stream(source.blocks(), 44100), n_bits=n * 1024,
+            clock_hz=44100 * 1024)))
     assert scored[0].dtype == here.dtype
     assert scored[0].tobytes() == here.tobytes()
 
@@ -753,7 +801,8 @@ def test_ctrl_c_prints_one_traceback():
     "sine:1000:-6:inf", "silence:inf", "noise:-6:inf", "sine:inf:-6:0.01",
     "sine:nan:-6:0.01", "sine:1000:nan:0.5", "noise:nan", "sine:1000:1e308",
     "silence:-1", "sine:1000:-6:-1", "noise:-6:-0.5", "sine:-1000:-6:0.01",
-    "sine:1000", "silence:1:2", "noise:x"])
+    "sine:1000", "silence:1:2", "noise:x", "sine:1000::0.05", "noise::0.05",
+    "sine:1000:-6:", "silence:"])
 @pytest.mark.parametrize("command", ["convert", "profile", "roundtrip"])
 def test_bad_synthetic_spec_is_input_error(command, spec, tmp_path, capsys):
     argv = [command, "--input", spec]

@@ -16,12 +16,17 @@ drawn finite samples too large for their arithmetic.
 Paths (read_wav, read_pwm) are fuzzed over bytes in test_audio_io.
 
 The command line's half gives every numeric option of every subcommand,
-and every number of a synthetic spec, each of NUMBERS, in-process through
+and every number of a synthetic spec, each of NUMBERS, explore each of
+PINS, and convert and profile each of OUTPUTS, in-process through
 cli.main: the exit code must be one the cli docstring lists, nothing may
-print a traceback, and a nonzero exit prints one error line.
+print a traceback, and a nonzero exit prints one error line.  A command
+given --output prints no report on stdout and leaves no temporary file
+beside it.
 """
 
+import fnmatch
 import math
+import os
 import re
 import tempfile
 import warnings
@@ -407,12 +412,9 @@ def _argvs(value):
                 yield [command, "--input", spec]
 
 
-@pytest.mark.parametrize("argv", [argv for value in NUMBERS
-                                  for argv in _argvs(value)], ids=" ".join)
-def test_cli_numbers(argv, tmp_path, capsys):
-    argv = [SCENARIO if arg == "BUNDLED" else arg for arg in argv]
-    if argv[0] == "convert":
-        argv = [*argv, "--output", str(tmp_path / "out.pwm")]
+def _run(argv, capsys):
+    """cli.main(argv)'s exit code and stdout, once its exit code, stderr
+    and lack of a traceback are checked against the contract."""
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse refuses a value it cannot parse
@@ -430,3 +432,48 @@ def test_cli_numbers(argv, tmp_path, capsys):
         assert (lines == [lines[-1]] and lines[0].startswith("error: ")
                 or lines[0].startswith("usage: ")
                 and lines[-1].startswith(f"pcm2pwm {argv[0]}: error: "))
+    return code, out
+
+
+@pytest.mark.parametrize("argv", [argv for value in NUMBERS
+                                  for argv in _argvs(value)], ids=" ".join)
+def test_cli_numbers(argv, tmp_path, capsys):
+    argv = [SCENARIO if arg == "BUNDLED" else arg for arg in argv]
+    if argv[0] == "convert":
+        argv = [*argv, "--output", str(tmp_path / "out.pwm")]
+    _run(argv, capsys)
+
+
+# well-formed, wrong case, empty parts, extra parts, unknown behaviors,
+# spaces, nothing, and two pins: the same twice, and conflicting
+PINS = (["S0=hw"], ["S0=HW"], ["s0=hw"], ["S0="], ["=hw"], ["=="],
+        ["S0=hw=sw"], ["FOO=hw"], [" S0 =hw"], [""], ["S0=hw", "S0=hw"],
+        ["S0=hw", "S0=sw"])
+
+
+@pytest.mark.parametrize("pins", PINS, ids=repr)
+def test_cli_pins(pins, capsys):
+    _run(["explore", *(arg for pin in pins for arg in ("--pin", pin))],
+         capsys)
+
+
+# a directory, a path under a missing one, nothing, a device, and a file
+# that exists; DIR is the test's own directory, and the working one
+OUTPUTS = ("DIR", "DIR/missing/out", "", os.devnull, "DIR/existing")
+
+
+@pytest.mark.parametrize("output", OUTPUTS, ids=repr)
+@pytest.mark.parametrize("command", ["convert", "profile"])
+def test_cli_outputs(command, output, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "existing").write_bytes(b"old")
+    output = output.replace("DIR", str(tmp_path))
+    code, out = _run([command, "--input", "sine:1000:-6:0.01",
+                      "--output", output], capsys)
+    if command == "profile" or code:
+        assert out == ""
+    else:
+        assert out.endswith(f"wrote: {output}\n")
+    beside = os.path.dirname(os.path.realpath(output or "."))
+    if os.path.isdir(beside):
+        assert not fnmatch.filter(os.listdir(beside), ".*.tmp")

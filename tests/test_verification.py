@@ -235,11 +235,13 @@ def test_edge_decimate_matches_direct_form_on_clip_end(stage1_minus6):
                                rtol=0, atol=1e-9)
 
 
-def test_edge_decimate_takes_at_most_64_kib(stage1_minus6):
-    """Stage 1 never sees more than 64 KiB of payload at a time, even
-    when demodulate hands it the whole payload as one block."""
-    pwm, _ = stage1_minus6
-    sizes = []
+# the payload of one chain block: 1024 input samples of 1024 bits each
+CHAIN_BLOCK_BYTES = 1 << 17
+
+
+def spy_stage1(sizes):
+    """_edge_decimate, appending the size of each block it takes (one
+    pass each) to `sizes`."""
     real = verification._edge_decimate
 
     def spy(blocks, *args):
@@ -248,10 +250,37 @@ def test_edge_decimate_takes_at_most_64_kib(stage1_minus6):
                 sizes.append(len(block))
                 yield block
         return real(seen(), *args)
-    with mock.patch.object(verification, "_edge_decimate", spy):
+    return mock.patch.object(verification, "_edge_decimate", spy)
+
+
+def test_edge_decimate_takes_at_most_one_chain_block(stage1_minus6):
+    """Stage 1 never sees more than one chain block's payload, 128 KiB,
+    at a time, even when demodulate hands it the whole payload as one
+    block."""
+    pwm, _ = stage1_minus6
+    sizes = []
+    with spy_stage1(sizes):
         demodulate(pwm)
-    assert sum(sizes) == len(pwm.payload) > 1 << 16
-    assert max(sizes) == 1 << 16
+    assert sum(sizes) == len(pwm.payload) > CHAIN_BLOCK_BYTES
+    assert max(sizes) == CHAIN_BLOCK_BYTES
+
+
+def test_one_stage1_pass_per_chain_block():
+    """Fed by convert_stream, as roundtrip's worker is, the demodulator
+    takes each payload block the chain yields in one stage-1 pass, cutting
+    none of them again."""
+    samples = sine_int16(1000, 0.5, 0.2)  # 8 whole blocks and a part
+    chain_sizes, sizes = [], []
+
+    def chain_blocks():
+        for block in convert_stream([samples], RATE):
+            chain_sizes.append(len(block))
+            yield block
+    with spy_stage1(sizes):
+        collect(demodulate_stream(chain_blocks(), n_bits=len(samples) * 1024,
+                                  clock_hz=1024 * RATE))
+    assert max(chain_sizes) == CHAIN_BLOCK_BYTES
+    assert sizes == chain_sizes
 
 
 def test_demodulate_peak_memory(stage1_minus6):
@@ -284,7 +313,7 @@ def pwm_bits(n_bits, seed, dense):
 @given(n_bits=st.integers(0, 1 << 21), seed=st.integers(0, 2 ** 32 - 1),
        dense=st.booleans(), step=st.integers(1, 1 << 18),
        cuts=st.lists(st.integers(0, 1 << 18), max_size=8))
-# shorter than the stage-2 branch filter, and than one 64 KiB pass, both
+# shorter than the stage-2 branch filter, and than one 128 KiB pass, both
 # a byte at a time
 @example(n_bits=100_000, seed=0, dense=False, step=1, cuts=[])
 @example(n_bits=400_003, seed=1, dense=False, step=1, cuts=[])
