@@ -22,7 +22,9 @@ deadline_ms, the clip's length, or 4.3 s for an empty input.  Exit codes:
          --output, say), a scenario or element library that is missing, a
          directory, not UTF-8 or malformed (no section header, a
          duplicate section, a missing key or weight, a negative cycle
-         total, all code sizes 0, over 20 behaviors to explore), one
+         total, all code sizes 0, over 20 behaviors to explore, a value
+         or sum the report cannot print as a float, an element cost
+         that is not finite), a --pin side with a space around it, one
          behavior pinned to both hw and sw (--pin S0=hw --pin S0=sw),
          an output path that cannot be written (named with the OS
          reason only), a convert or roundtrip input over the PWM1 bit
@@ -40,18 +42,18 @@ convert and roundtrip stream: the WAV reader and the synthetic inputs
 make blocks of audio_io._BLOCK samples, the chain runs over them, and
 roundtrip feeds its PWM payload blocks straight into the demodulator
 (verification.demodulate_stream), so neither holds a whole PWM stream.
-One such block is the unit end to end: one chain pass, one payload block
-of verification._PAYLOAD_BLOCK bytes, one pipe message and one pass of
-each demodulator stage.
+One such block is the unit end to end: one chain pass, one 128 KiB
+payload block, one pipe message and one pass of each demodulator stage.
 roundtrip still holds the input clip, the clip demodulated back to the
 input rate and the FFTs measure takes of them.
 
 roundtrip runs on two processes and needs POSIX fork: the chain runs in
 this one, the demodulator in one worker forked from it, fed the payload
-blocks through a pipe.  The two overlap, as SpecC behaviors mapped to two
-processing elements do.  The worker runs with SIGINT blocked, so a
-Ctrl-C is reported once, by this process, and the worker leaves when the
-pipe closes.
+blocks through a pipe at the OS default buffer (on Linux it holds one
+whole block and most of the next).  The two overlap, as SpecC behaviors
+mapped to two processing elements do.  The worker runs with SIGINT
+blocked, so a Ctrl-C is reported once, by this process, and the worker
+leaves when the pipe closes.
 """
 
 from __future__ import annotations
@@ -77,12 +79,6 @@ EXIT_QUALITY = 4
 EXIT_CLOSED_STDOUT = 141
 
 DEFAULT_SIGNAL_SECONDS = 4.3
-# roundtrip's pipe depth: the chain may run eight of its payload blocks
-# (1 MiB), each one pass of the demodulator's stages, ahead of the worker
-# before a send waits.  A pipe that holds less than a block makes every
-# block a hand-off that waits for the worker to be scheduled.  Linux caps
-# it at net.core.wmem_max.
-_PIPE_BYTES = 8 * verification._PAYLOAD_BLOCK
 
 
 class InputError(Exception):
@@ -211,8 +207,8 @@ def cmd_profile(args) -> int:
     _check_output(args.output)
     goal_ms = (None if args.deadline_ms is None
                else _deadline_us(args.deadline_ms) / 1000)
-    pes = _load(profiler.load_pe_library,
-                args.pe_lib or _bundled("pe_library.ini"))
+    pe_lib = args.pe_lib or _bundled("pe_library.ini")
+    pes = _load(profiler.load_pe_library, pe_lib)
     out_lines = []
 
     if args.scenario:
@@ -231,6 +227,7 @@ def cmd_profile(args) -> int:
                 raise InputError(f"{args.scenario}: deadline_ms = 0 is no "
                                  f"real-time goal; give --deadline-ms")
         playback_s = goal_ms / 1000.0
+        where = f"{args.scenario}: [principal_cycles]"
     elif args.input:
         with _open_input(args.input, 0) as source:  # header only, no noise
             n, rate = source.frame_count, source.sample_rate
@@ -246,11 +243,20 @@ def cmd_profile(args) -> int:
         counts = profiler.op_counts(n)
         totals = {pe.name: sum(profiler.cycles(counts, pe).values())
                   for pe in pes}
+        where = f"{args.input} on {pe_lib}:"
+    else:
+        raise InputError("profile needs --input or --scenario")
+    # the report prints each time as a float, none over its element's total
+    for pe in pes:
+        try:
+            float(profiler.exec_time(totals[pe.name], pe))
+        except OverflowError:
+            raise InputError(f"{where} {pe.name} takes more seconds than a "
+                             f"float holds") from None
+    if args.input:
         out_lines.append(profiler.profile_report_csv(counts, pes))
         if args.format == "csv":
             out_lines.append("")
-    else:
-        raise InputError("profile needs --input or --scenario")
 
     rows = profiler.principal_summary_rows(totals, pes, playback_s)
     if args.format == "csv":
@@ -309,7 +315,7 @@ def _print_tradeoff(shortlist, selected):
     rival = min(others, key=lambda o: o.cost_cents)
     # t > 0, as BehaviorEstimate times are positive; c may be $0
     t, c = rival.t_total_us, rival.cost_cents
-    time_pct = (selected.t_total_us - t) / t * 100.0
+    time_pct = 100 * (selected.t_total_us - t) / t
     cost_pct = (c - selected.cost_cents) / c * 100.0 if c else 0.0
     print(f"trade-off: {rival.describe_hw_set()} beats "
           f"{selected.describe_hw_set()} by {time_pct:.2f}% in "
@@ -341,9 +347,9 @@ def _demodulate_in_worker(payload, **stream) -> np.ndarray:
     """verification.demodulate_stream(payload, **stream), collected into one
     array, run in a forked worker while this process makes the payload.
 
-    Each block goes to the worker through a pipe, then an empty end
-    marker; a full pipe (_PIPE_BYTES) makes this process wait, so memory
-    stays bounded.  The worker sends one reply, the audio or the
+    Each block goes to the worker as one message, then an empty end
+    marker; a full pipe makes this process wait, so memory stays
+    bounded.  The worker sends one reply, the audio or the
     exception that stopped it, which is raised here; WorkerDied if it
     ended without a reply.  Data flows one way until the end marker, so
     the two cannot deadlock.  The worker is joined before this returns or
@@ -351,12 +357,8 @@ def _demodulate_in_worker(payload, **stream) -> np.ndarray:
     """
     import multiprocessing  # here, so the other commands never load it
     import signal
-    import socket
     ctx = multiprocessing.get_context("fork")
     conn, worker_end = ctx.Pipe()
-    with socket.fromfd(conn.fileno(), socket.AF_UNIX,
-                       socket.SOCK_STREAM) as sock:  # a duplicate fd
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _PIPE_BYTES)
     worker = ctx.Process(target=_demodulate_worker,
                          args=(worker_end, conn, stream), daemon=True)
     # the worker is forked with SIGINT blocked and never unblocks it, so a
@@ -522,9 +524,8 @@ def _parse_pins(pin_args):
     pins = {}
     for item in pin_args:
         name, sep, side = item.partition("=")
-        if not sep or side not in ("hw", "sw"):
+        if not sep or name != name.strip() or side not in ("hw", "sw"):
             raise InputError(f"bad --pin {item!r}, expected NAME=hw|sw")
-        name = name.strip()
         if pins.setdefault(name, side) != side:
             raise InputError(f"--pin {name}={pins[name]} conflicts with "
                              f"--pin {name}={side}")

@@ -9,7 +9,9 @@ attributed in proportion to code size.  The cheapest mapping that beats the
 real-time deadline wins.
 
 Money is held in integral cents and time in integral microseconds; values
-are rounded only when formatted.
+are rounded only when formatted, as cents / 100 and microseconds / 1000.
+A scenario whose slowest mapping's time, dearest mapping's cost, deadline
+or quoted price is no float so formatted is refused when it is loaded.
 
 Scenario files (INI) provide the estimate table and cost model:
 
@@ -137,7 +139,7 @@ class PartitionOption:
 
     @property
     def cost_usd(self) -> float:
-        return self.cost_cents / 100.0
+        return self.cost_cents / 100
 
     def describe_hw_set(self) -> str:
         return ",".join(sorted(self.hw_set)) if self.hw_set else "-"
@@ -241,6 +243,15 @@ def _money_cents(text: str) -> int:
     return int(value)
 
 
+def _fits(field: str, value: int, unit: int) -> None:
+    """ValueError naming field unless value / unit, the float a report
+    prints for it, is one."""
+    try:
+        value / unit
+    except OverflowError:
+        raise ValueError(f"{field}: more than a float holds") from None
+
+
 def _ms_to_us(text: str) -> int:
     value = Fraction(str(text).strip()) * 1000
     if value.denominator != 1:
@@ -288,6 +299,7 @@ def load_scenario(path) -> Scenario:
         hw_total_cost_cents=_money_cents(cm_sec["hw_total_cost"]),
         deadline_us=_ms_to_us(cm_sec["deadline_ms"]),
     )
+    _fits("deadline_ms", cm.deadline_us, 1000)
 
     shares = hw_cost_share({name: size for name, _, _, size in rows},
                            cm.hw_total_cost_cents)
@@ -296,11 +308,23 @@ def load_scenario(path) -> Scenario:
                                hw_cost_cents=shares[name])
         for name, t_hw, t_sw, _ in rows
     }
+    # every time, cost and time lead (in %) a report prints is at most the
+    # slowest or the dearest mapping's, or the slowest's over the fastest
+    slowest = sum(max(e.t_hw_us, e.t_sw_us) for e in estimates.values())
+    fastest = sum(min(e.t_hw_us, e.t_sw_us) for e in estimates.values())
+    _fits("t_hw_ms, t_sw_ms (the slowest mapping)", slowest, 1000)
+    _fits("t_hw_ms, t_sw_ms (the slowest mapping's lead over the fastest)",
+          100 * (slowest - fastest), fastest)
+    _fits("sw_fixed_cost + hw_total_cost (the dearest mapping)",
+          cm.sw_fixed_cost_cents + cm.hw_total_cost_cents, 100)
 
     scenario = Scenario(estimates=estimates, cost_model=cm)
 
     if "nominal_hw_cost" in cm_sec:
         nominal = _money_cents(cm_sec["nominal_hw_cost"])
+        if nominal < 0:
+            raise ValueError("nominal_hw_cost must be non-negative")
+        _fits("nominal_hw_cost", nominal, 100)
         scenario.hw_cost_gap_cents = nominal - cm.hw_total_cost_cents
 
     if "expected_totals" in parser:
@@ -313,11 +337,12 @@ def load_scenario(path) -> Scenario:
             if key not in tot:
                 continue
             quoted = _ms_to_us(tot[key])
+            _fits(key, quoted, 1000)
             delta = quoted - summed
             if abs(delta) > TOTALS_TOLERANCE_US:
                 raise ValueError(
-                    f"{key}: table sums to {summed / 1000.0:.1f} ms but the "
-                    f"quoted total is {quoted / 1000.0:.1f} ms")
+                    f"{key}: table sums to {summed / 1000:.1f} ms but the "
+                    f"quoted total is {quoted / 1000:.1f} ms")
             setattr(scenario, attr, delta)
 
     if "principal_cycles" in parser:
@@ -344,23 +369,23 @@ def estimates_table_text(scenario: Scenario) -> str:
     for n in names:
         e = est[n]
         lines.append(f"{n:<{w + 2}}{e.t_hw_ms:>11.1f}{e.t_sw_ms:>11.1f}"
-                     f"{e.hw_cost_cents / 100.0:>14.2f}")
-    hw_sum = sum(e.t_hw_us for e in est.values()) / 1000.0
-    sw_sum = sum(e.t_sw_us for e in est.values()) / 1000.0
-    share_sum = sum(e.hw_cost_cents for e in est.values()) / 100.0
+                     f"{e.hw_cost_cents / 100:>14.2f}")
+    hw_sum = sum(e.t_hw_us for e in est.values()) / 1000
+    sw_sum = sum(e.t_sw_us for e in est.values()) / 1000
+    share_cents = sum(e.hw_cost_cents for e in est.values())
     lines.append(f"{'total':<{w + 2}}{hw_sum:>11.1f}{sw_sum:>11.1f}"
-                 f"{share_sum:>14.2f}")
+                 f"{share_cents / 100:>14.2f}")
     if scenario.hw_total_delta_us:
         lines.append(f"note: quoted hardware total differs by "
-                     f"{scenario.hw_total_delta_us / 1000.0:+.1f} ms")
+                     f"{scenario.hw_total_delta_us / 1000:+.1f} ms")
     if scenario.sw_total_delta_us:
         lines.append(f"note: quoted software total differs by "
-                     f"{scenario.sw_total_delta_us / 1000.0:+.1f} ms")
-    if scenario.hw_cost_gap_cents:
-        lines.append(f"note: cost shares sum ${share_sum:.2f} against a "
-                     f"${(share_sum * 100 + scenario.hw_cost_gap_cents) / 100.0:.2f}"
-                     f" component price (gap "
-                     f"${scenario.hw_cost_gap_cents / 100.0:.2f})")
+                     f"{scenario.sw_total_delta_us / 1000:+.1f} ms")
+    gap = scenario.hw_cost_gap_cents
+    if gap:
+        lines.append(f"note: cost shares sum ${share_cents / 100:.2f} against "
+                     f"a ${(share_cents + gap) / 100:.2f} component price "
+                     f"(gap ${gap / 100:.2f})")
     return "\n".join(lines) + "\n"
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,13 +77,21 @@ class ProcessingElement:
             raise ValueError(f"category {self.category!r} not in {CATEGORIES}")
         if self.freq_mhz <= 0:
             raise ValueError("freq_mhz must be positive")
-        if self.cost_usd < 0:
-            raise ValueError("cost must be non-negative")
+        if not 0 <= self.cost_usd < math.inf:
+            raise ValueError("cost must be finite and non-negative")
         for kind, w in self.weights.items():
             if kind not in OP_KINDS:
                 raise ValueError(f"unknown op kind {kind!r} in weights")
             if w < 1:
                 raise ValueError(f"weight for {kind} must be >= 1")
+        # the profile prints an op's time as a float: one op of the
+        # heaviest weight, or one cycle, must fit in one
+        try:
+            float(max(self.weights.values(), default=1)
+                  / (Fraction(self.freq_mhz) * 10 ** 6))
+        except OverflowError:
+            raise ValueError("one op of the heaviest weight at freq_mhz "
+                             "takes more seconds than a float holds") from None
 
     @property
     def is_hardware(self) -> bool:

@@ -559,6 +559,16 @@ def test_explore_repeated_pin_is_one_pin(capsys):
     assert "all mappings (32)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("pin", [" S0 =hw", "S0 =hw", " S0=hw", "S0= hw",
+                                 "S0=hw "])
+def test_explore_pin_is_taken_as_typed(pin, capsys):
+    """A space on either side of a pin makes it malformed, as an empty
+    field makes a synthetic spec: neither side is stripped."""
+    assert main(["explore", "--pin", pin]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad --pin {pin!r}, expected NAME=hw|sw\n")
+
+
 def test_explore_unknown_pin(capsys):
     assert main(["explore", "--pin", "FOO=hw"]) == 2
     captured = capsys.readouterr()
@@ -715,9 +725,9 @@ def run_patched_roundtrip(patch, *argv, **popen):
                           env=env, timeout=120)
 
 
-# a 2 s clip makes 11.3 MB of payload, more than the pipe holds
-# (cli._PIPE_BYTES), so the parent is still sending when the worker stops
-# reading
+# a 2 s clip makes 11.3 MB of payload, far more than the pipe's OS
+# default buffer holds, so the parent is still sending when the worker
+# stops reading
 TWO_SECONDS = ("--input", "sine:1000:-6:2")
 AFTER_TWO_BLOCKS = ("def demodulate_stream(blocks, **stream):\n"
                     "    for i, _ in enumerate(blocks):\n"
@@ -756,6 +766,30 @@ def test_dead_worker_exits_1(patch, status):
     assert (child.returncode, child.stdout, child.stderr) == (
         EXIT_WORKER, "", "error: the demodulator worker ended without a "
                          f"reply (exit code {status})\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="pinning a process to one CPU needs Linux")
+def test_roundtrip_on_one_cpu(capsys):
+    """Pinned to one CPU, the chain and the worker take turns at a pipe at
+    the OS default buffer, with 11.3 MB of payload to pass: the roundtrip
+    prints the report an unpinned one prints, exits 0 and leaves no
+    process."""
+    assert main(["roundtrip", *TWO_SECONDS]) == 0
+    unpinned = capsys.readouterr().out
+    child = run_patched_roundtrip(
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "demodulate_stream = real\n", *TWO_SECONDS, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, encoding="utf-8", start_new_session=True)
+    try:
+        out, err = child.communicate(timeout=120)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert (child.returncode, out, err) == (0, unpinned, "")
+    with pytest.raises(ProcessLookupError):  # no process left in the group
+        os.killpg(child.pid, 0)
 
 
 def test_worker_ignores_sigint():
@@ -930,6 +964,108 @@ def test_malformed_file_is_input_error(case, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     if content is None:
         assert captured.err == f"error: input not found: {path}\n"
+
+
+# a field the report prints as a float, set to what no float holds, and a
+# cost that is no finite price: (file, pattern, new text, commands,
+# message after "error: <path>: ")
+_DIGITS = "9" * 401
+_SCENARIO_READERS = (["explore", "--scenario"], ["profile", "--scenario"])
+_PE_LIB_READERS = (["profile", "--input", "sine:1000:-6:0.1", "--pe-lib"],)
+_SLOWEST = "t_hw_ms, t_sw_ms (the slowest mapping): more than a float holds"
+_DEAREST = ("sw_fixed_cost + hw_total_cost (the dearest mapping): more than "
+            "a float holds")
+_HEAVIEST = ("bad element entry [DSP]: one op of the heaviest weight at "
+             "freq_mhz takes more seconds than a float holds")
+_REFUSED_VALUES = {
+    "deadline_ms": ("baseline.scenario", "deadline_ms = 4300",
+                    "deadline_ms = 1e309", _SCENARIO_READERS,
+                    "deadline_ms: more than a float holds"),
+    "t_hw_ms": ("baseline.scenario", r"t_hw_ms = 2\.2\n",
+                "t_hw_ms = 1e309\n", _SCENARIO_READERS, _SLOWEST),
+    "t_sw_ms": ("baseline.scenario", r"t_sw_ms = 5\.4\n",
+                f"t_sw_ms = {_DIGITS}\n", _SCENARIO_READERS, _SLOWEST),
+    "two-t_hw_ms-summed": ("baseline.scenario", r"t_hw_ms = (2\.2|183\.3)\n",
+                           "t_hw_ms = 1e308\n", _SCENARIO_READERS, _SLOWEST),
+    "sw_fixed_cost": ("baseline.scenario", "sw_fixed_cost = 9.00",
+                      "sw_fixed_cost = 1e309", _SCENARIO_READERS, _DEAREST),
+    "hw_total_cost": ("baseline.scenario", "hw_total_cost = 34.76",
+                      "hw_total_cost = 1e309", _SCENARIO_READERS, _DEAREST),
+    "nominal_hw_cost": ("baseline.scenario", "nominal_hw_cost = 35.00",
+                        "nominal_hw_cost = 1e309", _SCENARIO_READERS,
+                        "nominal_hw_cost: more than a float holds"),
+    "negative-nominal_hw_cost": ("baseline.scenario", "nominal_hw_cost = 35.00",
+                                 "nominal_hw_cost = -1", _SCENARIO_READERS,
+                                 "nominal_hw_cost must be non-negative"),
+    "hw_total_ms": ("baseline.scenario", "hw_total_ms = 2502.5",
+                    "hw_total_ms = 1e309", _SCENARIO_READERS,
+                    "hw_total_ms: more than a float holds"),
+    "principal_cycles": ("baseline.scenario", "DSP = 272935511",
+                         f"DSP = {_DIGITS}", (["profile", "--scenario"],),
+                         "[principal_cycles] DSP takes more seconds than a "
+                         "float holds"),
+    "freq_mhz": ("pe_library.ini", "freq_mhz = 60", "freq_mhz = 1e-400",
+                 _PE_LIB_READERS, _HEAVIEST),
+    "weight": ("pe_library.ini", "add:1, mul:1, mac:1",
+               f"add:1, mul:1, mac:{_DIGITS}", _PE_LIB_READERS, _HEAVIEST),
+    "cost-nan": ("pe_library.ini", "cost = 8.00", "cost = nan",
+                 _PE_LIB_READERS, "bad element entry [DSP]: cost must be "
+                                  "finite and non-negative"),
+    "cost-inf": ("pe_library.ini", "cost = 8.00", "cost = inf",
+                 _PE_LIB_READERS, "bad element entry [DSP]: cost must be "
+                                  "finite and non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_VALUES))
+def test_file_value_no_float_holds_is_input_error(case, tmp_path, capsys):
+    """A field whose value, or whose sum with its like, the report cannot
+    print as a float, and a cost that is no finite price, exit 2 with one
+    error line naming the file and the field, never an OverflowError
+    traceback."""
+    name, pattern, new, readers, message = _REFUSED_VALUES[case]
+    path = tmp_path / name
+    path.write_text(_edited(name, pattern, new), encoding="utf-8")
+    for reader in readers:
+        assert main([*reader, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {path}: {message}\n")
+
+
+def test_explore_lead_that_no_float_holds_is_input_error(tmp_path, capsys):
+    """Each time prints, but the trade-off line's lead of all-software (S3
+    at 1e308 ms) over S3 in hardware, in %, would be more than a float
+    holds."""
+    path = tmp_path / "lead.scenario"
+    path.write_text("[behavior S0]\nt_hw_ms = 0.001\nt_sw_ms = 0.001\n"
+                    "code_size = 1\n[behavior S3]\nt_hw_ms = 0.001\n"
+                    "t_sw_ms = 1e308\ncode_size = 1\n[cost_model]\n"
+                    "sw_fixed_cost = 9\nhw_total_cost = 30\n"
+                    "deadline_ms = 1.7e308\n", encoding="utf-8")
+    assert main(["explore", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: t_hw_ms, t_sw_ms (the slowest mapping's lead over "
+        f"the fastest): more than a float holds\n")
+
+
+def test_profile_length_that_no_float_holds_is_input_error(tmp_path,
+                                                            capsys):
+    """A weight whose one op prints, times the ops of an input too long for
+    its time to print, exits 2 naming the input, the library and the
+    element; a shorter input profiles."""
+    lib = tmp_path / "pe.ini"
+    lib.write_text(_edited("pe_library.ini", "add:1, mul:1, mac:1",
+                           "add:1, mul:1, mac:1" + "0" * 308),
+                   encoding="utf-8")
+    assert main(["profile", "--input", "silence:1", "--pe-lib",
+                 str(lib)]) == 0
+    capsys.readouterr()
+    assert main(["profile", "--input", "silence:10", "--pe-lib",
+                 str(lib)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: silence:10 on {lib}: DSP takes more seconds than a float "
+        f"holds\n")
 
 
 # --- closed stdout ---------------------------------------------------------

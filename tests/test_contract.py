@@ -21,7 +21,10 @@ PINS, and convert and profile each of OUTPUTS, in-process through
 cli.main: the exit code must be one the cli docstring lists, nothing may
 print a traceback, and a nonzero exit prints one error line.  A command
 given --output prints no report on stdout and leaves no temporary file
-beside it.
+beside it.  The bundled scenario and element library, each field set to
+each of FIELD_VALUES, each key, section or pair of fields edited, go
+through every command that reads them by the same contract; a field that
+is no number is refused.
 """
 
 import fnmatch
@@ -35,7 +38,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -477,3 +480,82 @@ def test_cli_outputs(command, output, tmp_path, capsys, monkeypatch):
     beside = os.path.dirname(os.path.realpath(output or "."))
     if os.path.isdir(beside):
         assert not fnmatch.filter(os.listdir(beside), ".*.tmp")
+
+
+# --- cli: scenario and element-library files ---------------------------------
+
+PE_LIB = str(resources.files("pcm2pwm").joinpath("data", "pe_library.ini"))
+READERS = {SCENARIO: (["explore", "--scenario"], ["profile", "--scenario"]),
+           PE_LIB: (["profile", "--input", "sine:1000:-6:0.1", "--pe-lib"],)}
+# not a number, not finite, negative, zero, below a float's range, at its
+# top, over it (a float inf), an integer at its top and one far over it,
+# and empty
+FIELD_VALUES = ("nan", "inf", "-1", "0", "1e-400", "1e308", "1e309",
+                "1" + "0" * 308, "9" * 401, "")
+NOT_A_NUMBER = ("nan", "inf", "")
+# the tests reuse tmp_path and capsys across examples: each example writes
+# the whole file, and _run reads capsys empty
+FILES = settings(CONTRACT, max_examples=50,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _numbers(text):
+    """(key, span) of every numeric field of text: a key's value, and each
+    weight."""
+    return sorted([(m[1], m.span(2)) for pattern in (r"^(\w+) = ([\d.]+)$",
+                                                    r"(\w+):(\d+)")
+                   for m in re.finditer(pattern, text, re.MULTILINE)],
+                  key=lambda field: field[1])
+
+
+def _edits(text):
+    """Every edit of text to try as an explicit example: each numeric
+    field set to each of FIELD_VALUES, every field of one key set to 1e308
+    at once (so only their sum is over a float), each key line dropped,
+    and each section dropped and duplicated.  An edit is a list of
+    (span, new text) pairs."""
+    numbers = _numbers(text)
+    for _, span in numbers:
+        for value in FIELD_VALUES:
+            yield [(span, value)]
+    for key in dict.fromkeys(key for key, _ in numbers):
+        yield [(span, "1e308") for k, span in numbers if k == key]
+    for m in re.finditer(r"^\w+ = .*\n", text, re.MULTILINE):
+        yield [(m.span(), "")]
+    for m in re.finditer(r"^\[.*\]\n(?:[^\[].*\n|\n)*", text, re.MULTILINE):
+        yield [(m.span(), "")]
+        yield [(m.span(), m[0] * 2)]
+
+
+def _file_contract(path):
+    """The contract test of the file at path, run by each command that
+    reads it: every edit of _edits, then draws of two to four numeric
+    fields at once."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    numbers = [span for _, span in _numbers(text)]
+    several = st.lists(st.tuples(st.sampled_from(numbers),
+                                 st.sampled_from(FIELD_VALUES)),
+                       min_size=2, max_size=4, unique_by=lambda e: e[0])
+
+    @FILES
+    @given(edit=several)
+    def test(edit, tmp_path, capsys):
+        edited = text
+        for (start, end), new in sorted(edit, reverse=True):
+            edited = edited[:start] + new + edited[end:]
+        file = tmp_path / "file.ini"
+        file.write_text(edited, encoding="utf-8")
+        no_number = any(span in numbers and new in NOT_A_NUMBER
+                        for span, new in edit)
+        for command in READERS[path]:
+            code, _ = _run([*command, str(file)], capsys)
+            assert code == cli.EXIT_INPUT or not no_number
+
+    for edit in _edits(text):
+        test = example(edit=edit)(test)
+    return test
+
+
+test_cli_scenario_files = _file_contract(SCENARIO)
+test_cli_pe_library_files = _file_contract(PE_LIB)
