@@ -32,6 +32,7 @@ come, and replaces the output file only once all of them are written.
 from __future__ import annotations
 
 import io
+import itertools
 import numbers
 import os
 import struct
@@ -378,15 +379,23 @@ def write_pwm_blocks(blocks: Iterable[np.ndarray], path, *, n_bits: int,
     blocks (1-D uint8 arrays, packed LSB-first) in order.
 
     Raises as check_pwm_header does, before touching the file or reading
-    a block.  The file is written beside `path` and renamed over it only
-    once the blocks held the ceil(n_bits / 8) bytes the header declares,
-    pad bits zero (MalformedStream if not, or at a block that is no 1-D
-    uint8 array), so a failure or an interrupt part way leaves `path` as
-    it was.  A `path` that exists and is no regular file, such as a
-    device, is written in place.
+    a block; _write_whole replaces `path` only once the blocks held the
+    ceil(n_bits / 8) bytes the header declares, pad bits zero
+    (MalformedStream if not, or at a block that is no 1-D uint8 array).
     """
     check_pwm_header(n_bits, clock_hz, frame_bits)
     header = _HEADER.pack(PWM_MAGIC, clock_hz, frame_bits, n_bits)
+    payload = (np.ascontiguousarray(block)  # write needs C order
+               for block in _payload_blocks(blocks, n_bits))
+    _write_whole(path, itertools.chain([header], payload))
+
+
+def _write_whole(path, chunks: Iterable) -> None:
+    """Write the bytes-like chunks to `path`, the one writer of every output
+    file: to a file beside it, renamed over it once the last chunk is
+    written, so a failure part way, in a write or in making a chunk, leaves
+    `path` as it was; a `path` that is a device or other non-regular file
+    in place.  IoFailure names `path` and the OS reason."""
     target = os.path.realpath(path)
     tmp = None
     if os.path.isfile(target) or not os.path.exists(target):
@@ -394,9 +403,8 @@ def write_pwm_blocks(blocks: Iterable[np.ndarray], path, *, n_bits: int,
         tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp or target, "xb" if tmp else "wb") as fh:
-            fh.write(header)
-            for block in _payload_blocks(blocks, n_bits):
-                fh.write(np.ascontiguousarray(block))  # write needs C order
+            for chunk in chunks:
+                fh.write(chunk)
         if tmp:
             os.replace(tmp, target)
     except OSError as exc:

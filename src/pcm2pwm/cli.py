@@ -19,21 +19,21 @@ deadline_ms, the clip's length, or 4.3 s for an empty input.  Exit codes:
     2    input error: a missing, unreadable (a directory, say),
          malformed or empty input, a bad option value (a negative
          --seed, a --deadline-ms finer than microseconds or an empty
-         --output, say), a scenario or element library that is missing, a
-         directory, not UTF-8 or malformed (no section header, a
-         duplicate section, a missing key or weight, a negative cycle
-         total, all code sizes 0, over 20 behaviors to explore, a value
-         or sum the report cannot print as a float, an element cost
-         that is not finite), a --pin side with a space around it, one
-         behavior pinned to both hw and sw (--pin S0=hw --pin S0=sw),
-         an output path that cannot be written (named with the OS
-         reason only), a convert or roundtrip input over the PWM1 bit
-         count (95.1 s at 44.1 kHz) or bit clock (4,194,304 Hz sample
-         rate or more), both given to
-         profile (--input and --scenario), profile --deadline-ms with
-         an --input that has samples (its goal is the clip's length),
-         profile --scenario with deadline_ms = 0 and no --deadline-ms,
-         or a roundtrip input too short to score (under 256 samples)
+         path given to any file option, say), a scenario or element
+         library that is missing, a directory, not UTF-8 or malformed
+         (no section header, a duplicate section, a missing key or
+         weight, a negative cycle total, all code sizes 0, over 20
+         behaviors to explore, a value or sum the report cannot print as
+         a float, an element cost that is not finite), a --pin side with
+         a space around it, one behavior pinned to both hw and sw (--pin
+         S0=hw --pin S0=sw), an output path that cannot be written
+         (named with the OS reason only), a convert or roundtrip input
+         over the PWM1 bit count (95.1 s at 44.1 kHz) or bit clock
+         (4,194,304 Hz sample rate or more), both given to profile
+         (--input and --scenario), profile --deadline-ms with an --input
+         that has samples (its goal is the clip's length), profile
+         --scenario with deadline_ms = 0 and no --deadline-ms, or a
+         roundtrip input too short to score (under 256 samples)
     3    no feasible mapping
     4    quality floor missed
     141  stdout closed early, e.g. by `| head` (128 + SIGPIPE)
@@ -93,6 +93,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # '' names no file, not stdout, the working directory or a default
+        for option in ("input", "output", "scenario", "pe_lib"):
+            if getattr(args, option, None) == "":
+                raise InputError(f"--{option.replace('_', '-')} '' names "
+                                 f"no file")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
@@ -172,7 +177,6 @@ def _add_input(p):
 
 
 def cmd_convert(args) -> int:
-    _check_output(args.output)
     with _open_input(args.input, args.seed) as source:
         n_bits, clock_hz = _pwm_size(source)
         rate, frame_bits = source.sample_rate, chain.FRAME_BITS
@@ -204,7 +208,6 @@ def _pwm_size(source) -> tuple:
 def cmd_profile(args) -> int:
     if args.scenario and args.input:
         raise InputError("profile takes --input or --scenario, not both")
-    _check_output(args.output)
     goal_ms = (None if args.deadline_ms is None
                else _deadline_us(args.deadline_ms) / 1000)
     pe_lib = args.pe_lib or _bundled("pe_library.ini")
@@ -265,14 +268,9 @@ def cmd_profile(args) -> int:
         out_lines.append(profiler.format_principal_summary(rows, playback_s))
     report = "\n".join(out_lines)
     if args.output is None:
-        print(report, end="" if report.endswith("\n") else "\n")
-        return EXIT_OK
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    except OSError as exc:
-        raise audio_io.IoFailure(
-            f"cannot write {args.output}: {exc.strerror or exc}") from exc
+        print(report, end="")
+    else:
+        audio_io._write_whole(args.output, [report.encode("utf-8")])
     return EXIT_OK
 
 
@@ -489,20 +487,13 @@ def _finite(option: str, value: float, positive: bool = False) -> float:
 
 def _deadline_us(deadline_ms: float) -> int:
     """--deadline-ms in whole microseconds, read as a scenario's deadline_ms
-    is (dse._ms_to_us); InputError unless it is finite, positive and whole
+    is (dse._on_grid); InputError unless it is finite, positive and whole
     in microseconds.  The result / 1000 is deadline_ms again, exactly."""
     _finite("--deadline-ms", deadline_ms, positive=True)
     try:
-        return dse._ms_to_us(str(deadline_ms))
+        return dse._on_grid(str(deadline_ms), 1000)
     except ValueError as exc:
         raise InputError(f"--deadline-ms {exc}") from exc
-
-
-def _check_output(path) -> None:
-    """InputError for an empty --output, which names no file (the working
-    directory, to os.path.realpath); None, no --output, passes."""
-    if path == "":
-        raise InputError("--output '' names no file")
 
 
 def _load(loader, path):

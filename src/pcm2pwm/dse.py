@@ -236,10 +236,13 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _money_cents(text: str) -> int:
-    value = Fraction(str(text).strip()) * 100
+def _on_grid(text: str, grid: int) -> int:
+    """text, a decimal number of dollars (grid 100) or milliseconds (grid
+    1000), in whole cents or microseconds; ValueError if it is finer."""
+    value = Fraction(str(text).strip()) * grid
     if value.denominator != 1:
-        raise ValueError(f"{text!r}: finer than cents")
+        unit = "cents" if grid == 100 else "microseconds"
+        raise ValueError(f"{text!r}: finer than {unit}")
     return int(value)
 
 
@@ -250,13 +253,6 @@ def _fits(field: str, value: int, unit: int) -> None:
         value / unit
     except OverflowError:
         raise ValueError(f"{field}: more than a float holds") from None
-
-
-def _ms_to_us(text: str) -> int:
-    value = Fraction(str(text).strip()) * 1000
-    if value.denominator != 1:
-        raise ValueError(f"{text!r}: finer than microseconds")
-    return int(value)
 
 
 # --- scenario files ----------------------------------------------------------
@@ -286,7 +282,8 @@ def load_scenario(path) -> Scenario:
             continue
         name = section.split(None, 1)[1].strip()
         sec = parser[section]
-        rows.append((name, _ms_to_us(sec["t_hw_ms"]), _ms_to_us(sec["t_sw_ms"]),
+        rows.append((name, _on_grid(sec["t_hw_ms"], 1000),
+                     _on_grid(sec["t_sw_ms"], 1000),
                      Fraction(sec["code_size"].strip())))
     if not rows:
         raise ValueError(f"no behavior sections in {path}")
@@ -295,9 +292,9 @@ def load_scenario(path) -> Scenario:
 
     cm_sec = parser["cost_model"]
     cm = CostModel(
-        sw_fixed_cost_cents=_money_cents(cm_sec["sw_fixed_cost"]),
-        hw_total_cost_cents=_money_cents(cm_sec["hw_total_cost"]),
-        deadline_us=_ms_to_us(cm_sec["deadline_ms"]),
+        sw_fixed_cost_cents=_on_grid(cm_sec["sw_fixed_cost"], 100),
+        hw_total_cost_cents=_on_grid(cm_sec["hw_total_cost"], 100),
+        deadline_us=_on_grid(cm_sec["deadline_ms"], 1000),
     )
     _fits("deadline_ms", cm.deadline_us, 1000)
 
@@ -321,7 +318,7 @@ def load_scenario(path) -> Scenario:
     scenario = Scenario(estimates=estimates, cost_model=cm)
 
     if "nominal_hw_cost" in cm_sec:
-        nominal = _money_cents(cm_sec["nominal_hw_cost"])
+        nominal = _on_grid(cm_sec["nominal_hw_cost"], 100)
         if nominal < 0:
             raise ValueError("nominal_hw_cost must be non-negative")
         _fits("nominal_hw_cost", nominal, 100)
@@ -336,7 +333,7 @@ def load_scenario(path) -> Scenario:
         for key, summed, attr in checks:
             if key not in tot:
                 continue
-            quoted = _ms_to_us(tot[key])
+            quoted = _on_grid(tot[key], 1000)
             _fits(key, quoted, 1000)
             delta = quoted - summed
             if abs(delta) > TOTALS_TOLERANCE_US:

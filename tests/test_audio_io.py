@@ -135,10 +135,21 @@ def _zero_sample_rate(data):
     struct.pack_into("<I", data, data.find(b"fmt ") + 12, 0)
 
 
+def _short_fmt_chunk(data):
+    struct.pack_into("<I", data, data.find(b"fmt ") + 4, 14)
+
+
+def _no_data_chunk(data):
+    at = data.find(b"data")
+    data[at:at + 4] = b"junk"  # an unknown chunk, skipped
+
+
 @pytest.mark.parametrize("edit,match", [
     (_bad_form_type, "bad WAVE form type"),
     (_no_fmt_chunk, "missing fmt chunk"),
     (_zero_sample_rate, "non-positive sample rate"),
+    (_short_fmt_chunk, "fmt chunk shorter than 16 bytes"),
+    (_no_data_chunk, "missing data chunk"),
 ])
 def test_read_rejects_malformed_header(edit, match, tmp_path):
     good = write_wav(tmp_path / "good.wav", np.zeros(4, dtype=np.int16))
@@ -174,8 +185,9 @@ def test_truncated_chunk_rejected(tmp_path):
 
 
 def test_missing_file_is_io_failure(tmp_path):
-    with pytest.raises(IoFailure):
-        read_wav(tmp_path / "nope.wav")
+    for reader in (read_wav, read_pwm):
+        with pytest.raises(IoFailure, match="^cannot read .*nope: "):
+            reader(tmp_path / "nope")
 
 
 @settings(max_examples=30, deadline=None)

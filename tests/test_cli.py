@@ -61,6 +61,24 @@ def test_directory_input_is_not_called_missing(command, tmp_path, capsys):
     assert captured.out == ""
 
 
+# (offset, bytes) of a 16-bit mono WAV to overwrite, and the reason given:
+# the RIFF magic, and the fmt chunk's bits per sample
+@pytest.mark.parametrize("field,value,reason", [
+    (0, b"RIFX", "bad RIFF magic b'RIFX'"),
+    (34, b"\x08\x00", "8-bit samples, only 16-bit supported"),
+], ids=["bad-magic", "8-bit"])
+@pytest.mark.parametrize("command", ["convert", "profile", "roundtrip"])
+def test_malformed_or_unsupported_wav_is_input_error(command, field, value,
+                                                     reason, wav_file,
+                                                     tmp_path, capsys):
+    path = wav_file(np.zeros(4, dtype=np.int16))
+    data = bytearray(path.read_bytes())
+    data[field:field + len(value)] = value
+    path.write_bytes(data)
+    assert main(_argv(command, str(path), tmp_path)) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {reason}\n")
+
+
 @pytest.mark.parametrize("spec", ["noise:-6:0.01", "sine:1000:-6:0.01"])
 @pytest.mark.parametrize("command", ["convert", "roundtrip"])
 def test_negative_seed_is_its_own_input_error(command, spec, tmp_path,
@@ -178,6 +196,37 @@ def test_failed_convert_keeps_previous_output(failure, wav_file, tmp_path,
     assert len(calls) == 3
     assert out.read_bytes() == b"the previous conversion"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "out.pwm"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--input", "sine:1000:-6:0.1"],
+    ["profile", "--input", "sine:1000:-6:0.1", "--format", "csv"],
+], ids=["convert", "profile"])
+def test_failed_write_keeps_previous_output(argv, tmp_path):
+    """A write the OS refuses part way, here past a child's 200-byte file
+    size limit, exits 2 with one error line, leaves --output byte-identical
+    and no temporary file beside it."""
+    pytest.importorskip("resource", reason="needs resource.RLIMIT_FSIZE")
+    out = tmp_path / "old.out"
+    out.write_bytes(b"the previous output\n")
+    # the limit is the child's own; SIGXFSZ ignored, a write past it fails
+    # with EFBIG instead of killing the child
+    script = ("import resource, signal, sys\n"
+              "from pcm2pwm.cli import main\n"
+              "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+              "_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)\n"
+              "resource.setrlimit(resource.RLIMIT_FSIZE, (200, hard))\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run([sys.executable, "-c", script, *argv,
+                            "--output", str(out)], capture_output=True,
+                           encoding="utf-8", env=env, timeout=120)
+    assert child.returncode == 2
+    assert child.stderr == f"error: cannot write {out}: File too large\n"
+    assert child.stdout == ""
+    assert out.read_bytes() == b"the previous output\n"
+    assert not fnmatch.filter(os.listdir(tmp_path), ".*.tmp")
 
 
 def child_peak_kb(script, *args):

@@ -21,10 +21,12 @@ PINS, and convert and profile each of OUTPUTS, in-process through
 cli.main: the exit code must be one the cli docstring lists, nothing may
 print a traceback, and a nonzero exit prints one error line.  A command
 given --output prints no report on stdout and leaves no temporary file
-beside it.  The bundled scenario and element library, each field set to
-each of FIELD_VALUES, each key, section or pair of fields edited, go
-through every command that reads them by the same contract; a field that
-is no number is refused.
+beside it.  Every path option of every subcommand given '' exits 2 with
+one error line naming the option, printing and writing nothing.  The
+bundled scenario and element library, each field set to each of
+FIELD_VALUES, each key, section or pair of fields edited, go through
+every command that reads them by the same contract; a field that is no
+number is refused.
 """
 
 import fnmatch
@@ -392,6 +394,7 @@ def test_exec_time_and_summary(cycle_count):
 NUMBERS = ("nan", "inf", "-inf", "-1", "0", "1e-300", "1e308", "")
 SCENARIO = str(resources.files("pcm2pwm").joinpath("data",
                                                    "baseline.scenario"))
+PE_LIB = str(resources.files("pcm2pwm").joinpath("data", "pe_library.ini"))
 SPECS = (("sine", "1000", "-6", "0.05"), ("noise", "-6", "0.05"),
          ("silence", "0.05"))
 EXIT_CODES = {int(code) for code in  # the cli docstring's list
@@ -482,9 +485,39 @@ def test_cli_outputs(command, output, tmp_path, capsys, monkeypatch):
         assert not fnmatch.filter(os.listdir(beside), ".*.tmp")
 
 
+# every path option of every subcommand, with a valid value; profile's
+# --input and --scenario go in apart, as it takes one of them, and together
+PATHS = (("convert", {"--input": "sine:1000:-6:0.01", "--output": "out"}),
+         ("profile", {"--input": "sine:1000:-6:0.01", "--pe-lib": "PE_LIB",
+                      "--output": "out"}),
+         ("profile", {"--scenario": "SCENARIO", "--pe-lib": "PE_LIB",
+                      "--output": "out"}),
+         ("profile", {"--scenario": "SCENARIO",
+                      "--input": "sine:1000:-6:0.01"}),
+         ("explore", {"--scenario": "SCENARIO"}),
+         ("roundtrip", {"--input": "sine:1000:-6:0.01"}))
+
+
+@pytest.mark.parametrize("argv", [
+    [command, *(arg for option, value in paths.items()
+                for arg in (option, "" if option == empty else value))]
+    for command, paths in PATHS for empty in paths],
+    ids=lambda argv: " ".join(arg or "''" for arg in argv))
+def test_cli_empty_paths(argv, tmp_path, capsys, monkeypatch):
+    """'' names no file, so no path option takes it for stdout, the working
+    directory or a bundled default: the command exits 2 naming the option
+    before any work, and prints and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    option = argv[argv.index("") - 1]
+    bundled = {"SCENARIO": SCENARIO, "PE_LIB": PE_LIB}
+    argv = [bundled.get(arg, arg) for arg in argv]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {option} '' names no file\n")
+    assert os.listdir(tmp_path) == []
+
+
 # --- cli: scenario and element-library files ---------------------------------
 
-PE_LIB = str(resources.files("pcm2pwm").joinpath("data", "pe_library.ini"))
 READERS = {SCENARIO: (["explore", "--scenario"], ["profile", "--scenario"]),
            PE_LIB: (["profile", "--input", "sine:1000:-6:0.1", "--pe-lib"],)}
 # not a number, not finite, negative, zero, below a float's range, at its

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from pcm2pwm.cli import main
 from pcm2pwm.dse import (SHORTLIST_MAPPINGS, AllZeroSizes, BehaviorEstimate,
                          CostModel, NoFeasibleOption, TooManyBehaviors,
-                         UnknownBehavior, enumerate_partitions, evaluate,
-                         hw_cost_share, load_scenario, options_table_text,
-                         select)
+                         UnknownBehavior, enumerate_partitions,
+                         estimates_table_text, evaluate, hw_cost_share,
+                         load_scenario, options_table_text, select)
 
 SCENARIO = str(resources.files("pcm2pwm").joinpath("data", "baseline.scenario"))
 
@@ -58,6 +58,12 @@ def test_proportional_sizes_exact():
 def test_single_nonzero_size_takes_all():
     shares = hw_cost_share({"a": 0, "b": 7, "c": 0}, 3500)
     assert shares == {"a": 0, "b": 3500, "c": 0}
+
+
+def test_float_sizes_split_as_their_decimal_text():
+    """0.1 and 0.7 are read as 1/10 and 7/10: their binary floats'
+    exact values would give a 101/699 split."""
+    assert hw_cost_share({"a": 0.1, "b": 0.7}, 800) == {"a": 100, "b": 700}
 
 
 def test_all_zero_sizes():
@@ -289,6 +295,18 @@ def test_scenario_totals_tolerance_edge(quoted_ms, code, tmp_path, capsys):
         assert load_scenario(path).hw_total_delta_us == 500
     assert main(["explore", "--scenario", str(path)]) == code
     assert capsys.readouterr().err.count("error:") == (code != 0)
+
+
+def test_estimates_table_notes_each_quoted_total_that_differs(tmp_path):
+    path = tmp_path / "notes.scenario"
+    path.write_text(
+        "[behavior A]\nt_hw_ms = 10\nt_sw_ms = 20\ncode_size = 1\n"
+        "[cost_model]\nsw_fixed_cost = 1.00\nhw_total_cost = 2.00\n"
+        "deadline_ms = 100\n[expected_totals]\nhw_total_ms = 10.4\n"
+        "sw_total_ms = 19.7\n", encoding="utf-8")
+    assert estimates_table_text(load_scenario(path)).endswith(
+        "note: quoted hardware total differs by +0.4 ms\n"
+        "note: quoted software total differs by -0.3 ms\n")
 
 
 def test_scenario_rejects_subcent_money(tmp_path):
