@@ -246,18 +246,17 @@ class WavReader:
         self.path = path
         try:
             self._fh = open(path, "rb")
+            try:
+                if not self._fh.seekable():  # a pipe: hold it in memory
+                    with self._fh as pipe:
+                        self._fh = io.BytesIO(pipe.read())
+                self._parse()
+            except BaseException:
+                self.close()
+                raise
         except OSError as exc:
-            raise IoFailure(f"cannot read {path}: {exc}") from exc
-        try:
-            if not self._fh.seekable():  # a pipe: hold it in memory
-                self._fh = io.BytesIO(self._fh.read())
-            self._parse()
-        except OSError as exc:
-            self.close()
-            raise IoFailure(f"cannot read {path}: {exc}") from exc
-        except BaseException:
-            self.close()
-            raise
+            raise IoFailure(f"cannot read {path}: "
+                            f"{exc.strerror or exc}") from exc
 
     def _parse(self):
         fh = self._fh
@@ -324,7 +323,8 @@ class WavReader:
                 yield np.trunc(frames.sum(axis=1) / self.channels
                                ).astype(np.int16)
         except OSError as exc:
-            raise IoFailure(f"cannot read {self.path}: {exc}") from exc
+            raise IoFailure(f"cannot read {self.path}: "
+                            f"{exc.strerror or exc}") from exc
 
     def close(self) -> None:
         self._fh.close()
@@ -426,7 +426,7 @@ def read_pwm(path) -> PwmBitstream:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise IoFailure(f"cannot read {path}: {exc.strerror or exc}") from exc
 
     if len(data) < _HEADER.size:
         raise MalformedHeader("file shorter than PWM1 header")

@@ -103,7 +103,8 @@ def windowed_sinc_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
 PWM_BITS_PER_SAMPLE = FRAME_BITS << INTERP_STAGES
 
 # The leading-edge frame of each MOLD code c, c ones then zeros, packed
-# LSB-first: 2^QUANTIZER_BITS rows of FRAME_BITS / 8 bytes.
+# LSB-first: 2^QUANTIZER_BITS rows of FRAME_BITS / 8 bytes.  The
+# demodulator's first stage builds its table of frame rows from these.
 _FRAMES = np.packbits(np.arange(FRAME_BITS) < np.arange(FRAME_BITS)[:, None],
                       axis=1, bitorder="little")
 

@@ -5,10 +5,10 @@ rate: the audio comes out at the chain's input rate, clock_hz / 1024
 (PWM_BITS_PER_SAMPLE).  It maps bits onto +-1 and lowpasses at 20 kHz in
 two windowed-sinc decimation stages (stopband rejection about 74 dB), by a
 PWM frame and then by the interpolators' 2^INTERP_STAGES.  The first stage
-runs in the edge domain: a +-1 stream is a sum of steps, so each output is
-a sum of cumulative-tap values over the bit transitions in its window, and
-its cost follows the transitions rather than the bits, exactly and for any
-bitstream.  The second filters samples polyphase, one branch per phase.
+sums one row of taps times bits per frame its window meets: the chain's
+128 frames take theirs from a table, one lookup a frame, and any other
+frame's is computed from its bits, exactly for any bitstream.  The second
+filters samples polyphase, one branch per phase.
 Scoring aligns the result against a reference in gain and (fractional)
 delay, then reports SNR, THD at the detected fundamental and the 0-20 kHz
 noise floor.  SNR is capped at +140 dB so identical streams yield a finite
@@ -38,7 +38,7 @@ import numpy as np
 
 from .audio_io import (_BLOCK, _REAL, MalformedStream, PwmBitstream, _cut,
                        _integer, _payload_blocks, _vector, collect)
-from .chain import (FRAME_BITS, INTERP_STAGES, PWM_BITS_PER_SAMPLE,
+from .chain import (_FRAMES, FRAME_BITS, INTERP_STAGES, PWM_BITS_PER_SAMPLE,
                     _convolve, windowed_sinc_lowpass)
 
 SNR_CAP_DB = 140.0
@@ -49,6 +49,8 @@ _HARMONIC_HALF_WIDTH = 8  # FFT bins kept around a tone, covers the window lobe
 # payload bytes demodulated at a time: what chain.convert_stream makes of
 # one block of _BLOCK input samples, 128 KiB
 _PAYLOAD_BLOCK = _BLOCK * PWM_BITS_PER_SAMPLE // 8
+# the low and high little-endian 64-bit words of the chain's frames
+_FRAME_LOW, _FRAME_HIGH = _FRAMES.view("<u8").T.copy()
 
 
 class LengthMismatch(ValueError):
@@ -105,9 +107,9 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
     least 60 dB down.  Stages compensate their own group delay, so the
     output sits on the stream's own time grid: n_bits //
     PWM_BITS_PER_SAMPLE samples in all, which every cut gives bit for bit.
-    The first stage reads only the bit transitions (_edge_decimate): a
-    leading-edge PWM frame has at most two, against the 795 taps a
-    direct-form filter would spend per output at 45.1584 MHz.  The
+    The first stage (_frame_decimate) takes each frame's row from a
+    table of the chain's 128 frames, one lookup a frame, against the 795
+    taps a direct-form filter would spend per output at 45.1584 MHz.  The
     payload is taken at most one chain block's 128 KiB (_PAYLOAD_BLOCK)
     at a time, whatever the cut, so each block convert_stream yields is
     one pass of each stage.  Each stage carries a few hundred samples of
@@ -124,9 +126,8 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
     rate = clock_hz // PWM_BITS_PER_SAMPLE
     frame_rate = clock_hz // FRAME_BITS
     payload = _cut(_payload_blocks(blocks, n_bits), _PAYLOAD_BLOCK)
-    frames = _edge_decimate(payload, n_bits,
-                            _stage_filter(clock_hz, frame_rate, rate),
-                            FRAME_BITS)
+    frames = _frame_decimate(payload, n_bits,
+                             _stage_filter(clock_hz, frame_rate, rate))
     for y in _polyphase_decimate(frames, n_bits // FRAME_BITS,
                                  _stage_filter(frame_rate, rate, rate),
                                  1 << INTERP_STAGES):
@@ -155,85 +156,82 @@ def _stage_filter(fs_in: int, fs_out: int, rate: int) -> np.ndarray:
     return windowed_sinc_lowpass(num_taps, cutoff)
 
 
-def _edge_decimate(blocks: Iterable[np.ndarray], n_bits: int, h: np.ndarray,
-                   m: int) -> Iterator[np.ndarray]:
-    """Filter and decimate a packed bitstream as +-1 samples, per step.
+def _frame_decimate(blocks: Iterable[np.ndarray], n_bits: int,
+                    h: np.ndarray) -> Iterator[np.ndarray]:
+    """Filter and decimate a packed bitstream as +-1 samples by one PWM
+    frame, m = FRAME_BITS bits.
 
     blocks hold n_bits bits packed LSB-first, as in PwmBitstream, cut at
-    any byte.  Computes y[n] = sum_k h[k] s(n m + D - k) with s = 2 bits - 1
-    inside the stream and 0 outside, D = (len(h)-1)//2, exactly as a
-    direct-form filter would.  Write s as a sum of steps p, one wherever
-    it changes.  With C the cumulative taps (C[0] = 0, C[L] = H, the tap
-    sum),
+    any byte.  Computes y[n] = sum_k h[k] s(n m + D - k) with s = 2 bits -
+    1 inside the stream and 0 outside, D = (len(h)-1)//2, exactly as a
+    direct-form filter would.  Output n's window meets frames n + j, j =
+    lo .. hi, at the taps G[j, i] = h[D - j m - i] (0 off h), so with
+    frame f's row R[f] = G s_f, y[n] = sum_j R[n + j, j], and R = 0
+    outside the stream.  A chain frame's R (chain._FRAMES) is one lookup
+    in their table; any other's is computed from its bytes as the table's
+    are.  A last partial frame is read whole with pad bits of -1, plus
+    the taps of those bits, where s is 0.
 
-        y[n] = H s(n m + D - L + 1) + sum_p delta_p C[n m + D - p + 1]
-
-    over the steps p with 1 <= n m + D - p + 1 <= L - 1.  A step reaches
-    at most (L - 2) // m + 1 consecutive outputs, so the sum is one
-    bincount per output phase over the steps of a block of outputs.  Cost
-    follows the transitions (at most two per leading-edge PWM frame)
-    instead of L per output.
-
-    Each arriving block is one pass over the outputs the payload now covers
-    (demodulate_stream hands it at most 128 KiB).  The pass unpacks the
-    window from its first output's settled bit to the last bit it reads,
-    zero-padded: positions outside the stream are coded 2, where s is 0,
-    so the steps into the stream at 0 and out of it at n_bits are changes
-    between neighbouring codes, as transitions are.  The bytes before the
-    next pass's window are then dropped.
+    Each block is one pass over the outputs the payload now covers
+    (demodulate_stream hands it at most 128 KiB), carrying the rows of
+    the last hi - lo frames and the bytes of an unfinished frame.  A
+    frame's row depends only on its bytes, and the sum over j runs in one
+    order, so every cut gives the same bits.
     """
+    m, size = FRAME_BITS, FRAME_BITS // 8  # a frame's bits and bytes
     n_out = n_bits // m
-    taps = len(h)
-    delay = (taps - 1) // 2
-    cum = np.concatenate(([0.0], np.cumsum(h)))
-    sign = np.array([-1.0, 1.0, 0.0])  # s of the codes 0, 1 and 2
+    delay = (len(h) - 1) // 2
+    lo, hi = (delay - len(h) + 1) // m, delay // m
+    k = delay - m * np.arange(lo, hi + 1)[:, None] - np.arange(m)
+    g = np.where((0 <= k) & (k < len(h)), h[k % len(h)], 0.0)
+    # byte_rows[q, v]: byte q's share of G s when it holds v, bits as +-1
+    signs = 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                                axis=1, bitorder="little") - 1.0
+    byte_rows = signs @ g.reshape(len(g), size, 8).transpose(1, 2, 0)
 
-    # a step at p from code a to code b adds (s(b) - s(a)) C[r + 1 + j m] to
-    # output n0 + j, where n0 is the first output it reaches and r = n0 m +
-    # D - p is in [0, m); weighted[j, r + m (3 a + b)] is that term
-    phases = (taps - 2) // m + 1
-    k = np.arange(phases)[:, None] * m + np.arange(1, m + 1)
-    ramp = np.where(k < taps, cum[np.minimum(k, taps)], 0.0)
-    weighted = np.hstack([(after - before) * ramp
-                          for before in sign for after in sign])
+    def frame_rows(frames):
+        """R = G s of each frame, a row of bytes, summed a byte at a time
+        in one order, so a frame gets the same row in any batch."""
+        return sum(byte_rows[q][frames[:, q]] for q in range(size))
+    table = frame_rows(_FRAMES)
+    first = _FRAME_LOW[:m // 2 + 1]  # 2^c - 1 for c = 0 .. 64
 
-    buf = np.zeros(0, dtype=np.uint8)  # payload bytes base, base + 1, ...
-    base = received = done = 0
+    rows = np.zeros((-lo, len(g)))  # frames done + lo .. framed - 1
+    tail = np.zeros(0, dtype=np.uint8)  # an unfinished frame's bytes
+    received = framed = done = 0
     for block in blocks:
-        buf = np.concatenate((buf, block)) if len(buf) else block
+        data = np.concatenate((tail, block))
         received += len(block)
-        # the outputs whose windows the payload covers
-        reach = (8 * received - 1 - delay) // m + 1
-        ready = n_out if 8 * received >= n_bits else min(reach, n_out)
+        end = 8 * received >= n_bits
+        if end:  # a last partial frame is read whole, zero pad bits
+            data = np.pad(data, (0, -len(data) % size))
+        whole = len(data) - len(data) % size
+        frames, tail = data[:whole].reshape(-1, size), data[whole:]
+        # code c's frame has the words (2^c - 1, 0) up to c = 64 and
+        # (2^64 - 1, 2^(c-64) - 1) above: each word's place in first,
+        # summed, is the frame's code if that code's words confirm it
+        low, high = frames.view("<u8").T
+        code = np.minimum(np.searchsorted(first, low)
+                          + np.searchsorted(first, high), m - 1)
+        new = np.take(table, code, axis=0)
+        other = np.flatnonzero((low != _FRAME_LOW.take(code))
+                               | (high != _FRAME_HIGH.take(code)))
+        new[other] = frame_rows(frames[other])
+        framed += len(new)
+        ready = min(framed - hi, n_out)
+        if end:
+            if n_bits % m:  # its pad bits count 0, not -1
+                new[-1] += g[:, n_bits % m:].sum(axis=1)
+            # the frames after the stream, to the last output's frame + hi
+            new = np.vstack((new, np.zeros((max(n_out + hi - framed, 0),
+                                            len(g)))))
+            ready = n_out
+        rows = np.concatenate((rows, new))
         if ready <= done:
             continue
-        # the window of codes lo .. hi; only [start, stop] is in the stream
-        lo = done * m + delay - taps + 1
-        hi = (ready - 1) * m + delay
-        start, stop = max(lo, 0), min(hi, n_bits - 1)
-        code = np.unpackbits(buf, count=stop + 1 - 8 * base,
-                             bitorder="little")[start - 8 * base:]
-        if lo < start or stop < hi:
-            code = np.pad(code, (start - lo, hi - stop), constant_values=2)
-
-        # the settled bits n m + D - L + 1 have passed all taps: H s(...)
-        y = sign[code[:(ready - done) * m:m]] * cum[-1]
-        q = np.flatnonzero(code[1:] != code[:-1]) + 1
-        p = q + lo
-        n0 = (p - delay + m - 1) // m
-        col = (n0 * m + delay - p
-               + m * (3 * code[q - 1].astype(np.intp) + code[q]))
-        idx = n0 - (done - phases)
-        acc = np.zeros(ready - done + 2 * phases)
-        for j in range(phases):
-            acc += np.bincount(idx + j, weights=weighted[j][col],
-                               minlength=len(acc))
-        y += acc[phases:phases + ready - done]
+        y = sum(rows[j:j + ready - done, j] for j in range(len(g)))
+        rows = rows[ready - done:]
         done = ready
-        # the first byte the next window reads
-        keep = max(done * m + delay - taps + 1, 0) >> 3
-        buf = buf[keep - base:]
-        base = keep
         yield y
 
 

@@ -148,36 +148,66 @@ def test_demodulate_rejects_other_frame_sizes():
         demodulate(pwm)
 
 
-# --- edge-domain first stage --------------------------------------------------
+# --- frame-table first stage -------------------------------------------------
+
+def flipped_frames(n, seed):
+    """Leading-edge 128-bit frames of random codes with a few bits flipped:
+    frames of the chain's alphabet beside frames outside it."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 128, n // 128 + 1)
+    i = np.arange(n)
+    bits = (i % 128 < codes[i // 128]).astype(np.uint8)
+    if n:
+        bits[rng.integers(0, n, 3)] ^= 1
+    return bits.tolist()
+
 
 bitstreams = st.one_of(
-    st.lists(st.integers(0, 1), max_size=600),
-    st.integers(0, 600).map(lambda n: [0] * n),
-    st.integers(0, 600).map(lambda n: [1] * n),
+    st.lists(st.integers(0, 1), max_size=3000),
+    st.tuples(st.integers(0, 3000), st.integers(0, 2 ** 32 - 1)).map(
+        lambda a: flipped_frames(*a)),
+    st.integers(0, 3000).map(lambda n: [0] * n),
+    st.integers(0, 3000).map(lambda n: [1] * n),
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(bits=bitstreams, m=st.integers(1, 16), extra_half=st.integers(0, 40),
+@given(bits=bitstreams, half=st.integers(127, 600),
        taps_seed=st.integers(0, 2 ** 32 - 1), cut=st.integers(1, 80))
-@example(bits=[1], m=1, extra_half=0, taps_seed=0, cut=1)
-@example(bits=[0], m=1, extra_half=3, taps_seed=1, cut=1)
-@example(bits=[1, 0, 1, 1, 0, 0, 1], m=3, extra_half=0, taps_seed=2, cut=1)
-@example(bits=[1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1], m=2, extra_half=1, taps_seed=3,
-         cut=1)
-def test_edge_decimate_matches_direct_form(bits, m, extra_half, taps_seed,
-                                           cut):
-    taps = 2 * (m - 1 + extra_half) + 1  # odd, at least 2 m - 1
-    h = np.random.default_rng(taps_seed).standard_normal(taps)
+@example(bits=[1], half=397, taps_seed=0, cut=1)  # one bit
+@example(bits=[1] * 70 + [0] * 30, half=397, taps_seed=1, cut=3)  # partial
+# one whole frame outside the alphabet, between two inside it
+@example(bits=[1] * 5 + [0] * 123 + [0, 1] * 64 + [1] * 128, half=127,
+         taps_seed=2, cut=7)
+def test_frame_decimate_matches_direct_form(bits, half, taps_seed, cut):
+    h = np.random.default_rng(taps_seed).standard_normal(2 * half + 1)
     b = np.array(bits, dtype=np.uint8)
     payload = np.packbits(b, bitorder="little")
-    # the payload arrives `cut` bytes at a time, one pass each; m and the
-    # filter length put pass starts and window edges inside bytes
+    # the payload arrives `cut` bytes at a time, one pass each, so passes
+    # start inside frames and the filter's windows
     pieces = [payload[i:i + cut] for i in range(0, len(payload), cut)]
-    y = collect(verification._edge_decimate(pieces, len(b), h, m))
-    expected = oracles.decimate_direct(2.0 * b - 1.0, h, m)
+    y = collect(verification._frame_decimate(pieces, len(b), h))
+    expected = oracles.decimate_direct(2.0 * b - 1.0, h, 128)
     assert y.shape == expected.shape
-    np.testing.assert_allclose(y, expected, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("samples", [
+    np.random.default_rng(0).normal(0, 16384, 400).clip(-32768, 32767),
+    np.zeros(400),
+    sine_int16(1000, 1.0, 400 / RATE),
+    np.full(400, 32767),
+], ids=["noise", "silence", "full-scale-sine", "full-scale-dc"])
+def test_frame_decimate_matches_direct_form_on_short_clips(samples):
+    """400 samples of each kind, converted by the chain and cut at 1000
+    bytes: every output within 1e-12 of the direct form."""
+    pwm = convert(PcmStream(samples.astype(np.int16), RATE))
+    h = verification._stage_filter(pwm.clock_hz, pwm.clock_hz // 128, RATE)
+    pieces = np.split(pwm.payload, range(1000, len(pwm.payload), 1000))
+    bits = np.unpackbits(pwm.payload, bitorder="little")
+    np.testing.assert_allclose(
+        collect(verification._frame_decimate(pieces, len(pwm), h)),
+        oracles.decimate_direct(2.0 * bits - 1.0, h, 128), rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -194,10 +224,10 @@ def payload_cut(payload, n_bits):
                          verification._PAYLOAD_BLOCK)
 
 
-def test_edge_decimate_matches_polyphase_on_clip(stage1_minus6):
+def test_frame_decimate_matches_polyphase_on_clip(stage1_minus6):
     pwm, h = stage1_minus6
-    y = collect(verification._edge_decimate(
-        payload_cut(pwm.payload, len(pwm)), len(pwm), h, 128))
+    y = collect(verification._frame_decimate(
+        payload_cut(pwm.payload, len(pwm)), len(pwm), h))
     # +-1 in int8 keeps the unpacked copy at 1 byte/bit
     signs = np.unpackbits(pwm.payload, count=len(pwm),
                           bitorder="little").view(np.int8)
@@ -208,31 +238,33 @@ def test_edge_decimate_matches_polyphase_on_clip(stage1_minus6):
     del signs
     # _polyphase_decimate counts its first inputs as zero; compare after them
     start = -(-len(h) // 128) + 1
-    np.testing.assert_allclose(y[start:], reference[start:], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(y[start:], reference[start:], rtol=0,
+                               atol=1e-12)
 
 
-def test_edge_decimate_matches_direct_form_on_clip_prefix(stage1_minus6):
+def test_frame_decimate_matches_direct_form_on_clip_prefix(stage1_minus6):
     pwm, h = stage1_minus6
     payload = pwm.payload[:2 ** 14]  # the first 2^17 bits
     prefix = np.unpackbits(payload, bitorder="little")
     np.testing.assert_allclose(
-        collect(verification._edge_decimate(payload_cut(payload, 2 ** 17),
-                                            2 ** 17, h, 128)),
-        oracles.decimate_direct(2.0 * prefix - 1.0, h, 128), rtol=0, atol=1e-9)
+        collect(verification._frame_decimate(payload_cut(payload, 2 ** 17),
+                                             2 ** 17, h)),
+        oracles.decimate_direct(2.0 * prefix - 1.0, h, 128), rtol=0,
+        atol=1e-12)
 
 
-def test_edge_decimate_matches_direct_form_on_clip_end(stage1_minus6):
+def test_frame_decimate_matches_direct_form_on_clip_end(stage1_minus6):
     """The outputs whose windows lie in the clip's last 2^17 bits, the
     last of them running past its end, where the stream steps to 0."""
     pwm, h = stage1_minus6
-    y = collect(verification._edge_decimate(
-        payload_cut(pwm.payload, len(pwm)), len(pwm), h, 128))
+    y = collect(verification._frame_decimate(
+        payload_cut(pwm.payload, len(pwm)), len(pwm), h))
     suffix = np.unpackbits(pwm.payload[-2 ** 14:], bitorder="little")
     expected = oracles.decimate_direct(2.0 * suffix - 1.0, h, 128)
     # the first output of the suffix whose window starts inside it
     inside = -(-(len(h) - 1 - (len(h) - 1) // 2) // 128)
     np.testing.assert_allclose(y[-len(expected):][inside:], expected[inside:],
-                               rtol=0, atol=1e-9)
+                               rtol=0, atol=1e-12)
 
 
 # the payload of one chain block: 1024 input samples of 1024 bits each
@@ -240,9 +272,9 @@ CHAIN_BLOCK_BYTES = 1 << 17
 
 
 def spy_stage1(sizes):
-    """_edge_decimate, appending the size of each block it takes (one
+    """_frame_decimate, appending the size of each block it takes (one
     pass each) to `sizes`."""
-    real = verification._edge_decimate
+    real = verification._frame_decimate
 
     def spy(blocks, *args):
         def seen():
@@ -250,7 +282,7 @@ def spy_stage1(sizes):
                 sizes.append(len(block))
                 yield block
         return real(seen(), *args)
-    return mock.patch.object(verification, "_edge_decimate", spy)
+    return mock.patch.object(verification, "_frame_decimate", spy)
 
 
 def test_edge_decimate_takes_at_most_one_chain_block(stage1_minus6):
