@@ -1,13 +1,11 @@
 """Six-behavior PCM-to-PWM conversion chain plus the PWM waveform generator.
 
-The chain runs strictly sequentially:
+STAGES declares the chain once; its behaviors run strictly in sequence:
 
-    S0    conditioning: scale 16-bit integers into [-1, +1)
-    S1    x2 interpolation  (44.1 kHz  -> 88.2 kHz)
-    S2    x2 interpolation  (88.2 kHz  -> 176.4 kHz)
-    S3    x2 interpolation  (176.4 kHz -> 352.8 kHz)
-    LINE  pulse-edge linearization (pseudo natural sampling)
-    MOLD  second-order noise-shaped quantization to 7 bits
+    S0     conditioning: scale 16-bit integers into [-1, +1)
+    S1-S3  x2 interpolation, INTERP_STAGES stages
+    LINE   pulse-edge linearization (pseudo natural sampling)
+    MOLD   second-order noise-shaped quantization to 7 bits
 
 followed by the waveform generator, which expands each 7-bit code into a
 128-bit leading-edge pulse frame.  The design is fixed: INTERP_STAGES x2
@@ -20,9 +18,12 @@ doing the same job without the chain would take 2^16 * 44100 =
 The stages pass plain numpy arrays: S0 takes int16 samples and returns
 float64 in [-1, +1), S1-S3 and LINE map float64 to float64, MOLD returns
 its codes as uint8, and generate_pwm packs codes into a PwmBitstream.
-No rate travels with them: the design fixes each stage's rate as a
-multiple of the input's.  All arithmetic is double precision.  The
-operations each stage is modelled to perform are profiler.op_counts.
+No rate travels with them: STAGES is a synchronous-dataflow table whose
+rows give each behavior's rate, samples out per sample in, with its fresh
+state and its step over one block.  BEHAVIORS is its names,
+PWM_BITS_PER_SAMPLE follows from its rates, convert_stream folds each
+block over its steps and profiler.op_counts scales its op model by the
+rates.  All arithmetic is double precision.
 
 convert_stream cuts its input once, at its entry, into blocks of at most
 audio_io._BLOCK samples, as the SpecC behaviors pass bounded buffers, so
@@ -42,6 +43,7 @@ convert is convert_stream over one PcmStream, collected (audio_io.collect).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -49,8 +51,6 @@ import numpy as np
 
 from .audio_io import (_BLOCK, _REAL, PcmStream, PwmBitstream, _cut, _integer,
                        _vector, collect)
-
-BEHAVIORS = ("S0", "S1", "S2", "S3", "LINE", "MOLD")
 
 PCM_FULL_SCALE = 32768  # divisor for S0; 16-bit two's-complement range
 
@@ -98,10 +98,6 @@ def windowed_sinc_lowpass(num_taps: int, cutoff: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-# PWM bits each input sample becomes: 2^INTERP_STAGES outputs of S3, each
-# one frame of FRAME_BITS bits.
-PWM_BITS_PER_SAMPLE = FRAME_BITS << INTERP_STAGES
-
 # The leading-edge frame of each MOLD code c, c ones then zeros, packed
 # LSB-first: 2^QUANTIZER_BITS rows of FRAME_BITS / 8 bytes.  The
 # demodulator's first stage builds its table of frame rows from these.
@@ -135,6 +131,22 @@ class MoldState:
     e2: float = 0.0
 
 
+# The chain, declared once: name, samples out per sample in, fresh state and
+# step over one block.  Each step looks its stage function up when it runs,
+# so a wrapper rebound to the module attribute (a tracer) sees every call.
+Stage = namedtuple("Stage", "name rate state step")
+STAGES = (
+    Stage("S0", 1, lambda: None, lambda x, _: s0_condition(x)),
+    *(Stage(f"S{i}", 2, FirState, lambda x, state, behavior=f"S{i}":
+            upsample2(x, behavior=behavior, state=state))
+      for i in range(1, INTERP_STAGES + 1)),
+    Stage("LINE", 1, LineState, lambda x, state: linearize(x, state)),
+    Stage("MOLD", 1, MoldState, lambda x, state: noise_shape(x, state)),
+)
+BEHAVIORS = tuple(stage.name for stage in STAGES)
+PWM_BITS_PER_SAMPLE = FRAME_BITS * math.prod(stage.rate for stage in STAGES)
+
+
 def s0_condition(samples: np.ndarray) -> np.ndarray:
     """S0: map int16 samples onto [-1, +1) as float64.  ValueError, naming
     what it got, for samples that are no 1-D int16 array."""
@@ -149,8 +161,9 @@ def upsample2(x: np.ndarray, *, behavior: str = "S1",
     The filter is design_interp_kernel's, the one kernel S1-S3 share, and
     the output the causal head of the full convolution, so the stage
     delays the signal by (FIR_TAPS - 1) / 2 output samples.  `behavior`
-    (S1, S2 or S3) does not change the result; its only use is to let the
-    benchmark tracer, perfbench/tracing.py, tell the three calls apart.
+    (S1, S2 or S3), which STAGES passes, names the stage in the ValueError
+    for a bad x and lets the benchmark tracer, perfbench/tracing.py, tell
+    the three calls apart, until that tracer reads the names from STAGES.
 
     With `state`, `x` is the next block of a longer stream: it is filtered
     after the history the state holds, which it then updates, and each
@@ -320,20 +333,21 @@ def convert_stream(blocks: Iterable[np.ndarray], sample_rate: int
     and, at the end, for a stream with no samples.
     """
     _integer("sample_rate", sample_rate, 1)
-    rate = sample_rate << INTERP_STAGES  # MOLD's code rate
-    fir = [FirState() for _ in range(INTERP_STAGES)]
-    line, mold = LineState(), MoldState()
+    rate = sample_rate * PWM_BITS_PER_SAMPLE // FRAME_BITS  # MOLD's code rate
+    steps = [(stage.step, stage.state()) for stage in STAGES]
+    line = BEHAVIORS.index("LINE")
     blocks = (_vector("block", block, (np.int16,)) for block in blocks)
-    for block in _cut(blocks, _BLOCK):
-        x = s0_condition(block)
-        for i, state in enumerate(fir):
-            x = upsample2(x, behavior=f"S{i + 1}", state=state)
-        yield generate_pwm(noise_shape(linearize(x, line), mold), rate).payload
-    if len(line.tail) == 0:
+    for x in _cut(blocks, _BLOCK):
+        for step, state in steps:
+            x = step(x, state)
+        yield generate_pwm(x, rate).payload
+    if len(steps[line][1].tail) == 0:
         raise ValueError("cannot convert an empty stream")
     # an empty block ends LINE's stream: its held sample comes out
-    end = noise_shape(linearize(np.zeros(0), line), mold)
-    yield generate_pwm(end, rate).payload
+    x = np.zeros(0)
+    for step, state in steps[line:]:
+        x = step(x, state)
+    yield generate_pwm(x, rate).payload
 
 
 def convert(pcm: PcmStream) -> PwmBitstream:

@@ -31,15 +31,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .audio_io import _integer
-from .chain import BEHAVIORS, FIR_TAPS
+from .chain import BEHAVIORS, FIR_TAPS, STAGES
 
 OP_KINDS = ("add", "mul", "mac", "cmp", "mem")
 CATEGORIES = ("DSP", "Microproc.", "Microcontrol.", "FPGA")
 
-# Operations per output sample; S1-S3 make one MAC per kernel tap.
+# Operations per output sample; the x2 stages make one MAC per kernel tap.
 _OPS_PER_SAMPLE = {
     "S0": {"mul": 1, "mem": 2},
-    **dict.fromkeys(("S1", "S2", "S3"), {"mac": FIR_TAPS, "cmp": 2, "mem": 2}),
+    **dict.fromkeys((stage.name for stage in STAGES if stage.rate == 2),
+                    {"mac": FIR_TAPS, "cmp": 2, "mem": 2}),
     "LINE": {"add": 6, "mul": 7, "cmp": 3, "mem": 4},
     "MOLD": {"add": 4, "mul": 3, "cmp": 2, "mem": 3},
 }
@@ -52,13 +53,13 @@ class MissingWeight(Exception):
 def op_counts(n_samples: int) -> dict:
     """{behavior: {kind: count}}, every OP_KINDS key, for converting
     n_samples input samples: each behavior's row times the samples it
-    emits.  LINE passes its two end samples through uncounted, and nothing
-    runs for n = 0.  ValueError for an n_samples that is no integer of at
-    least 0 (a bool is none)."""
+    emits, by the rates of STAGES.  LINE passes its two end samples through
+    uncounted, and nothing runs for n = 0.  ValueError for an n_samples
+    that is no integer of at least 0 (a bool is none)."""
     _integer("n_samples", n_samples, 0)
     n = n_samples
-    emitted = {"S0": n, "S1": 2 * n, "S2": 4 * n, "S3": 8 * n,
-               "LINE": max(8 * n - 2, 0), "MOLD": 8 * n}
+    emitted = {stage.name: (n := n * stage.rate) for stage in STAGES}
+    emitted["LINE"] = max(emitted["LINE"] - 2, 0)  # its two end samples
     return {b: {k: _OPS_PER_SAMPLE[b].get(k, 0) * emitted[b] for k in OP_KINDS}
             for b in BEHAVIORS}
 

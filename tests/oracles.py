@@ -137,3 +137,16 @@ def correlation_delay(r, t):
         if abs(curve) > 1e-30:
             frac = float(np.clip(0.5 * (y0 - y2) / curve, -0.5, 0.5))
     return int(lags[peak]), frac
+
+
+def chain_delay(stages, fir_taps):
+    """Delay in input samples of a chain whose rows each give `.rate`, the
+    samples out per sample in: every x2 row is a linear-phase fir_taps-tap
+    FIR, delaying (fir_taps - 1) / 2 samples at its output rate, so its
+    delay scales down by the rates up to and including it."""
+    delay, rate = 0.0, 1
+    for stage in stages:
+        rate *= stage.rate
+        if stage.rate == 2:
+            delay += (fir_taps - 1) / 2 / rate
+    return delay

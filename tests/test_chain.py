@@ -35,6 +35,12 @@ def test_behavior_names_fixed():
     assert BEHAVIORS == ("S0", "S1", "S2", "S3", "LINE", "MOLD")
 
 
+def test_chain_delay_from_the_table():
+    """The x2 rows' group delays, scaled by the table's rates, give the
+    chain's delay in input samples: 15.5 + 7.75 + 3.875."""
+    assert oracles.chain_delay(chain.STAGES, FIR_TAPS) == 27.125
+
+
 # --- S0 -------------------------------------------------------------------
 
 def test_s0_exact_scaling():

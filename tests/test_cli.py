@@ -531,10 +531,13 @@ def test_profile_output_file_is_what_stdout_prints(argv, tmp_path, capsys):
                                       ("silence:0", 0)])
 def test_profile_does_not_run_the_chain(source, n, capsys, monkeypatch):
     """Counts come from the op model's closed form, even for inputs far
-    past what one conversion could hold."""
+    past what one conversion could hold: they read the rates of
+    chain.STAGES, whose rows also hold the steps, and call no stage."""
     def chain_must_not_run(*args, **kwargs):
         raise AssertionError("the chain ran")
-    monkeypatch.setattr(chain, "convert_stream", chain_must_not_run)
+    for name in ("convert_stream", "s0_condition", "upsample2", "linearize",
+                 "noise_shape", "generate_pwm"):
+        monkeypatch.setattr(chain, name, chain_must_not_run)
     assert main(["profile", "--input", source, "--format", "csv"]) == 0
     counts = {(parts[0], parts[1]): int(parts[2]) for parts in
               (line.split(",") for line in capsys.readouterr().out.splitlines())

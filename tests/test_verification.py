@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from pcm2pwm import audio_io, verification
 from pcm2pwm.audio_io import PcmStream, PwmBitstream
-from pcm2pwm.chain import convert, convert_stream, generate_pwm, noise_shape
+from pcm2pwm.chain import (FIR_TAPS, STAGES, convert, convert_stream,
+                           generate_pwm, noise_shape)
 from pcm2pwm.verification import (SNR_CAP_DB, LengthMismatch, MalformedStream,
                                   demodulate, demodulate_stream, measure)
 
@@ -17,6 +18,7 @@ from conftest import sine_int16
 
 RATE = 44100
 CHAIN_RATE = 352800
+CHAIN_DELAY = oracles.chain_delay(STAGES, FIR_TAPS)  # in input samples
 
 
 def constant_code_pwm(code, frames=4096):
@@ -487,7 +489,7 @@ def test_measure_fractional_delay_alignment():
     n = 65536
     t = np.arange(n)
     ref = 0.5 * np.sin(2 * np.pi * 1000 * t / RATE)
-    test = 0.5 * np.sin(2 * np.pi * 1000 * (t - 27.125) / RATE)
+    test = 0.5 * np.sin(2 * np.pi * 1000 * (t - CHAIN_DELAY) / RATE)
     report = measure(ref, test, RATE)
     assert report.snr_db > 70.0
 
@@ -548,12 +550,13 @@ def test_estimate_delay_matches_direct_correlation(n, seed, where):
 
 
 def test_measure_peak_memory():
-    """measure on a 4.3 s clip and its 27.125-sample delayed copy: the
+    """measure on a 4.3 s clip and its copy delayed as the chain delays: the
     cross-correlation takes 288,000 points, not the 524,288 of the power
     of two at or above 2n."""
     n = 189630
     ref = sine(1000, 0.5, n)
-    test = 0.5 * np.sin(2 * np.pi * 1000 * (np.arange(n) - 27.125) / RATE)
+    test = 0.5 * np.sin(2 * np.pi * 1000 * (np.arange(n) - CHAIN_DELAY)
+                        / RATE)
     tracemalloc.start()
     try:
         measure(ref, test, RATE)
