@@ -415,6 +415,19 @@ def _write_whole(path, chunks: Iterable) -> None:
             os.remove(tmp)
 
 
+def _read_whole(path, encoding=None):
+    """The whole of `path` as bytes, or as text in `encoding` if one is
+    given (newlines read as open's text mode reads them): the reader twin
+    of _write_whole, and the one reader of every input file but a WAV.
+    IoFailure names `path` and the OS reason; text that is no `encoding`
+    raises UnicodeDecodeError."""
+    try:
+        with open(path, "r" if encoding else "rb", encoding=encoding) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def read_pwm(path) -> PwmBitstream:
     """Read a PWM1 container file; inverse of write_pwm, bit-exact.
 
@@ -422,12 +435,7 @@ def read_pwm(path) -> PwmBitstream:
     the one with zero padding and writes back with zero pad bits.  Fields
     that PwmBitstream refuses raise MalformedHeader.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc.strerror or exc}") from exc
-
+    data = _read_whole(path)
     if len(data) < _HEADER.size:
         raise MalformedHeader("file shorter than PWM1 header")
     magic, clock_hz, frame_bits, bit_count = _HEADER.unpack_from(data, 0)

@@ -34,8 +34,8 @@ samples (FirState), LINE the look-behind and the pending look-ahead
 sample (LineState), MOLD its error feedback e1, e2 (MoldState); S0 and
 the waveform generator carry nothing.  A stage called without state
 starts a fresh one, so it treats its input as the whole stream; with
-state, LINE takes an empty block as the end of the stream, so it takes
-no empty block before the end.  Every cut, down to 1-sample blocks, gives
+state, LINE takes an empty block as the end of the stream and refuses
+any block after it.  Every cut, down to 1-sample blocks, gives
 the same bits as that one-block call.
 convert is convert_stream over one PcmStream, collected (audio_io.collect).
 """
@@ -118,9 +118,11 @@ class FirState:
 @dataclass
 class LineState:
     """What LINE carries between blocks: its last two input samples, the
-    look-behind and the sample that still waits for its look-ahead."""
+    look-behind and the sample that still waits for its look-ahead, and
+    whether the empty block has ended the stream."""
 
     tail: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    ended: bool = False
 
 
 @dataclass
@@ -206,19 +208,21 @@ def linearize(x: np.ndarray, state: LineState | None = None) -> np.ndarray:
     unchanged.
 
     Without `state`, `x` is the whole stream.  With it, `x` is the next
-    block of a longer stream, and an empty block ends the stream: the
-    blocks before it must be non-empty, and none may follow it.  A
+    block of a longer stream, and an empty block ends the stream.  A
     sample is emitted once its look-ahead has arrived, so a block's output
     lags its input by one sample, and the empty block emits the held
-    sample.  ValueError for an x that is no 1-D array of real samples, or
-    holds a NaN, an infinity or samples so large (about 1e155) that the
-    crossing fit overflows.
+    sample.  ValueError for any block after the empty one, for an x that
+    is no 1-D array of real samples, or one that holds a NaN, an infinity
+    or samples so large (about 1e155) that the crossing fit overflows.
     """
     x = _vector("LINE input", x, _REAL)
     if not np.isfinite(x).all():
         raise ValueError("LINE input must be finite")
     end = state is None or len(x) == 0
     state = state or LineState()
+    if state.ended:
+        raise ValueError("LINE input after the empty block that ended it")
+    state.ended = end
     first = len(state.tail) == 0
     x = np.concatenate([state.tail, x])
     try:

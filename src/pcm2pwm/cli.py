@@ -38,6 +38,11 @@ deadline_ms, the clip's length, or 4.3 s for an empty input.  Exit codes:
     4    quality floor missed
     141  stdout closed early, e.g. by `| head` (128 + SIGPIPE)
 
+Every input file (--input as a WAV path, --scenario, --pe-lib) is read
+and refused by one rule, _load's, naming it once: a missing one gives
+"input not found: P", one that cannot be read "cannot read P: REASON",
+and one whose content is refused "P: reason".
+
 convert and roundtrip stream: the WAV reader and the synthetic inputs
 make blocks of audio_io._BLOCK samples, the chain runs over them, and
 roundtrip feeds its PWM payload blocks straight into the demodulator
@@ -108,9 +113,8 @@ def main(argv=None) -> int:
         return EXIT_CLOSED_STDOUT
     except (InputError, audio_io.IoFailure, audio_io.MalformedHeader,
             audio_io.MalformedStream, audio_io.StreamTooLong,
-            audio_io.ClockTooHigh, dse.AllZeroSizes, dse.TooManyBehaviors,
-            dse.UnknownBehavior, profiler.MissingWeight,
-            verification.LengthMismatch) as exc:
+            audio_io.ClockTooHigh, dse.TooManyBehaviors, dse.UnknownBehavior,
+            profiler.MissingWeight, verification.LengthMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except dse.NoFeasibleOption as exc:
@@ -414,23 +418,14 @@ def _demodulate_worker(conn, parent_end, stream) -> None:
 def _open_input(spec: str, seed: int):
     """The input as a reader whose sample_rate and frame_count are known
     before blocks() yields a sample: an audio_io.WavReader, or a
-    _Synthetic for a synthetic spec.  InputError for a negative seed or a
-    missing file; a file that cannot be read, such as a directory, raises
-    IoFailure."""
+    _Synthetic for a synthetic spec.  InputError for a negative seed, and
+    a WAV path refused as _load refuses every input file."""
     audio_io._integer("--seed", seed, 0, InputError)
     kind, *fields = spec.split(":")
     if kind in ("sine", "noise", "silence"):
         yield _Synthetic(kind, fields, seed)
         return
-    try:
-        wav = audio_io.WavReader(spec)
-    except audio_io.IoFailure as exc:
-        if isinstance(exc.__cause__, FileNotFoundError):
-            raise InputError(f"input not found: {spec}") from exc
-        raise
-    except (audio_io.MalformedHeader, audio_io.UnsupportedFormat) as exc:
-        raise InputError(f"{spec}: {exc}") from exc
-    with wav:
+    with _load(audio_io.WavReader, spec) as wav:
         yield wav
 
 
@@ -497,15 +492,20 @@ def _deadline_us(deadline_ms: float) -> int:
 
 
 def _load(loader, path):
-    """loader(path), with a missing, unreadable or malformed file raised as
-    one line of InputError."""
+    """loader(path), the one read rule of every input file: a missing file
+    raises InputError "input not found: P", one that cannot be read the
+    loader's IoFailure "cannot read P: REASON", and one it refuses as
+    malformed InputError "P: reason" on one line, naming P once."""
     try:
         return loader(path)
-    except FileNotFoundError as exc:
-        raise InputError(f"input not found: {path}") from exc
+    except audio_io.IoFailure as exc:
+        if isinstance(exc.__cause__, FileNotFoundError):
+            raise InputError(f"input not found: {path}") from exc
+        raise
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from exc
-    except (OSError, ValueError, configparser.Error) as exc:
+    except (ValueError, configparser.Error, audio_io.MalformedHeader,
+            audio_io.UnsupportedFormat) as exc:
         raise InputError(f"{path}: {' '.join(str(exc).split())}") from exc
 
 

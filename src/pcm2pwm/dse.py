@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
+from .audio_io import _read_whole
+
 MAX_BEHAVIORS = 20
 TOTALS_TOLERANCE_US = 500  # estimate tables may disagree with a quoted total
 
@@ -58,7 +60,7 @@ SHORTLIST_MAPPINGS = (
 )
 
 
-class AllZeroSizes(Exception):
+class AllZeroSizes(ValueError):
     """Cost shares need at least one positive code size."""
 
 
@@ -273,8 +275,7 @@ def load_scenario(path) -> Scenario:
     """Parse a scenario file; see the module docstring for the grammar."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str  # element names in [principal_cycles] keep case
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    parser.read_string(_read_whole(path, "utf-8"), source=str(path))
 
     rows = []
     for section in parser.sections():
@@ -286,9 +287,9 @@ def load_scenario(path) -> Scenario:
                      _on_grid(sec["t_sw_ms"], 1000),
                      Fraction(sec["code_size"].strip())))
     if not rows:
-        raise ValueError(f"no behavior sections in {path}")
+        raise ValueError("no behavior sections")
     if "cost_model" not in parser:
-        raise ValueError(f"missing [cost_model] section in {path}")
+        raise ValueError("missing [cost_model] section")
 
     cm_sec = parser["cost_model"]
     cm = CostModel(

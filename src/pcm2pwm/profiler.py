@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .audio_io import _integer
+from .audio_io import _integer, _read_whole
 from .chain import BEHAVIORS, FIR_TAPS, STAGES
 
 OP_KINDS = ("add", "mul", "mac", "cmp", "mem")
@@ -132,8 +132,7 @@ def meets_realtime(t_seconds, playback_seconds) -> bool:
 def load_pe_library(path) -> list[ProcessingElement]:
     """Parse the INI element library; see the module docstring for the grammar."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    parser.read_string(_read_whole(path, "utf-8"), source=str(path))
     pes = []
     for name in parser.sections():
         sec = parser[name]
@@ -150,7 +149,7 @@ def load_pe_library(path) -> list[ProcessingElement]:
             raise ValueError(f"bad element entry [{name}]: {exc}") from exc
         pes.append(pe)
     if not pes:
-        raise ValueError(f"no processing elements found in {path}")
+        raise ValueError("no processing elements found")
     return pes
 
 

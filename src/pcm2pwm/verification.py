@@ -4,7 +4,7 @@ The demodulator inverts chain's one geometry, so the bit clock gives the
 rate: the audio comes out at the chain's input rate, clock_hz / 1024
 (PWM_BITS_PER_SAMPLE).  It maps bits onto +-1 and lowpasses at 20 kHz in
 two windowed-sinc decimation stages (stopband rejection about 74 dB), by a
-PWM frame and then by the interpolators' 2^INTERP_STAGES.  The first stage
+PWM frame and then by the interpolators' product of rates.  The first stage
 sums one row of taps times bits per frame its window meets: the chain's
 128 frames take theirs from a table, one lookup a frame, and any other
 frame's is computed from its bits, exactly for any bitstream.  The second
@@ -38,8 +38,8 @@ import numpy as np
 
 from .audio_io import (_BLOCK, _REAL, MalformedStream, PwmBitstream, _cut,
                        _integer, _payload_blocks, _vector, collect)
-from .chain import (_FRAMES, FRAME_BITS, INTERP_STAGES, PWM_BITS_PER_SAMPLE,
-                    _convolve, windowed_sinc_lowpass)
+from .chain import (_FRAMES, FRAME_BITS, PWM_BITS_PER_SAMPLE, _convolve,
+                    windowed_sinc_lowpass)
 
 SNR_CAP_DB = 140.0
 AUDIO_BAND_HZ = 20000.0
@@ -102,9 +102,10 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
     LSB-first into uint8 arrays (as PwmBitstream.payload, or as
     chain.convert_stream yields it) and cut at any byte.  The audio comes
     out at the chain's input rate, clock_hz / PWM_BITS_PER_SAMPLE.  Stage
-    1 decimates by a PWM frame (FRAME_BITS), stage 2 by 2^INTERP_STAGES;
-    each stage's filter keeps the band that can fold onto 0-20 kHz at
-    least 60 dB down.  Stages compensate their own group delay, so the
+    1 decimates by a PWM frame (FRAME_BITS), stage 2 by the chain's
+    product of rates (PWM_BITS_PER_SAMPLE // FRAME_BITS); each stage's
+    filter keeps the band that can fold onto 0-20 kHz at least 60 dB
+    down.  Stages compensate their own group delay, so the
     output sits on the stream's own time grid: n_bits //
     PWM_BITS_PER_SAMPLE samples in all, which every cut gives bit for bit.
     The first stage (_frame_decimate) takes each frame's row from a
@@ -130,7 +131,7 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
                              _stage_filter(clock_hz, frame_rate, rate))
     for y in _polyphase_decimate(frames, n_bits // FRAME_BITS,
                                  _stage_filter(frame_rate, rate, rate),
-                                 1 << INTERP_STAGES):
+                                 PWM_BITS_PER_SAMPLE // FRAME_BITS):
         np.clip(y, -1.0, 1.0, out=y)
         yield y
 

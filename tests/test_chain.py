@@ -380,6 +380,18 @@ def test_stage_states_carry_across_blocks(samples, cuts):
     assert np.array_equal(np.concatenate(up), upsample2(x))
 
 
+@pytest.mark.parametrize("after", [0, 1, 6])
+def test_linearize_refuses_a_block_after_the_end(after):
+    """The empty block ends LINE's stream: any block after it, empty or
+    not, raises instead of emitting the held last sample again."""
+    x = np.linspace(-0.5, 0.5, 6)
+    state = LineState()
+    lined = np.concatenate([linearize(x, state), linearize(x[:0], state)])
+    assert np.array_equal(lined, linearize(x))
+    with pytest.raises(ValueError, match="after the empty block"):
+        linearize(x[:after], state)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 130),
        st.integers(0, 300))

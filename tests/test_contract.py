@@ -22,11 +22,12 @@ cli.main: the exit code must be one the cli docstring lists, nothing may
 print a traceback, and a nonzero exit prints one error line.  A command
 given --output prints no report on stdout and leaves no temporary file
 beside it.  Every path option of every subcommand given '' exits 2 with
-one error line naming the option, printing and writing nothing.  The
-bundled scenario and element library, each field set to each of
-FIELD_VALUES, each key, section or pair of fields edited, go through
-every command that reads them by the same contract; a field that is no
-number is refused.
+one error line naming the option, printing and writing nothing, and
+every input file option given a missing path or a directory exits 2 with
+one error line naming the file once.  The bundled scenario and element
+library, each field set to each of FIELD_VALUES, each key, section or
+pair of fields edited, go through every command that reads them by the
+same contract; a field that is no number is refused.
 """
 
 import fnmatch
@@ -514,6 +515,53 @@ def test_cli_empty_paths(argv, tmp_path, capsys, monkeypatch):
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr() == ("", f"error: {option} '' names no file\n")
     assert os.listdir(tmp_path) == []
+
+
+# every input file option of every subcommand, the path last: --input as a
+# WAV path, --scenario and --pe-lib
+INPUT_FILES = (["convert", "--output", "out", "--input"],
+               ["profile", "--input"],
+               ["roundtrip", "--input"],
+               ["explore", "--scenario"],
+               ["profile", "--scenario"],
+               ["profile", "--input", "sine:1000:-6:0.01", "--pe-lib"])
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("argv", INPUT_FILES, ids=" ".join)
+def test_cli_unreadable_input_files(argv, kind, tmp_path, capsys,
+                                    monkeypatch):
+    """Every input file option reads by one rule: a missing path exits 2
+    with "input not found: P", a directory with "cannot read P: Is a
+    directory", each naming P once, printing nothing on stdout and
+    writing nothing."""
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / "in")
+    if kind == "directory":
+        os.mkdir(path)
+    reason = {"missing": f"input not found: {path}",
+              "directory": f"cannot read {path}: Is a directory"}[kind]
+    assert cli.main([*argv, path]) == cli.EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {reason}\n")
+    assert os.listdir(tmp_path) == (["in"] if kind == "directory" else [])
+
+
+@pytest.mark.parametrize("pattern,new,reason", [
+    (r"code_size = \d+", "code_size = 0", "all code sizes are zero"),
+    (r"\[cost_model\]", "[costs]", "missing [cost_model] section"),
+], ids=["all-zero-sizes", "no-cost-model"])
+@pytest.mark.parametrize("argv", [["explore", "--scenario"],
+                                  ["profile", "--scenario"]], ids=" ".join)
+def test_cli_scenario_refusal_names_its_file_once(argv, pattern, new, reason,
+                                                  tmp_path, capsys):
+    """A scenario the loader refuses as malformed exits 2 with one line,
+    "P: reason", naming its file once."""
+    path = tmp_path / "edited.scenario"
+    text = resources.files("pcm2pwm").joinpath(
+        "data", "baseline.scenario").read_text(encoding="utf-8")
+    path.write_text(re.sub(pattern, new, text), encoding="utf-8")
+    assert cli.main([*argv, str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {path}: {reason}\n")
 
 
 # --- cli: scenario and element-library files ---------------------------------
