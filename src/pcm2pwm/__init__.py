@@ -11,8 +11,8 @@ from .dse import (AllZeroSizes, BehaviorEstimate, CostModel, NoFeasibleOption,
                   PartitionOption, Scenario, TooManyBehaviors, UnknownBehavior,
                   enumerate_partitions, evaluate, hw_cost_share, load_scenario,
                   select)
-from .profiler import (MissingWeight, ProcessingElement, cycles, exec_time,
-                       load_pe_library, meets_realtime, op_counts)
+from .profiler import (ProcessingElement, cycles, exec_time, load_pe_library,
+                       meets_realtime, op_counts)
 from .verification import (LengthMismatch, SpectrumReport, demodulate,
                            demodulate_stream, measure)
 

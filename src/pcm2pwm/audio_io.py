@@ -240,6 +240,9 @@ class WavReader:
 
     Raises IoFailure if the file cannot be read, MalformedHeader on bad
     RIFF structure and UnsupportedFormat for non-PCM or non-16-bit content.
+    Opening's content errors leave the path to the caller to name (as
+    cli._load does); blocks() runs after it, so its errors name the path
+    themselves, a data chunk that shrank since opening among them.
     """
 
     def __init__(self, path):
@@ -317,7 +320,8 @@ class WavReader:
                 n = min(_BLOCK, self.frame_count - start)
                 raw = self._fh.read(n * align)
                 if len(raw) != n * align:
-                    raise MalformedHeader("data chunk shrank while reading")
+                    raise MalformedHeader(f"{self.path}: data chunk shrank "
+                                          f"while reading")
                 frames = np.frombuffer(raw, dtype="<i2").reshape(
                     n, self.channels).astype(np.int64)
                 yield np.trunc(frames.sum(axis=1) / self.channels

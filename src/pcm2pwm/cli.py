@@ -41,7 +41,11 @@ deadline_ms, the clip's length, or 4.3 s for an empty input.  Exit codes:
 Every input file (--input as a WAV path, --scenario, --pe-lib) is read
 and refused by one rule, _load's, naming it once: a missing one gives
 "input not found: P", one that cannot be read "cannot read P: REASON",
-and one whose content is refused "P: reason".
+and one whose content is refused "P: reason".  An element library is
+refused at load for an element that lacks any op kind's weight, whether
+profile counts with it (--input) or not (--scenario).  The two refusals
+made after their file is loaded name it the same way: explore's "P: N
+behaviors, cap is 20" and a WAV's "P: data chunk shrank while reading".
 
 convert and roundtrip stream: the WAV reader and the synthetic inputs
 make blocks of audio_io._BLOCK samples, the chain runs over them, and
@@ -113,8 +117,8 @@ def main(argv=None) -> int:
         return EXIT_CLOSED_STDOUT
     except (InputError, audio_io.IoFailure, audio_io.MalformedHeader,
             audio_io.MalformedStream, audio_io.StreamTooLong,
-            audio_io.ClockTooHigh, dse.TooManyBehaviors, dse.UnknownBehavior,
-            profiler.MissingWeight, verification.LengthMismatch) as exc:
+            audio_io.ClockTooHigh, dse.UnknownBehavior,
+            verification.LengthMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except dse.NoFeasibleOption as exc:
@@ -279,14 +283,17 @@ def cmd_profile(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    scenario = _load(dse.load_scenario,
-                     args.scenario or _bundled("baseline.scenario"))
+    path = args.scenario or _bundled("baseline.scenario")
+    scenario = _load(dse.load_scenario, path)
     cm = scenario.cost_model
     if args.deadline_ms is not None:
         cm = dataclasses.replace(cm,
                                  deadline_us=_deadline_us(args.deadline_ms))
     pins = _parse_pins(args.pin)
-    options = dse.enumerate_partitions(scenario.estimates, cm, pins)
+    try:
+        options = dse.enumerate_partitions(scenario.estimates, cm, pins)
+    except dse.TooManyBehaviors as exc:  # the file's fault, found after _load
+        raise InputError(f"{path}: {exc}") from exc
     selected = dse.select(options, cm)  # exits 3 via NoFeasibleOption
 
     if args.format == "csv":

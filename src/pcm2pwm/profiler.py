@@ -18,7 +18,10 @@ per element:
     freq_mhz = 60
     weights = add:1, mul:1, mac:1, cmp:1, mem:1
 
-Categories are DSP, Microproc., Microcontrol. or FPGA.
+Categories are DSP, Microproc., Microcontrol. or FPGA.  weights gives
+every op kind (OP_KINDS) a cycles-per-op of at least 1: an element that
+lacks one is refused when it is built, so when its library is loaded,
+before anything is counted with it.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ _OPS_PER_SAMPLE = {
     "LINE": {"add": 6, "mul": 7, "cmp": 3, "mem": 4},
     "MOLD": {"add": 4, "mul": 3, "cmp": 2, "mem": 3},
 }
-
-
-class MissingWeight(Exception):
-    """A counted operation kind has no weight on the target element."""
 
 
 def op_counts(n_samples: int) -> dict:
@@ -85,10 +84,13 @@ class ProcessingElement:
                 raise ValueError(f"unknown op kind {kind!r} in weights")
             if w < 1:
                 raise ValueError(f"weight for {kind} must be >= 1")
+        for kind in OP_KINDS:
+            if kind not in self.weights:
+                raise ValueError(f"no weight for {kind}")
         # the profile prints an op's time as a float: one op of the
-        # heaviest weight, or one cycle, must fit in one
+        # heaviest weight must fit in one
         try:
-            float(max(self.weights.values(), default=1)
+            float(max(self.weights.values())
                   / (Fraction(self.freq_mhz) * 10 ** 6))
         except OverflowError:
             raise ValueError("one op of the heaviest weight at freq_mhz "
@@ -102,17 +104,8 @@ class ProcessingElement:
 def cycles(counts: dict, pe: ProcessingElement) -> dict:
     """Weighted cycles per behavior: every counted operation times the
     element's cycles-per-op."""
-    per_behavior = {}
-    for b in BEHAVIORS:
-        total = 0
-        for kind, n in counts[b].items():
-            if n == 0:
-                continue
-            if kind not in pe.weights:
-                raise MissingWeight(f"{pe.name} has no weight for {kind!r}")
-            total += n * pe.weights[kind]
-        per_behavior[b] = total
-    return per_behavior
+    return {b: sum(n * pe.weights[kind] for kind, n in counts[b].items())
+            for b in BEHAVIORS}
 
 
 def exec_time(cycle_count: int, pe: ProcessingElement) -> Fraction:
@@ -179,7 +172,7 @@ def profile_report_csv(counts: dict, pes: list[ProcessingElement]) -> str:
             n = counts[b][kind]
             row = [b, kind, n]
             for pe in pes:
-                c = n * pe.weights.get(kind, 0) if n else 0
+                c = n * pe.weights[kind]
                 row += [c, f"{float(exec_time(c, pe)):.6f}"]
             writer.writerow(row)
         row = [b, "total", sum(counts[b].values())]

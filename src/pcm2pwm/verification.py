@@ -7,8 +7,9 @@ two windowed-sinc decimation stages (stopband rejection about 74 dB), by a
 PWM frame and then by the interpolators' product of rates.  The first stage
 sums one row of taps times bits per frame its window meets: the chain's
 128 frames take theirs from a table, one lookup a frame, and any other
-frame's is computed from its bits, exactly for any bitstream.  The second
-filters samples polyphase, one branch per phase.
+frame's is computed from its bits, exactly for any bitstream of whole
+frames, the only kind it takes.  The second filters samples polyphase,
+one branch per phase.
 Scoring aligns the result against a reference in gain and (fractional)
 delay, then reports SNR, THD at the detected fundamental and the 0-20 kHz
 noise floor.  SNR is capped at +140 dB so identical streams yield a finite
@@ -36,8 +37,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .audio_io import (_BLOCK, _REAL, MalformedStream, PwmBitstream, _cut,
-                       _integer, _payload_blocks, _vector, collect)
+from .audio_io import (_BLOCK, _REAL, MalformedStream, PwmBitstream,
+                       _check_fields, _cut, _integer, _payload_blocks,
+                       _vector, collect)
 from .chain import (_FRAMES, FRAME_BITS, PWM_BITS_PER_SAMPLE, _convolve,
                     windowed_sinc_lowpass)
 
@@ -98,16 +100,17 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
     """Recover audio from a PWM bitstream that arrives a payload block at a
     time, and yield it a block at a time.
 
-    blocks are the PWM1 payload of n_bits bits at clock_hz, packed
-    LSB-first into uint8 arrays (as PwmBitstream.payload, or as
-    chain.convert_stream yields it) and cut at any byte.  The audio comes
-    out at the chain's input rate, clock_hz / PWM_BITS_PER_SAMPLE.  Stage
-    1 decimates by a PWM frame (FRAME_BITS), stage 2 by the chain's
-    product of rates (PWM_BITS_PER_SAMPLE // FRAME_BITS); each stage's
-    filter keeps the band that can fold onto 0-20 kHz at least 60 dB
-    down.  Stages compensate their own group delay, so the
-    output sits on the stream's own time grid: n_bits //
-    PWM_BITS_PER_SAMPLE samples in all, which every cut gives bit for bit.
+    blocks are the PWM1 payload of n_bits bits at clock_hz, whole frames
+    of FRAME_BITS bits packed LSB-first into uint8 arrays (as
+    PwmBitstream.payload, or as chain.convert_stream yields it) and cut
+    at any byte.  The audio comes out at the chain's input rate, clock_hz
+    / PWM_BITS_PER_SAMPLE.  Stage 1 decimates by a PWM frame
+    (FRAME_BITS), stage 2 by the chain's product of rates
+    (PWM_BITS_PER_SAMPLE // FRAME_BITS); each stage's filter keeps the
+    band that can fold onto 0-20 kHz at least 60 dB down.  Stages
+    compensate their own group delay, so the output sits on the stream's
+    own time grid: n_bits // PWM_BITS_PER_SAMPLE samples in all, which
+    every cut gives bit for bit.
     The first stage (_frame_decimate) takes each frame's row from a
     table of the chain's 128 frames, one lookup a frame, against the 795
     taps a direct-form filter would spend per output at 45.1584 MHz.  The
@@ -115,12 +118,16 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
     at a time, whatever the cut, so each block convert_stream yields is
     one pass of each stage.  Each stage carries a few hundred samples of
     state, so memory grows with neither the stream nor the block.  Raises
-    MalformedStream on the first step for a clock_hz that is no positive
-    integer multiple of PWM_BITS_PER_SAMPLE or an n_bits that is no
-    integer of at least 0 (a bool is none), and for blocks that break the
-    PWM1 payload rule, as write_pwm_blocks does (audio_io._payload_blocks).
+    MalformedStream on the first step, before a payload byte is read, for
+    fields that break the PWM1 header rule PwmBitstream and
+    write_pwm_blocks share (audio_io._check_fields: an n_bits that is no
+    integer of at least 0, a bool being none, or no whole number of
+    FRAME_BITS-bit frames) and for a clock_hz that is no positive integer
+    multiple of PWM_BITS_PER_SAMPLE; and for blocks that break the PWM1
+    payload rule, as write_pwm_blocks does (audio_io._payload_blocks).
     """
     _integer("clock_hz", clock_hz, 1, MalformedStream)
+    _check_fields(n_bits, clock_hz, FRAME_BITS)
     if clock_hz % PWM_BITS_PER_SAMPLE:
         raise MalformedStream(f"bit clock {clock_hz} is not a multiple of "
                               f"{PWM_BITS_PER_SAMPLE}")
@@ -162,16 +169,15 @@ def _frame_decimate(blocks: Iterable[np.ndarray], n_bits: int,
     """Filter and decimate a packed bitstream as +-1 samples by one PWM
     frame, m = FRAME_BITS bits.
 
-    blocks hold n_bits bits packed LSB-first, as in PwmBitstream, cut at
-    any byte.  Computes y[n] = sum_k h[k] s(n m + D - k) with s = 2 bits -
-    1 inside the stream and 0 outside, D = (len(h)-1)//2, exactly as a
-    direct-form filter would.  Output n's window meets frames n + j, j =
-    lo .. hi, at the taps G[j, i] = h[D - j m - i] (0 off h), so with
-    frame f's row R[f] = G s_f, y[n] = sum_j R[n + j, j], and R = 0
-    outside the stream.  A chain frame's R (chain._FRAMES) is one lookup
-    in their table; any other's is computed from its bytes as the table's
-    are.  A last partial frame is read whole with pad bits of -1, plus
-    the taps of those bits, where s is 0.
+    blocks hold n_bits bits, a whole number of frames, packed LSB-first
+    as in PwmBitstream, cut at any byte.  Computes y[n] = sum_k h[k]
+    s(n m + D - k) with s = 2 bits - 1 inside the stream and 0 outside,
+    D = (len(h)-1)//2, exactly as a direct-form filter would.  Output n's
+    window meets frames n + j, j = lo .. hi, at the taps G[j, i] = h[D -
+    j m - i] (0 off h), so with frame f's row R[f] = G s_f, y[n] = sum_j
+    R[n + j, j], and R = 0 outside the stream.  A chain frame's R
+    (chain._FRAMES) is one lookup in their table; any other's is computed
+    from its bytes as the table's are.
 
     Each block is one pass over the outputs the payload now covers
     (demodulate_stream hands it at most 128 KiB), carrying the rows of
@@ -203,9 +209,6 @@ def _frame_decimate(blocks: Iterable[np.ndarray], n_bits: int,
     for block in blocks:
         data = np.concatenate((tail, block))
         received += len(block)
-        end = 8 * received >= n_bits
-        if end:  # a last partial frame is read whole, zero pad bits
-            data = np.pad(data, (0, -len(data) % size))
         whole = len(data) - len(data) % size
         frames, tail = data[:whole].reshape(-1, size), data[whole:]
         # code c's frame has the words (2^c - 1, 0) up to c = 64 and
@@ -220,9 +223,7 @@ def _frame_decimate(blocks: Iterable[np.ndarray], n_bits: int,
         new[other] = frame_rows(frames[other])
         framed += len(new)
         ready = min(framed - hi, n_out)
-        if end:
-            if n_bits % m:  # its pad bits count 0, not -1
-                new[-1] += g[:, n_bits % m:].sum(axis=1)
+        if 8 * received >= n_bits:
             # the frames after the stream, to the last output's frame + hi
             new = np.vstack((new, np.zeros((max(n_out + hi - framed, 0),
                                             len(g)))))
@@ -331,7 +332,10 @@ def _score(ref: np.ndarray, test: np.ndarray, rate: int) -> SpectrumReport:
     r = ref - ref.mean()
     t = test - test.mean()
 
-    p_ref = float(np.dot(r, r))
+    # whole-clip sums of products by numpy's own loops, which raise on
+    # overflow as np.dot does: np.dot calls the BLAS, whose thread pool
+    # takes milliseconds to wake for one such sum
+    p_ref = float((r * r).sum())
     if p_ref == 0.0:
         # silent reference: rail/cap case
         return SpectrumReport(fundamental_hz=0.0, snr_db=SNR_CAP_DB,
@@ -347,11 +351,11 @@ def _score(ref: np.ndarray, test: np.ndarray, rate: int) -> SpectrumReport:
     r_aligned = r_aligned[trim:-trim]
     t_aligned = t_aligned[trim:-trim]
 
-    denom = float(np.dot(t_aligned, t_aligned))
-    gain = float(np.dot(r_aligned, t_aligned)) / denom if denom else 0.0
+    denom = float((t_aligned * t_aligned).sum())
+    gain = float((r_aligned * t_aligned).sum()) / denom if denom else 0.0
     err = r_aligned - gain * t_aligned
-    p_sig = float(np.dot(r_aligned, r_aligned))
-    p_err = float(np.dot(err, err))
+    p_sig = float((r_aligned * r_aligned).sum())
+    p_err = float((err * err).sum())
     if p_err == 0.0 or p_sig == 0.0:
         snr_db = SNR_CAP_DB
     else:

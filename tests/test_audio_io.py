@@ -524,9 +524,12 @@ _BLOCK_KINDS = {
 @st.composite
 def payload_cases(draw):
     """(n_bits, kinds, blocks): blocks whose bytes fall short of, match or
-    run past the ceil(n_bits / 8) n_bits need, with any pad bits."""
-    n_bits = draw(st.integers(0, 2048) if draw(st.integers(0, 9))
-                  else st.integers(-16, -1))
+    run past the ceil(n_bits / 8) n_bits need, with any pad bits; n_bits
+    is a whole number of 128-bit frames a third of the time."""
+    whole = st.integers(0, 16).map(lambda k: 128 * k)
+    n_bits = draw(draw(st.sampled_from([st.integers(0, 2048)] * 6
+                                       + [whole] * 3
+                                       + [st.integers(-16, -1)])))
     need = max(-(-n_bits // 8), 0)
     total = max(need + draw(st.sampled_from([-9, -1, 0, 0, 0, 1, 7])), 0)
     data = np.frombuffer(draw(st.binary(min_size=total, max_size=total)),
@@ -555,16 +558,22 @@ def test_payload_rule_is_one_contract(case, tmp_path):
     blocks: 1-D uint8 arrays of ceil(n_bits / 8) bytes in all, for an
     n_bits >= 0, with zero pad bits.  All three accept a payload or all
     three refuse it with the same MalformedStream message, and a refused
-    write keeps the old file."""
+    write keeps the old file.  The demodulator takes the chain's 128-bit
+    frames: any other n_bits >= 0 it refuses by the frame rule first, as
+    the writer and the container do given those frames."""
     n_bits, kinds, blocks = case
     clock_hz = 1024 * 44100
     path = tmp_path / "out.pwm"
     path.write_bytes(b"previous")
     refusals = {
         _refusal(lambda: write_pwm_blocks(iter(blocks), path, n_bits=n_bits,
-                                          clock_hz=clock_hz, frame_bits=1)),
-        _refusal(lambda: list(demodulate_stream(iter(blocks), n_bits=n_bits,
-                                                clock_hz=clock_hz)))}
+                                          clock_hz=clock_hz, frame_bits=1))}
+    demodulator = _refusal(lambda: list(demodulate_stream(
+        iter(blocks), n_bits=n_bits, clock_hz=clock_hz)))
+    if n_bits >= 0 and n_bits % 128:
+        assert demodulator == "bit count must be a multiple of frame_bits"
+    else:
+        refusals.add(demodulator)
     if len(blocks) == 1:
         refusals.add(_refusal(lambda: PwmBitstream(
             payload=blocks[0], n_bits=n_bits, clock_hz=clock_hz,
@@ -601,10 +610,12 @@ def test_pwm_payload_invariants():
 
 
 def test_set_pad_bit_is_one_refusal(tmp_path):
-    """A set pad bit breaks the payload rule: the container, the writer and
-    the demodulator refuse it with one message, the writer keeping the old
-    file, while read_pwm still reads such a file with its pad bits
-    cleared."""
+    """A set pad bit breaks the payload rule: the container and the writer
+    refuse it with one message, the writer keeping the old file, while
+    read_pwm still reads such a file with its pad bits cleared.  The
+    demodulator takes whole 128-bit frames, which leave no pad bits, so it
+    refuses the 4 bits first by the frame rule, as the container does
+    given those frames."""
     ones = np.array([0xFF], np.uint8)
     with pytest.raises(MalformedStream) as container:
         PwmBitstream(payload=ones, n_bits=4, clock_hz=1, frame_bits=4)
@@ -614,12 +625,15 @@ def test_set_pad_bit_is_one_refusal(tmp_path):
         write_pwm_blocks([ones], path, n_bits=4, clock_hz=1, frame_bits=4)
     assert path.read_bytes() == b"previous"
     assert [p.name for p in tmp_path.iterdir()] == ["out.pwm"]
+    assert (str(container.value) == str(writer.value)
+            == "pad bits of the last payload byte must be zero")
     with pytest.raises(MalformedStream) as demodulator:
         list(demodulate_stream([np.zeros(0, np.uint8), ones, ones[:0]],
                                n_bits=4, clock_hz=1024))
-    assert (str(container.value) == str(writer.value)
-            == str(demodulator.value)
-            == "pad bits of the last payload byte must be zero")
+    with pytest.raises(MalformedStream) as container:
+        PwmBitstream(payload=ones, n_bits=4, clock_hz=1024, frame_bits=128)
+    assert (str(demodulator.value) == str(container.value)
+            == "bit count must be a multiple of frame_bits")
     path.write_bytes(struct.pack("<4sIII", b"PWM1", 1, 4, 4) + ones.tobytes())
     assert read_pwm(path).payload.tolist() == [0x0F]
 

@@ -78,6 +78,25 @@ def test_malformed_or_unsupported_wav_is_input_error(command, field, value,
     assert capsys.readouterr() == ("", f"error: {path}: {reason}\n")
 
 
+@pytest.mark.parametrize("command", ["convert", "roundtrip"])
+def test_wav_that_shrinks_while_read_is_named(command, wav_file, tmp_path,
+                                              capsys, monkeypatch):
+    """A WAV whose data chunk loses its last frame after it is opened
+    fails while its samples are read, outside _load: the one error line
+    still names the file."""
+    # more than the 8 KiB opening buffers, so the last frame is read after
+    path = wav_file(sine_int16(1000, 0.5, 0.2))
+    opened = audio_io.WavReader.__init__
+
+    def open_then_shrink(self, name):
+        opened(self, name)
+        os.truncate(name, os.path.getsize(name) - 2)
+    monkeypatch.setattr(audio_io.WavReader, "__init__", open_then_shrink)
+    assert main(_argv(command, str(path), tmp_path)) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: data chunk shrank while reading\n")
+
+
 @pytest.mark.parametrize("spec", ["noise:-6:0.01", "sine:1000:-6:0.01"])
 @pytest.mark.parametrize("command", ["convert", "roundtrip"])
 def test_negative_seed_is_its_own_input_error(command, spec, tmp_path,
@@ -1043,6 +1062,48 @@ def test_malformed_file_is_input_error(case, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     if content is None:
         assert captured.err == f"error: input not found: {path}\n"
+    if case in _WHOLE_LINES:
+        assert captured.err == f"error: {path}: {_WHOLE_LINES[case]}\n"
+
+
+# the whole line after "error: <path>: " of refusals that must name their
+# file although they are made once its content is parsed
+_WHOLE_LINES = {
+    "pe-lib-no-weight": "bad element entry [uP]: no weight for mac",
+    "21-behaviors": "21 behaviors, cap is 20"}
+
+
+@pytest.mark.parametrize("source", [
+    ["--input", "silence:0"], ["--scenario", _bundled("baseline.scenario")]],
+    ids=["empty-input", "scenario"])
+def test_element_without_a_weight_is_refused_at_load(source, tmp_path,
+                                                     capsys):
+    """An element that lacks an op kind's weight is refused when its
+    library is loaded, naming the file, even where profile counts no
+    operation with it: an empty input, or a scenario's totals
+    (pe-lib-no-weight above is the clip's case)."""
+    path = tmp_path / "lib.ini"
+    path.write_text(_BAD_FILES["pe-lib-no-weight"][1], encoding="utf-8")
+    assert main(["profile", *source, "--pe-lib", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: bad element entry "
+                                       f"[uP]: no weight for mac\n")
+
+
+def test_behavior_cap_is_explores_alone(tmp_path, capsys):
+    """21 behaviors are over explore's cap of 20 mappable ones (the
+    21-behaviors case above); profile reads the same file's cycle totals
+    and never enumerates mappings, so it takes it."""
+    path = tmp_path / "wide.scenario"
+    rows = "".join(f"[behavior B{i}]\nt_hw_ms = 1\nt_sw_ms = 2\n"
+                   f"code_size = 1\n\n" for i in range(15))
+    # in place of the quoted totals, which the new rows would contradict
+    path.write_text(_edited("baseline.scenario",
+                            r"\[expected_totals\]\n(.+\n)*", rows),
+                    encoding="utf-8")
+    assert main(["explore", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(": 21 behaviors, cap is 20\n")
+    assert main(["profile", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # a field the report prints as a float, set to what no float holds, and a

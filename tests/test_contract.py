@@ -292,12 +292,14 @@ def test_windowed_sinc_lowpass(num_taps, cutoff):
 @CONTRACT
 @given(arrays((np.uint8, None)), st.one_of(COUNTS, st.none()),
        st.one_of(COUNTS, st.just(RATE_CLOCK)))
-@edges(dict(x=np.zeros(1, np.uint8), n_bits=8, clock_hz=RATE_CLOCK))
+@edges(dict(x=np.zeros(16, np.uint8), n_bits=128, clock_hz=RATE_CLOCK))
+@example(x=np.zeros(16, np.uint8), n_bits=np.int64(128), clock_hz=RATE_CLOCK)
 def test_demodulate_stream(x, n_bits, clock_hz):
     n_bits = 8 * (len(x) if x.ndim == 1 else 1) if n_bits is None else n_bits
     audio = outcome(lambda: list(verification.demodulate_stream(
         [x], n_bits=n_bits, clock_hz=clock_hz)))
     valid = (is_vector(x, np.uint8) and is_count(n_bits, 0)
+             and n_bits % chain.FRAME_BITS == 0
              and len(x) == (n_bits + 7) // 8
              and not (n_bits % 8 and x[-1] >> n_bits % 8)
              and is_count(clock_hz, 1) and clock_hz % 1024 == 0)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from pcm2pwm.audio_io import PcmStream
 from pcm2pwm.chain import (BEHAVIORS, INTERP_STAGES, linearize, noise_shape,
                            s0_condition, upsample2)
-from pcm2pwm.profiler import (OP_KINDS, MissingWeight, ProcessingElement,
-                              cycles, exec_time, load_pe_library,
-                              meets_realtime, op_counts)
+from pcm2pwm.profiler import (OP_KINDS, ProcessingElement, cycles, exec_time,
+                              load_pe_library, meets_realtime, op_counts)
 
 PE_LIB = str(resources.files("pcm2pwm").joinpath("data", "pe_library.ini"))
 
@@ -94,10 +93,13 @@ def test_cycles_general_purpose_mac():
     assert est["S1"] == 30  # shipped general-purpose mac weight
 
 
-def test_cycles_missing_weight():
-    pe = make_pe(weights={"add": 1})
-    with pytest.raises(MissingWeight):
-        cycles(counts_of(S1={"mac": 1}), pe)
+@pytest.mark.parametrize("kind", OP_KINDS)
+def test_pe_refuses_a_missing_weight(kind):
+    """Every op kind needs a weight: an element that lacks one is refused
+    when it is built, not when a count of that kind first meets it."""
+    weights = {k: 1 for k in OP_KINDS if k != kind}
+    with pytest.raises(ValueError, match=f"^no weight for {kind}$"):
+        make_pe(weights=weights)
 
 
 @settings(max_examples=40, deadline=None)

@@ -94,6 +94,21 @@ def test_demodulate_stream_rejects_bad_clock(clock_hz, match):
         next(demodulate_stream(unread(), n_bits=0, clock_hz=clock_hz))
 
 
+def test_demodulate_stream_rejects_partial_frames():
+    """100 bits are no whole number of 128-bit frames, so no PWM1 stream
+    of the chain's: the first step raises by the header rule PwmBitstream
+    and write_pwm_blocks share, before a payload byte is read."""
+    def unread():
+        raise AssertionError("the payload was read")
+        yield
+    with pytest.raises(MalformedStream, match="^bit count must be a "
+                                              "multiple of frame_bits$"):
+        next(demodulate_stream(unread(), n_bits=100, clock_hz=1024 * RATE))
+    with pytest.raises(MalformedStream):
+        list(demodulate_stream([np.zeros(13, np.uint8)], n_bits=100,
+                               clock_hz=45158400))
+
+
 def test_demodulate_stream_rejects_negative_bit_count():
     """A negative bit count is refused by name on the first step, before a
     payload byte is read, not as a negative byte count at the end."""
@@ -152,32 +167,35 @@ def test_demodulate_rejects_other_frame_sizes():
 
 # --- frame-table first stage -------------------------------------------------
 
-def flipped_frames(n, seed):
+def flipped_frames(frames, seed):
     """Leading-edge 128-bit frames of random codes with a few bits flipped:
     frames of the chain's alphabet beside frames outside it."""
     rng = np.random.default_rng(seed)
-    codes = rng.integers(0, 128, n // 128 + 1)
-    i = np.arange(n)
+    codes = rng.integers(0, 128, frames)
+    i = np.arange(128 * frames)
     bits = (i % 128 < codes[i // 128]).astype(np.uint8)
-    if n:
-        bits[rng.integers(0, n, 3)] ^= 1
+    if frames:
+        bits[rng.integers(0, len(bits), 3)] ^= 1
     return bits.tolist()
 
 
+# whole 128-bit frames, up to 23 of them (2944 bits): random bits, the
+# chain's alphabet with a few bits flipped, all 0s and all 1s
+FRAME_COUNTS = st.integers(0, 23)
 bitstreams = st.one_of(
-    st.lists(st.integers(0, 1), max_size=3000),
-    st.tuples(st.integers(0, 3000), st.integers(0, 2 ** 32 - 1)).map(
+    st.lists(st.integers(0, 2 ** 128 - 1), max_size=23).map(
+        lambda frames: [f >> i & 1 for f in frames for i in range(128)]),
+    st.tuples(FRAME_COUNTS, st.integers(0, 2 ** 32 - 1)).map(
         lambda a: flipped_frames(*a)),
-    st.integers(0, 3000).map(lambda n: [0] * n),
-    st.integers(0, 3000).map(lambda n: [1] * n),
+    FRAME_COUNTS.map(lambda n: [0] * 128 * n),
+    FRAME_COUNTS.map(lambda n: [1] * 128 * n),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(bits=bitstreams, half=st.integers(127, 600),
        taps_seed=st.integers(0, 2 ** 32 - 1), cut=st.integers(1, 80))
-@example(bits=[1], half=397, taps_seed=0, cut=1)  # one bit
-@example(bits=[1] * 70 + [0] * 30, half=397, taps_seed=1, cut=3)  # partial
+@example(bits=[1] + [0] * 127, half=397, taps_seed=0, cut=1)  # one frame
 # one whole frame outside the alphabet, between two inside it
 @example(bits=[1] * 5 + [0] * 123 + [0, 1] * 64 + [1] * 128, half=127,
          taps_seed=2, cut=7)
@@ -344,34 +362,29 @@ def pwm_bits(n_bits, seed, dense):
 
 
 @settings(max_examples=80, deadline=None)
-@given(n_bits=st.integers(0, 1 << 21), seed=st.integers(0, 2 ** 32 - 1),
+@given(frames=st.integers(0, 1 << 14), seed=st.integers(0, 2 ** 32 - 1),
        dense=st.booleans(), step=st.integers(1, 1 << 18),
        cuts=st.lists(st.integers(0, 1 << 18), max_size=8))
 # shorter than the stage-2 branch filter, and than one 128 KiB pass, both
 # a byte at a time
-@example(n_bits=100_000, seed=0, dense=False, step=1, cuts=[])
-@example(n_bits=400_003, seed=1, dense=False, step=1, cuts=[])
-@example(n_bits=1 << 21, seed=2, dense=False, step=1 << 18,
+@example(frames=781, seed=0, dense=False, step=1, cuts=[])
+@example(frames=3125, seed=1, dense=False, step=1, cuts=[])
+@example(frames=1 << 14, seed=2, dense=False, step=1 << 18,
          cuts=[5, 9000, 65536])
-def test_demodulate_stream_any_cut_matches_one_shot(n_bits, seed, dense, step,
+def test_demodulate_stream_any_cut_matches_one_shot(frames, seed, dense, step,
                                                     cuts):
     """Any cut of the payload, from one byte to all of it and off frame
     boundaries, gives the one-block samples bit for bit."""
-    pwm = PwmBitstream.from_bits(pwm_bits(n_bits, seed, dense),
-                                 clock_hz=1024 * RATE, frame_bits=1)
+    pwm = PwmBitstream.from_bits(pwm_bits(128 * frames, seed, dense),
+                                 clock_hz=1024 * RATE, frame_bits=128)
     payload = pwm.payload
     step = max(step, len(payload) >> 14)  # at most 2^14 even pieces
     edges = sorted({c % (len(payload) + 1) for c in cuts}
                    | set(range(0, len(payload), step)))
     pieces = np.split(payload, edges)
-    streamed = collect(demodulate_stream(pieces, n_bits=n_bits,
+    streamed = collect(demodulate_stream(pieces, n_bits=len(pwm),
                                          clock_hz=pwm.clock_hz))
-    # demodulate's body: it refuses frames other than the chain's 128
-    # bits, and these bits need not fill whole 128-bit frames
-    one_shot = audio_io.collect(
-        demodulate_stream([payload], n_bits=n_bits, clock_hz=pwm.clock_hz),
-        n_bits // 1024, np.float64)
-    assert streamed.tobytes() == one_shot.tobytes()
+    assert streamed.tobytes() == demodulate(pwm).tobytes()
 
 
 @settings(max_examples=10, deadline=None)
