@@ -248,7 +248,10 @@ class WavReader:
     def __init__(self, path):
         self.path = path
         try:
-            self._fh = open(path, "rb")
+            # unbuffered, so blocks() reads the file as it is then and
+            # sees a data chunk that shrank after opening, even in a file
+            # small enough for a read buffer to have held it whole
+            self._fh = open(path, "rb", buffering=0)
             try:
                 if not self._fh.seekable():  # a pipe: hold it in memory
                     with self._fh as pipe:

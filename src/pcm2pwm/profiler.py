@@ -12,7 +12,6 @@ Processing elements are described in a plain-text INI library, one section
 per element:
 
     [DSP]
-    description = DSP 56600 Motorola
     category = DSP
     cost = 8.00
     freq_mhz = 60
@@ -21,7 +20,8 @@ per element:
 Categories are DSP, Microproc., Microcontrol. or FPGA.  weights gives
 every op kind (OP_KINDS) a cycles-per-op of at least 1: an element that
 lacks one is refused when it is built, so when its library is loaded,
-before anything is counted with it.
+before anything is counted with it.  Other keys, such as the bundled
+library's description, are notes for human readers and are ignored.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ class ProcessingElement:
     cost_usd: float
     freq_mhz: Fraction
     weights: dict  # op kind -> cycles per op
-    description: str = ""
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
@@ -136,7 +135,6 @@ def load_pe_library(path) -> list[ProcessingElement]:
                 cost_usd=float(sec["cost"]),
                 freq_mhz=Fraction(sec["freq_mhz"].strip()),
                 weights=_parse_weights(sec["weights"]),
-                description=sec.get("description", "").strip(),
             )
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad element entry [{name}]: {exc}") from exc

@@ -20,7 +20,9 @@ at most one chain block's payload (audio_io._cut), however it arrives, and
 yields the audio a block at a time, each stage carrying a few hundred
 samples of state, so `pcm2pwm roundtrip` feeds it chain.convert_stream's
 blocks and never holds a whole PWM stream; every cut gives the same
-samples bit for bit.
+samples bit for bit.  Each stage ends where its input ends and counts
+nothing: the header's n_bits is read only by the PWM1 rules that check
+it, audio_io._check_fields and audio_io._payload_blocks.
 demodulate is its one-block case, collected.  measure holds whole clips:
 the reference, the demodulated audio and their FFTs.  Audio is plain
 float64 arrays: demodulate returns one at the chain's input rate, and
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -134,10 +137,9 @@ def demodulate_stream(blocks: Iterable[np.ndarray], *, n_bits: int,
     rate = clock_hz // PWM_BITS_PER_SAMPLE
     frame_rate = clock_hz // FRAME_BITS
     payload = _cut(_payload_blocks(blocks, n_bits), _PAYLOAD_BLOCK)
-    frames = _frame_decimate(payload, n_bits,
+    frames = _frame_decimate(payload,
                              _stage_filter(clock_hz, frame_rate, rate))
-    for y in _polyphase_decimate(frames, n_bits // FRAME_BITS,
-                                 _stage_filter(frame_rate, rate, rate),
+    for y in _polyphase_decimate(frames, _stage_filter(frame_rate, rate, rate),
                                  PWM_BITS_PER_SAMPLE // FRAME_BITS):
         np.clip(y, -1.0, 1.0, out=y)
         yield y
@@ -164,29 +166,29 @@ def _stage_filter(fs_in: int, fs_out: int, rate: int) -> np.ndarray:
     return windowed_sinc_lowpass(num_taps, cutoff)
 
 
-def _frame_decimate(blocks: Iterable[np.ndarray], n_bits: int,
+def _frame_decimate(blocks: Iterable[np.ndarray],
                     h: np.ndarray) -> Iterator[np.ndarray]:
     """Filter and decimate a packed bitstream as +-1 samples by one PWM
     frame, m = FRAME_BITS bits.
 
-    blocks hold n_bits bits, a whole number of frames, packed LSB-first
-    as in PwmBitstream, cut at any byte.  Computes y[n] = sum_k h[k]
-    s(n m + D - k) with s = 2 bits - 1 inside the stream and 0 outside,
-    D = (len(h)-1)//2, exactly as a direct-form filter would.  Output n's
-    window meets frames n + j, j = lo .. hi, at the taps G[j, i] = h[D -
-    j m - i] (0 off h), so with frame f's row R[f] = G s_f, y[n] = sum_j
-    R[n + j, j], and R = 0 outside the stream.  A chain frame's R
-    (chain._FRAMES) is one lookup in their table; any other's is computed
-    from its bytes as the table's are.
+    blocks hold whole frames, packed LSB-first as in PwmBitstream, cut at
+    any byte; the stream ends where blocks end.  Computes y[n] = sum_k
+    h[k] s(n m + D - k) with s = 2 bits - 1 inside the stream and 0
+    outside, D = (len(h)-1)//2, exactly as a direct-form filter would,
+    one output per frame.  Output n's window meets frames n + j, j = lo ..
+    hi, at the taps G[j, i] = h[D - j m - i] (0 off h), so with frame f's
+    row R[f] = G s_f, y[n] = sum_j R[n + j, j], and R = 0 outside the
+    stream.  A chain frame's R (chain._FRAMES) is one lookup in their
+    table; any other's is computed from its bytes as the table's are.
 
-    Each block is one pass over the outputs the payload now covers
+    Each block is one pass over the outputs its frames' rows now cover
     (demodulate_stream hands it at most 128 KiB), carrying the rows of
-    the last hi - lo frames and the bytes of an unfinished frame.  A
-    frame's row depends only on its bytes, and the sum over j runs in one
-    order, so every cut gives the same bits.
+    the last hi - lo frames and the bytes of an unfinished frame; after
+    the last block, hi zero rows cover the last hi outputs.  A frame's
+    row depends only on its bytes, and the sum over j runs in one order,
+    so every cut gives the same bits.
     """
     m, size = FRAME_BITS, FRAME_BITS // 8  # a frame's bits and bytes
-    n_out = n_bits // m
     delay = (len(h) - 1) // 2
     lo, hi = (delay - len(h) + 1) // m, delay // m
     k = delay - m * np.arange(lo, hi + 1)[:, None] - np.arange(m)
@@ -203,45 +205,44 @@ def _frame_decimate(blocks: Iterable[np.ndarray], n_bits: int,
     table = frame_rows(_FRAMES)
     first = _FRAME_LOW[:m // 2 + 1]  # 2^c - 1 for c = 0 .. 64
 
-    rows = np.zeros((-lo, len(g)))  # frames done + lo .. framed - 1
-    tail = np.zeros(0, dtype=np.uint8)  # an unfinished frame's bytes
-    received = framed = done = 0
-    for block in blocks:
-        data = np.concatenate((tail, block))
-        received += len(block)
-        whole = len(data) - len(data) % size
-        frames, tail = data[:whole].reshape(-1, size), data[whole:]
-        # code c's frame has the words (2^c - 1, 0) up to c = 64 and
-        # (2^64 - 1, 2^(c-64) - 1) above: each word's place in first,
-        # summed, is the frame's code if that code's words confirm it
-        low, high = frames.view("<u8").T
-        code = np.minimum(np.searchsorted(first, low)
-                          + np.searchsorted(first, high), m - 1)
-        new = np.take(table, code, axis=0)
-        other = np.flatnonzero((low != _FRAME_LOW.take(code))
-                               | (high != _FRAME_HIGH.take(code)))
-        new[other] = frame_rows(frames[other])
-        framed += len(new)
-        ready = min(framed - hi, n_out)
-        if 8 * received >= n_bits:
-            # the frames after the stream, to the last output's frame + hi
-            new = np.vstack((new, np.zeros((max(n_out + hi - framed, 0),
-                                            len(g)))))
-            ready = n_out
+    def block_rows():
+        """The rows of each block's whole frames, the bytes of an
+        unfinished frame carried to the next block, and after the last
+        block the rows of the hi frames after the stream, which are 0."""
+        tail = np.zeros(0, dtype=np.uint8)
+        for block in blocks:
+            data = np.concatenate((tail, block))
+            whole = len(data) - len(data) % size
+            frames, tail = data[:whole].reshape(-1, size), data[whole:]
+            # code c's frame has the words (2^c - 1, 0) up to c = 64 and
+            # (2^64 - 1, 2^(c-64) - 1) above: each word's place in first,
+            # summed, is the frame's code if that code's words confirm it
+            low, high = frames.view("<u8").T
+            code = np.minimum(np.searchsorted(first, low)
+                              + np.searchsorted(first, high), m - 1)
+            new = np.take(table, code, axis=0)
+            other = np.flatnonzero((low != _FRAME_LOW.take(code))
+                                   | (high != _FRAME_HIGH.take(code)))
+            new[other] = frame_rows(frames[other])
+            yield new
+        yield np.zeros((hi, len(g)))
+
+    rows = np.zeros((-lo, len(g)))  # frames lo .. -1, before the stream
+    for new in block_rows():
         rows = np.concatenate((rows, new))
-        if ready <= done:
+        ready = len(rows) - len(g) + 1  # the outputs the rows cover
+        if ready <= 0:
             continue
-        y = sum(rows[j:j + ready - done, j] for j in range(len(g)))
-        rows = rows[ready - done:]
-        done = ready
-        yield y
+        yield sum(rows[j:j + ready, j] for j in range(len(g)))
+        rows = rows[ready:]
 
 
-def _polyphase_decimate(blocks: Iterable[np.ndarray], n_in: int,
-                        h: np.ndarray, m: int) -> Iterator[np.ndarray]:
+def _polyphase_decimate(blocks: Iterable[np.ndarray], h: np.ndarray,
+                        m: int) -> Iterator[np.ndarray]:
     """Filter and keep every m-th sample, compensating the filter delay.
 
-    blocks hold the n_in input samples, cut anywhere.  Meant to compute
+    blocks hold the input samples x, cut anywhere; the input ends where
+    blocks end, and N samples give N // m outputs.  Meant to compute
     y[n] = sum_k h[k] x(n m + D - k) with D = (len(h)-1)/2 and x zero
     outside its range, touching only the samples that survive decimation:
     branch r filters x[D - r::m] with h[r::m].  Known defect: branch r
@@ -254,24 +255,26 @@ def _polyphase_decimate(blocks: Iterable[np.ndarray], n_in: int,
     branch reads, and branch r is read from it as window[m - 1 - r::m].
     Each block is appended to the window and costs one convolution per
     branch, over the branch's samples after the last len(h[0::m]) it has
-    used, and yields every output its branches cover.  Branch starts
-    D - r are never negative: demodulate_stream's stage 2 (m = 8, fs_in =
-    8 rate) takes 5.5 fs_in / transition taps, over a 0.04 rate transition
-    below 43,479 Hz (at least 1100) and one under 0.5 rate above (over
-    88), so D >= 44 > m - 1.
+    used, and yields every output its branches cover; after the last
+    block, one more such pass yields the outputs up to N // m.  Branch
+    starts D - r are never negative: demodulate_stream's stage 2 (m = 8,
+    fs_in = 8 rate) takes 5.5 fs_in / transition taps, over a 0.04 rate
+    transition below 43,479 Hz (at least 1100) and one under 0.5 rate
+    above (over 88), so D >= 44 > m - 1.
     """
-    n_out = n_in // m
     delay = (len(h) - 1) // 2
     branch_taps = [h[r::m] for r in range(m)]
     history = len(branch_taps[0])  # the longest branch filter
     start = delay - m + 1  # window[0] is x[start + base m]
     window = np.zeros(0)
     base = received = done = 0
-    for x in blocks:
+    for x in itertools.chain(blocks, [end := np.zeros(0)]):
         window = np.concatenate((window, x[max(start - received, 0):]))
         received += len(x)
-        # branch 0, window[m - 1::m], has the fewest samples
-        ready = n_out if received >= n_in else base + len(window) // m
+        # branch 0, window[m - 1::m], has the fewest samples; at end, the
+        # empty block after the last, x is 0 from then on, and the
+        # branches cover every output on the input's grid
+        ready = received // m if x is end else base + len(window) // m
         if ready <= done:
             continue
         y = np.zeros(ready - done)

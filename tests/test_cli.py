@@ -78,14 +78,20 @@ def test_malformed_or_unsupported_wav_is_input_error(command, field, value,
     assert capsys.readouterr() == ("", f"error: {path}: {reason}\n")
 
 
-@pytest.mark.parametrize("command", ["convert", "roundtrip"])
-def test_wav_that_shrinks_while_read_is_named(command, wav_file, tmp_path,
-                                              capsys, monkeypatch):
+@pytest.mark.parametrize("command, seconds", [
+    pytest.param("convert", 0.2, id="convert"),
+    pytest.param("roundtrip", 0.2, id="roundtrip"),
+    # a file that fits in one read buffer
+    pytest.param("convert", 0.01, id="convert-0.01s"),
+    pytest.param("roundtrip", 0.01, id="roundtrip-0.01s"),
+])
+def test_wav_that_shrinks_while_read_is_named(command, seconds, wav_file,
+                                              tmp_path, capsys, monkeypatch):
     """A WAV whose data chunk loses its last frame after it is opened
     fails while its samples are read, outside _load: the one error line
-    still names the file."""
-    # more than the 8 KiB opening buffers, so the last frame is read after
-    path = wav_file(sine_int16(1000, 0.5, 0.2))
+    still names the file, whether the file is shorter or longer than a
+    read buffer."""
+    path = wav_file(sine_int16(1000, 0.5, seconds))
     opened = audio_io.WavReader.__init__
 
     def open_then_shrink(self, name):

@@ -45,3 +45,28 @@ def test_make_test_wav_writes_what_read_wav_reads(tmp_path):
     t = np.arange(24000) / 48000
     sine = np.round(10 ** (-6 / 20) * 32767 * np.sin(2 * np.pi * 1000 * t))
     assert np.array_equal(pcm.samples, sine.astype(np.int16))
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    """code_lines.py skips docstrings, comments and blank lines, and counts
+    every line of a statement that spans several."""
+    module = tmp_path / "module.py"
+    module.write_text('"""A module docstring,\n'
+                      'over two lines."""\n'
+                      "\n"
+                      "import math  # a comment after code\n"
+                      "# a comment alone\n"
+                      "\n"
+                      "\n"
+                      "def area(r):\n"
+                      '    """A function docstring."""\n'
+                      "    return (math.pi\n"
+                      "            * r ** 2)\n"
+                      "\n"
+                      'NOTE = """not a docstring,\n'
+                      'but a string that spans two lines"""\n',
+                      encoding="utf-8")
+    # import, def, the two lines of the return, the two of NOTE
+    assert run_script("code_lines.py", str(module)) == (
+        "     6  module.py\n"
+        "     6  total\n")

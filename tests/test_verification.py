@@ -199,14 +199,17 @@ bitstreams = st.one_of(
 # one whole frame outside the alphabet, between two inside it
 @example(bits=[1] * 5 + [0] * 123 + [0, 1] * 64 + [1] * 128, half=127,
          taps_seed=2, cut=7)
+# a frame a block: the stream ends where a block and a frame end
+@example(bits=[0] * 130 + [1] * 254, half=300, taps_seed=3, cut=16)
 def test_frame_decimate_matches_direct_form(bits, half, taps_seed, cut):
     h = np.random.default_rng(taps_seed).standard_normal(2 * half + 1)
     b = np.array(bits, dtype=np.uint8)
     payload = np.packbits(b, bitorder="little")
     # the payload arrives `cut` bytes at a time, one pass each, so passes
-    # start inside frames and the filter's windows
-    pieces = [payload[i:i + cut] for i in range(0, len(payload), cut)]
-    y = collect(verification._frame_decimate(pieces, len(b), h))
+    # start inside frames and the filter's windows; a generator, which has
+    # no length, as the stage ends where its input ends
+    pieces = (payload[i:i + cut] for i in range(0, len(payload), cut))
+    y = collect(verification._frame_decimate(pieces, h))
     expected = oracles.decimate_direct(2.0 * b - 1.0, h, 128)
     assert y.shape == expected.shape
     np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
@@ -226,7 +229,7 @@ def test_frame_decimate_matches_direct_form_on_short_clips(samples):
     pieces = np.split(pwm.payload, range(1000, len(pwm.payload), 1000))
     bits = np.unpackbits(pwm.payload, bitorder="little")
     np.testing.assert_allclose(
-        collect(verification._frame_decimate(pieces, len(pwm), h)),
+        collect(verification._frame_decimate(pieces, h)),
         oracles.decimate_direct(2.0 * bits - 1.0, h, 128), rtol=0, atol=1e-12)
 
 
@@ -247,14 +250,13 @@ def payload_cut(payload, n_bits):
 def test_frame_decimate_matches_polyphase_on_clip(stage1_minus6):
     pwm, h = stage1_minus6
     y = collect(verification._frame_decimate(
-        payload_cut(pwm.payload, len(pwm)), len(pwm), h))
+        payload_cut(pwm.payload, len(pwm)), h))
     # +-1 in int8 keeps the unpacked copy at 1 byte/bit
     signs = np.unpackbits(pwm.payload, count=len(pwm),
                           bitorder="little").view(np.int8)
     signs *= 2
     signs -= 1
-    reference = collect(verification._polyphase_decimate([signs], len(signs),
-                                                         h, 128))
+    reference = collect(verification._polyphase_decimate([signs], h, 128))
     del signs
     # _polyphase_decimate counts its first inputs as zero; compare after them
     start = -(-len(h) // 128) + 1
@@ -268,7 +270,7 @@ def test_frame_decimate_matches_direct_form_on_clip_prefix(stage1_minus6):
     prefix = np.unpackbits(payload, bitorder="little")
     np.testing.assert_allclose(
         collect(verification._frame_decimate(payload_cut(payload, 2 ** 17),
-                                             2 ** 17, h)),
+                                             h)),
         oracles.decimate_direct(2.0 * prefix - 1.0, h, 128), rtol=0,
         atol=1e-12)
 
@@ -278,7 +280,7 @@ def test_frame_decimate_matches_direct_form_on_clip_end(stage1_minus6):
     last of them running past its end, where the stream steps to 0."""
     pwm, h = stage1_minus6
     y = collect(verification._frame_decimate(
-        payload_cut(pwm.payload, len(pwm)), len(pwm), h))
+        payload_cut(pwm.payload, len(pwm)), h))
     suffix = np.unpackbits(pwm.payload[-2 ** 14:], bitorder="little")
     expected = oracles.decimate_direct(2.0 * suffix - 1.0, h, 128)
     # the first output of the suffix whose window starts inside it
@@ -408,17 +410,22 @@ def test_demodulate_stream_fed_by_convert_stream(n, step, seed):
        cuts=st.lists(st.integers(0, 3000), max_size=12))
 @example(n=2000, m=8, extra_half=466, seed=0, cuts=[1, 2, 3, 500, 1000])
 @example(n=2000, m=8, extra_half=60, seed=0, cuts=[1999])  # last block: 1
+@example(n=0, m=8, extra_half=0, seed=0, cuts=[0, 0])  # empty pieces only
+# empty pieces inside the input and at its end
+@example(n=21, m=8, extra_half=3, seed=1, cuts=[0, 8, 8, 21, 21])
 def test_polyphase_decimate_any_cut_matches_one_block(n, m, extra_half, seed,
                                                       cuts):
-    """Stage 2 over any cut, down to single samples and to blocks that
-    leave a branch shorter than its filter, sums every output as one
-    block does."""
+    """Stage 2 over any cut, down to single samples, to empty pieces and
+    to blocks that leave a branch shorter than its filter, sums every
+    output as one block does, and ends where its input ends: n inputs give
+    n // m outputs."""
     rng = np.random.default_rng(seed)
     h = rng.standard_normal(2 * (m - 1 + extra_half) + 1)
     x = rng.standard_normal(n)
     pieces = np.split(x, sorted(c % (n + 1) for c in cuts))
-    streamed = collect(verification._polyphase_decimate(pieces, n, h, m))
-    one_block = collect(verification._polyphase_decimate([x], n, h, m))
+    streamed = collect(verification._polyphase_decimate(pieces, h, m))
+    one_block = collect(verification._polyphase_decimate([x], h, m))
+    assert len(streamed) == n // m
     assert streamed.tobytes() == one_block.tobytes()
 
 
